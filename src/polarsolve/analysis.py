@@ -22,9 +22,7 @@ The headline objects:
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
@@ -34,6 +32,7 @@ from .gaussmath import std_normal_pdf
 from .model import ModelParams
 from .solver import (
     SolverConfig,
+    _bisect,
     solve_asymmetric,
     solve_symmetric,
     symmetric_foc_root,
@@ -168,14 +167,12 @@ def sweep_w(
     params_base: ModelParams,
     cfg: SolverConfig | None = None,
     mode: Literal["symmetric", "asymmetric"] = "symmetric",
-    max_workers: int | None = None,
 ) -> list[SweepRow]:
-    """Solve along a strictly increasing grid of w values, one row per w.
+    """Solve along a strictly increasing grid of w values, one row per w,
+    serially and in grid order.
 
-    Rows are independent and are evaluated on a thread pool
-    (``max_workers`` defaults to the available cores); assembly is
-    ordered and deterministic.  Per-row solver failures become NaN rows
-    with ``certified=False`` — the sweep itself never aborts.
+    Per-row solver failures become NaN rows with ``certified=False`` —
+    the sweep itself never aborts.
     """
     cfg = cfg or SolverConfig()
     if mode not in ("symmetric", "asymmetric"):
@@ -188,14 +185,7 @@ def sweep_w(
             raise ValueError(f"w_grid must be strictly increasing ({a} !< {b})")
     if grid[0] < 0.0 or not all(math.isfinite(w) for w in grid):
         raise ValueError("w_grid values must be finite and nonnegative")
-
-    if max_workers is None:
-        max_workers = os.cpu_count() or 1
-    max_workers = max(1, min(max_workers, len(grid)))
-    if max_workers == 1:
-        return [_sweep_row(w, params_base, cfg, mode) for w in grid]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(lambda w: _sweep_row(w, params_base, cfg, mode), grid))
+    return [_sweep_row(w, params_base, cfg, mode) for w in grid]
 
 
 def _slope_sign_changes(values: Sequence[float]) -> tuple[int, int, int]:
@@ -273,66 +263,28 @@ def _pl_slope_at(params: ModelParams, w: float, cfg: SolverConfig) -> float:
 def w_tilde(params: ModelParams, cfg: SolverConfig | None = None) -> float:
     """The interior peak of w -> p_L*(w) (trough of delta(w)).
 
-    The slope is positive at w = 0 and eventually negative, so the
-    search interval [0, W] grows (doubling W) until the slope at W is
-    negative; a cap of 1e6 guards the theoretically impossible case of
-    no sign change.  Golden-section maximization of p_L*(w) locates the
-    peak, which function comparisons alone can only do to ~1e-7 (the
-    objective is flat at a smooth maximum), so a bisection on the sign
-    of the analytic slope sharpens it to ~1e-12 — comfortably within
-    the 1e-6 self-consistency contract with the sign-flip boundary
+    The slope of p_L* is positive at w = 0 and negative past the peak.
+    W doubles from 1 until the slope at W is negative; one bisection on
+    the sign of the analytic slope over [last W with slope >= 0, W] then
+    locates the peak to 1e-12 relative, well within the 1e-6
+    self-consistency contract with the sign-flip boundary
     w = sigma_v^2 / (4 sigma_i^2 (1 + V - 2 p_L*)).
+
+    The peak can lie beyond the search cap w = 1e6 (large sigma_v over
+    small sigma_i; about 0.5% of the benchmark's locus-statics draws), in
+    which case :class:`ConvergenceError` is raised.
     """
     cfg = cfg or SolverConfig()
-    w_hi = 1.0
+    w_lo, w_hi = 0.0, 1.0
     while _pl_slope_at(params, w_hi, cfg) >= 0.0:
-        w_hi *= 2.0
+        w_lo, w_hi = w_hi, 2.0 * w_hi
         if w_hi > _W_MAX_CAP:
             raise ConvergenceError(
                 f"p_L*(w) slope never turned negative up to w={_W_MAX_CAP:g}; "
                 f"params={params}"
             )
-
-    def objective(w: float) -> float:
-        return symmetric_foc_root(replace(params, w=w), cfg)[0]
-
-    # golden-section maximization on [0, w_hi]
-    lo, hi = 0.0, w_hi
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = objective(c), objective(d)
-    while hi - lo > 1e-6:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = objective(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = objective(d)
-    guess = 0.5 * (lo + hi)
-
-    # sharpen: bracket the slope's sign change around the golden estimate
-    eps = 1e-6
-    a = max(0.0, guess - eps)
-    b = min(w_hi, guess + eps)
-    while _pl_slope_at(params, a, cfg) <= 0.0 and a > 0.0:
-        eps *= 4.0
-        a = max(0.0, guess - eps)
-    eps = 1e-6
-    while _pl_slope_at(params, b, cfg) >= 0.0 and b < w_hi:
-        eps *= 4.0
-        b = min(w_hi, guess + eps)
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        if b - a <= 1e-12 * max(1.0, mid):
-            break
-        if _pl_slope_at(params, mid, cfg) > 0.0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    slope = lambda w: _pl_slope_at(params, w, cfg)
+    return _bisect(slope, w_lo, w_hi, 1e-12 * max(1.0, w_lo))[0]
 
 
 def symmetry_locus_mu_v(w: float, mu_i: float) -> float:

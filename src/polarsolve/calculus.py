@@ -19,8 +19,6 @@ density/CDF:
     dE[pi_R]/dp_R = -(2 p_R - 1) phi(kappa) A_R / sigma_n
                     + 2 (1-p_R) (1 - Phi(kappa))
         with A_R = (p_L-2) p_L - (p_R-2) p_R + V + w.
-
-FocValue/SocValue are plain floats; the names only record intent.
 """
 
 from __future__ import annotations
@@ -33,8 +31,6 @@ from .gaussmath import std_normal_cdf, std_normal_pdf
 from .model import ModelParams, PlatformPair, noise_scale, win_margin
 
 __all__ = [
-    "FocValue",
-    "SocValue",
     "d_euL_d_pL",
     "d_euR_d_pR",
     "d2_euL_d_pL2",
@@ -46,9 +42,6 @@ __all__ = [
     "dpL_dw_symmetric",
     "dpL_dw_polar",
 ]
-
-FocValue = float
-SocValue = float
 
 #: How far off the solution manifold the implicit-derivative formulas
 #: may be evaluated before they stop being meaningful.
@@ -62,7 +55,7 @@ def _dphi(x: float) -> float:
     return -x * std_normal_pdf(x)
 
 
-def d_euL_d_pL(pp: PlatformPair, params: ModelParams) -> FocValue:
+def d_euL_d_pL(pp: PlatformPair, params: ModelParams) -> float:
     """dE[pi_L]/dp_L at an arbitrary profile."""
     sn = noise_scale(params)
     k = win_margin(pp, params)
@@ -70,7 +63,7 @@ def d_euL_d_pL(pp: PlatformPair, params: ModelParams) -> FocValue:
     return (1.0 - 2.0 * pp.p_L) * std_normal_pdf(k) * a_l / sn - 2.0 * pp.p_L * std_normal_cdf(k)
 
 
-def d_euR_d_pR(pp: PlatformPair, params: ModelParams) -> FocValue:
+def d_euR_d_pR(pp: PlatformPair, params: ModelParams) -> float:
     """dE[pi_R]/dp_R at an arbitrary profile."""
     sn = noise_scale(params)
     k = win_margin(pp, params)
@@ -80,7 +73,7 @@ def d_euR_d_pR(pp: PlatformPair, params: ModelParams) -> FocValue:
     )
 
 
-def d2_euL_d_pL2(pp: PlatformPair, params: ModelParams) -> SocValue:
+def d2_euL_d_pL2(pp: PlatformPair, params: ModelParams) -> float:
     """d^2 E[pi_L]/dp_L^2; negative at any certified equilibrium."""
     sn = noise_scale(params)
     k = win_margin(pp, params)
@@ -93,7 +86,7 @@ def d2_euL_d_pL2(pp: PlatformPair, params: ModelParams) -> SocValue:
     )
 
 
-def d2_euR_d_pR2(pp: PlatformPair, params: ModelParams) -> SocValue:
+def d2_euR_d_pR2(pp: PlatformPair, params: ModelParams) -> float:
     """d^2 E[pi_R]/dp_R^2; negative at any certified equilibrium."""
     sn = noise_scale(params)
     k = win_margin(pp, params)
@@ -106,7 +99,7 @@ def d2_euR_d_pR2(pp: PlatformPair, params: ModelParams) -> SocValue:
     )
 
 
-def foc_symmetric(p_L: float, params: ModelParams) -> FocValue:
+def foc_symmetric(p_L: float, params: ModelParams) -> float:
     """L's first-order condition along the symmetric profile p_R = 1 - p_L:
 
         (1 - 2 p_L) phi(0) (V + w + 1 - 2 p_L) / sigma_n - p_L.
@@ -126,13 +119,13 @@ def foc_symmetric_derivative(p_L: float, params: ModelParams) -> float:
     return -2.0 * _PHI0 * (params.V + params.w + 2.0 * (1.0 - 2.0 * p_L)) / noise_scale(params) - 1.0
 
 
-def foc_symmetric_valence_only(p_L: float, params: ModelParams) -> FocValue:
+def foc_symmetric_valence_only(p_L: float, params: ModelParams) -> float:
     """Symmetric FOC in the valence-uncertainty-only limit sigma_i -> 0
     (the noise scale collapses to sigma_v)."""
     return (1.0 - 2.0 * p_L) * _PHI0 * (params.V + params.w + 1.0 - 2.0 * p_L) / params.sigma_v - p_L
 
 
-def foc_symmetric_ideology_only(p_L: float, params: ModelParams) -> FocValue:
+def foc_symmetric_ideology_only(p_L: float, params: ModelParams) -> float:
     """Symmetric FOC in the ideology-uncertainty-only limit sigma_v -> 0
     (noise scale 2*sigma_i*w).
 

@@ -28,7 +28,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -220,35 +219,45 @@ def _read_config_file(path: Path) -> dict:
     return doc
 
 
+def _config_number(key: str, value, integral: bool = False) -> float | int:
+    """A numeric setting as float (or int where ``integral``).  JSON
+    booleans, and fractional values where an integer is required, are
+    rejected instead of coerced."""
+    if isinstance(value, bool):
+        raise _CliError(
+            "invalid-config", f"bad config value: {key} must be a number, got {value!r}"
+        )
+    if not integral:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise _CliError(
+            "invalid-config", f"bad config value: {key} must be an integer, got {value!r}"
+        )
+    return int(value)
+
+
 def _make_config(args: argparse.Namespace) -> RunConfig:
     doc = _read_config_file(args.config) if args.config is not None else {}
     pdoc = doc.get("params", {})
     sdoc = doc.get("solver", {})
 
-    def pick(flag, table: dict, key: str, default):
-        if flag is not None:
-            return flag
-        return table.get(key, default)
+    def pick(flag, table: dict, key: str, default, integral: bool = False):
+        value = flag if flag is not None else table.get(key, default)
+        return _config_number(key, value, integral)
 
     try:
         params = ModelParams(
-            w=float(pick(args.w, pdoc, "w", 1.0)),
-            V=float(pick(args.V, pdoc, "V", 1.0)),
-            sigma_i=float(pick(args.sigma_i, pdoc, "sigma_i", 1.0)),
-            sigma_v=float(pick(args.sigma_v, pdoc, "sigma_v", 1.0)),
-            mu_i=float(pick(args.mu_i, pdoc, "mu_i", 0.5)),
-            mu_v=float(pick(args.mu_v, pdoc, "mu_v", 0.0)),
+            w=pick(args.w, pdoc, "w", 1.0),
+            V=pick(args.V, pdoc, "V", 1.0),
+            sigma_i=pick(args.sigma_i, pdoc, "sigma_i", 1.0),
+            sigma_v=pick(args.sigma_v, pdoc, "sigma_v", 1.0),
+            mu_i=pick(args.mu_i, pdoc, "mu_i", 0.5),
+            mu_v=pick(args.mu_v, pdoc, "mu_v", 0.0),
         )
-        base = SolverConfig()
         solver = SolverConfig(
-            tol_root=float(sdoc.get("tol_root", base.tol_root)),
-            tol_fp=float(sdoc.get("tol_fp", base.tol_fp)),
-            max_iter=int(sdoc.get("max_iter", base.max_iter)),
-            damping=float(sdoc.get("damping", base.damping)),
-            bracket_lo=float(sdoc.get("bracket_lo", base.bracket_lo)),
-            bracket_hi=float(sdoc.get("bracket_hi", base.bracket_hi)),
+            **{key: _config_number(key, v, key == "max_iter") for key, v in sdoc.items()}
         )
-        seed = int(pick(args.seed, doc, "seed", DEFAULT_SEED))
+        seed = pick(args.seed, doc, "seed", DEFAULT_SEED, integral=True)
     except PolarsolveError:
         raise
     except (TypeError, ValueError) as exc:
@@ -262,10 +271,10 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
     if args.command == "sweep":
         try:
             extra = {
-                "w_min": float(pick(args.w_min, doc, "w_min", 0.0)),
-                "w_max": float(pick(args.w_max, doc, "w_max", 3.0)),
-                "w_steps": int(pick(args.w_steps, doc, "w_steps", 121)),
-                "mode": str(pick(args.mode, doc, "mode", "symmetric")),
+                "w_min": pick(args.w_min, doc, "w_min", 0.0),
+                "w_max": pick(args.w_max, doc, "w_max", 3.0),
+                "w_steps": pick(args.w_steps, doc, "w_steps", 121, integral=True),
+                "mode": str(args.mode or doc.get("mode", "symmetric")),
             }
         except (TypeError, ValueError) as exc:
             raise _CliError("invalid-config", f"bad sweep value: {exc}") from exc
@@ -277,7 +286,7 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
                 raise _CliError("invalid-args", f"--w-list: {exc}") from exc
         elif "w_list" in doc:
             try:
-                w_list = tuple(float(x) for x in doc["w_list"])
+                w_list = tuple(_config_number("w_list", x) for x in doc["w_list"])
             except (TypeError, ValueError) as exc:
                 raise _CliError("invalid-config", f"bad w_list: {exc}") from exc
         else:
@@ -285,7 +294,7 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
         try:
             extra = {
                 "w_list": w_list,
-                "mu_i_steps": int(pick(args.mu_i_steps, doc, "mu_i_steps", 101)),
+                "mu_i_steps": pick(args.mu_i_steps, doc, "mu_i_steps", 101, integral=True),
             }
         except (TypeError, ValueError) as exc:
             raise _CliError("invalid-config", f"bad mu_i_steps: {exc}") from exc
@@ -322,21 +331,6 @@ def _emit(text: str, out: Path | None) -> None:
         out.write_text(text, encoding="utf-8", newline="")
 
 
-def _threads_from_env() -> int | None:
-    raw = os.environ.get("POLARSOLVE_THREADS")
-    if raw is None:
-        return None
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise _CliError(
-            "invalid-config", f"POLARSOLVE_THREADS must be an integer, got {raw!r}"
-        ) from exc
-    if n < 1:
-        raise _CliError("invalid-config", f"POLARSOLVE_THREADS must be >= 1, got {n}")
-    return n
-
-
 def _cmd_solve(config: RunConfig) -> int:
     params = config.params
     on_locus = abs(params.mu_v - symmetry_locus_mu_v(params.w, params.mu_i)) <= LOCUS_TOL
@@ -368,10 +362,7 @@ def _cmd_solve(config: RunConfig) -> int:
 def _cmd_sweep(config: RunConfig) -> int:
     step = (config.w_max - config.w_min) / (config.w_steps - 1)
     grid = [config.w_min + i * step for i in range(config.w_steps)]
-    rows = sweep_w(
-        grid, config.params, config.solver, mode=config.mode,
-        max_workers=_threads_from_env(),
-    )
+    rows = sweep_w(grid, config.params, config.solver, mode=config.mode)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_SWEEP_COLUMNS)

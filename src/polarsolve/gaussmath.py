@@ -25,17 +25,13 @@ _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 #: |x| beyond which the CDF is clamped to exact 0 or 1.
 _CDF_CLAMP = 38.0
 
-#: Alias used for documentation purposes: plain IEEE doubles throughout.
-Real = float
-
-
 def _require_finite(x: float) -> float:
     if not math.isfinite(x):
         raise DomainError(f"expected a finite real number, got {x!r}")
     return x
 
 
-def std_normal_pdf(x: Real) -> Real:
+def std_normal_pdf(x: float) -> float:
     """Density of the standard normal: exp(-x^2/2)/sqrt(2*pi).
 
     Strictly positive and symmetric; underflows to 0.0 only beyond
@@ -45,7 +41,7 @@ def std_normal_pdf(x: Real) -> Real:
     return math.exp(-0.5 * x * x) * _INV_SQRT_2PI
 
 
-def std_normal_cdf(x: Real) -> Real:
+def std_normal_cdf(x: float) -> float:
     """Distribution function of the standard normal.
 
     Strictly increasing with Phi(-x) = 1 - Phi(x); clamps to exact 0/1

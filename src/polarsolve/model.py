@@ -27,7 +27,6 @@ __all__ = [
     "SIGMA_V_TILDE",
     "ModelParams",
     "PlatformPair",
-    "NoiseScale",
     "voter_utility",
     "noise_scale",
     "win_margin",
@@ -39,9 +38,6 @@ __all__ = [
 #: Valence-noise level above which both parties' objectives are
 #: guaranteed single-peaked in their own platform: sqrt(32/3125).
 SIGMA_V_TILDE = math.sqrt(32.0 / 3125.0)
-
-#: Combined shock scale sqrt(sigma_v^2 + 4 w^2 sigma_i^2) (an IEEE double).
-NoiseScale = float
 
 
 def _finite(name: str, x: float) -> float:
@@ -123,7 +119,7 @@ def voter_utility(i: float, p: float, i_hat: float, params: ModelParams) -> floa
     return -params.w * di * di - dp * dp
 
 
-def noise_scale(params: ModelParams) -> NoiseScale:
+def noise_scale(params: ModelParams) -> float:
     """Standard deviation of the combined shock 2*w*i_hat + v."""
     return math.sqrt(params.sigma_v**2 + 4.0 * params.w**2 * params.sigma_i**2)
 

@@ -165,6 +165,29 @@ def _certificate(
     )
 
 
+def _bisect(
+    f: Callable[[float], float], lo: float, hi: float, tol: float
+) -> tuple[float, int]:
+    """Sign change of f on [lo, hi], with f(lo) > 0 >= f(hi): the
+    midpoint of the final bracket and the number of f evaluations.
+
+    Stops once hi - lo <= tol, or when the bracket's endpoints are
+    adjacent doubles (the midpoint rounds to one of them), so a ``tol``
+    below the float spacing still terminates.
+    """
+    iterations = 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        iterations += 1
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), iterations
+
+
 def symmetric_foc_root(
     params: ModelParams, cfg: SolverConfig | None = None
 ) -> tuple[float, int]:
@@ -177,16 +200,7 @@ def symmetric_foc_root(
     answered by :func:`solve_symmetric`.
     """
     cfg = cfg or SolverConfig()
-    lo, hi = 0.0, 0.5
-    iterations = 0
-    while hi - lo > cfg.tol_root:
-        mid = 0.5 * (lo + hi)
-        iterations += 1
-        if foc_symmetric(mid, params) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    p = 0.5 * (lo + hi)
+    p, iterations = _bisect(lambda x: foc_symmetric(x, params), 0.0, 0.5, cfg.tol_root)
     for _ in range(2):  # Newton polish to machine-level residual
         p -= foc_symmetric(p, params) / foc_symmetric_derivative(p, params)
         p = min(max(p, 0.0), 0.5)

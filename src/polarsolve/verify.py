@@ -15,7 +15,9 @@ Check randomness is reproducible: each check draws from
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import math
 import tempfile
 import time
@@ -52,6 +54,7 @@ from .model import (
 )
 from .oracle import OracleReport, grid_best_response, mc_win_probability, peak_scan
 from .solver import (
+    _bisect,
     best_response,
     solve_asymmetric,
     solve_symmetric,
@@ -88,17 +91,6 @@ def central_second(f: Callable[[float], float], x: float, h: float) -> float:
     return (
         -f(x - 2.0 * h) + 16.0 * f(x - h) - 30.0 * f(x) + 16.0 * f(x + h) - f(x + 2.0 * h)
     ) / (12.0 * h * h)
-
-
-def _bisect_decreasing(f: Callable[[float], float], lo: float = 0.0, hi: float = 0.5) -> float:
-    """Root of a strictly decreasing f with f(lo) > 0 > f(hi)."""
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _strictly_decreasing(xs: Sequence[float]) -> bool:
@@ -165,7 +157,7 @@ def _check_prop1_polar(rng: np.random.Generator) -> tuple[bool, str]:
     signs_ok = True
     for w in ws_b:
         params_i = ModelParams(w=w)
-        r = _bisect_decreasing(lambda p: foc_symmetric_ideology_only(p, params_i))
+        r = _bisect(lambda p: foc_symmetric_ideology_only(p, params_i), 0.0, 0.5, 1e-13)[0]
         roots_i.append(r)
         signs_ok = signs_ok and dpL_dw_polar(r, params_i, "ideology_only") < 0.0
     dec_ideology = _strictly_decreasing(roots_i)
@@ -173,7 +165,7 @@ def _check_prop1_polar(rng: np.random.Generator) -> tuple[bool, str]:
     # valence-only polar FOC: derivative positive at every grid root
     for w in ws_a:
         params_v = ModelParams(w=w)
-        r = _bisect_decreasing(lambda p: foc_symmetric_valence_only(p, params_v))
+        r = _bisect(lambda p: foc_symmetric_valence_only(p, params_v), 0.0, 0.5, 1e-13)[0]
         signs_ok = signs_ok and dpL_dw_polar(r, params_v, "valence_only") > 0.0
 
     passed = dec_valence and dec_ideology and signs_ok
@@ -395,13 +387,21 @@ def _check_cli_roundtrip(rng: np.random.Generator) -> tuple[bool, str]:
     command reproduces a hand-computed fixture exactly."""
     from . import cli  # deferred: cli imports this module
 
+    def run_cli(argv: list[str]) -> str | None:
+        """Run a CLI command with its stderr captured (the sweep's row
+        tally is not this check's output); None on success, else why not."""
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+        return None if rc == 0 else f"{argv[0]} exited {rc}: {err.getvalue().strip()}"
+
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "sweep.csv"
-        rc = cli.main(
+        failure = run_cli(
             ["sweep", "--w-min", "0", "--w-max", "1", "--w-steps", "21", "--out", str(out)]
         )
-        if rc != 0:
-            return False, f"sweep exited {rc}"
+        if failure:
+            return False, failure
         grid = [i * (1.0 / 20.0) for i in range(21)]
         rows = sweep_w(grid, ModelParams(w=0.0))
         with out.open(newline="", encoding="utf-8") as fh:
@@ -428,9 +428,9 @@ def _check_cli_roundtrip(rng: np.random.Generator) -> tuple[bool, str]:
             encoding="utf-8",
         )
         out2 = Path(tmp) / "polarization.csv"
-        rc2 = cli.main(["empirical", str(fixture), "--out", str(out2)])
-        if rc2 != 0:
-            return False, f"empirical exited {rc2}"
+        failure = run_cli(["empirical", str(fixture), "--out", str(out2)])
+        if failure:
+            return False, failure
         with out2.open(newline="", encoding="utf-8") as fh:
             got_rows = [(r["year"], float(r["polarization"])) for r in csv.DictReader(fh)]
         # means by hand: 1996 -> 0.5 - (-0.5) = 1.0; 2000 -> 0.5 - (-0.375) = 0.875

@@ -21,6 +21,7 @@ from polarsolve import (
 from polarsolve.calculus import d_euL_d_pL, d_euR_d_pR, foc_symmetric
 from polarsolve.model import PlatformPair
 from polarsolve.oracle import grid_best_response
+from polarsolve.solver import _bisect
 
 # Frozen solver anchors, cross-checked against the 1e-4 grid oracle and
 # (for w=0) the closed-form polarization at zero ideological weight.
@@ -50,6 +51,26 @@ def test_symmetric_root_frozen_anchors(baseline):
     assert p0 == pytest.approx(P_STAR_W0, abs=5e-13)
     p1, _ = symmetric_foc_root(baseline)
     assert p1 == pytest.approx(P_STAR_W1, abs=5e-13)
+
+
+def test_symmetric_root_frozen_value_and_iterations():
+    # 39 bisection halvings of [0, 1/2] to 1e-12 plus 2 Newton steps
+    assert symmetric_foc_root(ModelParams(w=1.0)) == (0.2370250306977277, 41)
+
+
+def test_bisect_stops_at_adjacent_doubles():
+    # tol=0 is below any float spacing: only the endpoint guard can end the loop
+    x, iterations = _bisect(lambda t: 25962.0 - t, 0.0, 65536.0, 0.0)
+    assert x == 25962.0
+    assert iterations < 100
+
+
+def test_bisect_keeps_lo_where_f_is_positive():
+    # f(0.25) == 0 moves hi there, and lo then closes in from below:
+    # the final bracket is [0.25 - 2**-10, 0.25]
+    x, iterations = _bisect(lambda t: 0.25 - t, 0.0, 1.0, 1e-3)
+    assert x == 0.25 - 2.0**-11
+    assert iterations == 10
 
 
 def test_symmetric_root_residual_is_machine_level(baseline):
