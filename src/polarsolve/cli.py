@@ -236,6 +236,15 @@ def _config_number(key: str, value, integral: bool = False) -> float | int:
     return int(value)
 
 
+def _config_string(key: str, value) -> str:
+    """A text setting, rejected unless it is a JSON string."""
+    if not isinstance(value, str):
+        raise _CliError(
+            "invalid-config", f"bad config value: {key} must be a string, got {value!r}"
+        )
+    return value
+
+
 def _make_config(args: argparse.Namespace) -> RunConfig:
     doc = _read_config_file(args.config) if args.config is not None else {}
     pdoc = doc.get("params", {})
@@ -265,7 +274,7 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
 
     out = args.out
     if out is None and "out" in doc:
-        out = Path(str(doc["out"]))
+        out = Path(_config_string("out", doc["out"]))
 
     extra: dict = {}
     if args.command == "sweep":
@@ -274,7 +283,7 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
                 "w_min": pick(args.w_min, doc, "w_min", 0.0),
                 "w_max": pick(args.w_max, doc, "w_max", 3.0),
                 "w_steps": pick(args.w_steps, doc, "w_steps", 121, integral=True),
-                "mode": str(args.mode or doc.get("mode", "symmetric")),
+                "mode": args.mode or _config_string("mode", doc.get("mode", "symmetric")),
             }
         except (TypeError, ValueError) as exc:
             raise _CliError("invalid-config", f"bad sweep value: {exc}") from exc
@@ -303,7 +312,8 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
             only = tuple(tok for item in args.only for tok in item.split(",") if tok)
         elif "only" in doc:
             raw = doc["only"]
-            only = tuple(str(x) for x in raw) if isinstance(raw, list) else (str(raw),)
+            items = raw if isinstance(raw, list) else [raw]
+            only = tuple(_config_string("only", x) for x in items)
         else:
             only = None
         extra = {"only": only}

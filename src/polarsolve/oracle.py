@@ -5,17 +5,26 @@ grid argmaxes of the raw expected utilities, win probabilities are
 Monte Carlo frequencies of the voter's literal decision rule, and
 peak counting is a direct scan.  The rest of the package is certified
 against these routines, never the other way around.
+
+The grid scans evaluate the raw payoff over the whole grid in one numpy
+pass.  That pass repeats the formulas of :func:`expected_utility_L` and
+:func:`expected_utility_R` operation for operation, so every grid value
+has the same bits as the scalar call at that point; the scalar payoffs
+in :mod:`polarsolve.model` remain the reference it is tested against.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
 from .errors import SpanTooSmallError
-from .model import ModelParams, PlatformPair, expected_utility_L, expected_utility_R
+from .gaussmath import _std_normal_cdf_array
+from .model import ModelParams, PlatformPair, _finite, noise_scale
 
 __all__ = [
     "OracleReport",
@@ -56,22 +65,59 @@ class ShapeVerdict:
     n_local_maxima: int
 
 
-def _own_utility(party: Literal["L", "R"], opponent_policy: float, params: ModelParams):
-    if party == "L":
-        return lambda x: expected_utility_L(PlatformPair(x, opponent_policy), params)
-    if party == "R":
-        return lambda x: expected_utility_R(PlatformPair(opponent_policy, x), params)
-    raise ValueError(f"party must be 'L' or 'R', got {party!r}")
+@functools.lru_cache(maxsize=8)
+def _grid_columns(lo: float, hi: float, grid_step: float) -> tuple[np.ndarray, ...]:
+    """The grid and its columns ``x**2`` and ``(1-x)**2``, read-only.
+
+    The squares come from Python's ``**`` (libm ``pow``), as in the scalar
+    payoffs; numpy's ``x**2`` is ``x*x``, which differs from ``pow`` in
+    the last bit on some inputs."""
+    n = int(round((hi - lo) / grid_step))
+    xs = [lo + k * grid_step for k in range(n + 1)]
+    columns = (xs, [x**2 for x in xs], [(1.0 - x) ** 2 for x in xs])
+    arrays = tuple(np.array(c, dtype=np.float64) for c in columns)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
-def _grid(span: tuple[float, float], grid_step: float) -> list[float]:
+def _grid(span: tuple[float, float], grid_step: float) -> tuple[np.ndarray, ...]:
     lo, hi = span
     if not grid_step > 0.0:
         raise ValueError(f"grid_step must be positive, got {grid_step}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"span ends must be finite, got {span}")
     if not lo < hi:
         raise ValueError(f"span must be a nonempty interval, got {span}")
-    n = int(round((hi - lo) / grid_step))
-    return [lo + k * grid_step for k in range(n + 1)]
+    return _grid_columns(float(lo), float(hi), float(grid_step))
+
+
+def _grid_payoffs(
+    opponent_policy: float,
+    party: Literal["L", "R"],
+    params: ModelParams,
+    span: tuple[float, float],
+    grid_step: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The grid and the party's raw expected utility at every grid point,
+    computed as :func:`win_margin` and the payoff functions compute it,
+    in the same order, so each value has the scalar call's bits."""
+    xs, xs_sq, one_minus_xs_sq = _grid(span, grid_step)
+    if party not in ("L", "R"):
+        raise ValueError(f"party must be 'L' or 'R', got {party!r}")
+    opp = _finite("p_R" if party == "L" else "p_L", opponent_policy)
+    own_term = xs * (1.0 - xs)
+    opp_term = opp * (1.0 - opp)
+    lead = own_term - opp_term if party == "L" else opp_term - own_term
+    num = (lead + params.w * (1.0 - 2.0 * params.mu_i)) - params.mu_v
+    pr = _std_normal_cdf_array(num / noise_scale(params))
+    if party == "L":
+        vals = pr * (params.V - xs_sq) - (1.0 - pr) * (params.w + opp**2)
+    else:
+        vals = (1.0 - pr) * (params.V - one_minus_xs_sq) - pr * (
+            params.w + (1.0 - opp) ** 2
+        )
+    return xs, vals
 
 
 def grid_best_response(
@@ -83,16 +129,17 @@ def grid_best_response(
 ) -> float:
     """Argmax of the party's expected utility on a uniform grid.
 
+    The raw payoff is evaluated over the whole grid at once, bit-identical
+    to :func:`expected_utility_L` / :func:`expected_utility_R` at every
+    grid point; those scalar payoffs remain the reference.
+
     Exact value ties break toward the point nearest 1/2 (then the
     smaller point).  An argmax on the edge of ``span`` means the span
     was too small to contain the response and raises
     :class:`SpanTooSmallError` rather than returning a clipped answer.
     """
-    xs = _grid(span, grid_step)
-    f = _own_utility(party, opponent_policy, params)
-    vals = [f(x) for x in xs]
-    best = max(vals)
-    candidates = [x for x, v in zip(xs, vals) if v == best]
+    xs, vals = _grid_payoffs(opponent_policy, party, params, span, grid_step)
+    candidates = xs[vals == vals.max()].tolist()
     response = min(candidates, key=lambda x: (abs(x - 0.5), x))
     if response == xs[0] or response == xs[-1]:
         raise SpanTooSmallError(
@@ -151,12 +198,7 @@ def peak_scan(
     :func:`grid_best_response` oracle's job to flag, not this one's."""
     if grid_step > 1e-3:
         raise ValueError(f"grid_step must be <= 1e-3 for a peak scan, got {grid_step}")
-    xs = _grid(DEFAULT_SPAN, grid_step)
-    f = _own_utility(party, opponent_policy, params)
-    vals = [f(x) for x in xs]
-    n_max = sum(
-        1
-        for i in range(1, len(vals) - 1)
-        if vals[i] > vals[i - 1] and vals[i] > vals[i + 1]
-    )
+    _, vals = _grid_payoffs(opponent_policy, party, params, DEFAULT_SPAN, grid_step)
+    inner = vals[1:-1]
+    n_max = int(np.count_nonzero((inner > vals[:-2]) & (inner > vals[2:])))
     return ShapeVerdict(unimodal=(n_max == 1), n_local_maxima=n_max)

@@ -388,6 +388,28 @@ def test_config_rejects_booleans_and_fractional_counts(tmp_path, capsys, command
     assert err.startswith("error: invalid-config:")
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("locus", {"out": 5, "w_list": [1]}),
+        ("solve", {"out": ["a.csv"]}),
+        ("sweep", {"mode": 5}),
+        ("sweep", {"mode": None}),
+        ("verify", {"only": 5}),
+        ("verify", {"only": ["deriv-fd", 3]}),
+        ("verify", {"only": {"id": "deriv-fd"}}),
+    ],
+)
+def test_config_rejects_non_string_text_values(tmp_path, capsys, monkeypatch, command, doc):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, doc)
+    code, out, err = run_cli([command, "--config", cfg], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid-config:")
+    assert not (tmp_path / "5").exists()
+
+
 def test_config_accepts_integral_floats_for_counts(tmp_path, capsys):
     cfg = write_config(tmp_path, {"w_steps": 3.0, "seed": 7.0})
     code, out, _ = run_cli(["sweep", "--config", cfg], capsys)

@@ -2,19 +2,25 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from polarsolve import (
+    DomainError,
+    InvalidParamsError,
     ModelParams,
     PlatformPair,
     SpanTooSmallError,
     expected_utility_L,
+    expected_utility_R,
     grid_best_response,
     mc_win_probability,
     peak_scan,
     solve_symmetric,
+    win_margin,
     win_probability_L,
 )
+from polarsolve.oracle import DEFAULT_SPAN, _grid_payoffs
 
 # A genuinely bimodal instance found by random search below the
 # unimodality bound; frozen so the scan keeps something real to detect.
@@ -33,6 +39,38 @@ def binom_se(p: float, n: int) -> float:
     return math.sqrt(p * (1.0 - p) / n)
 
 
+def pair(x: float, opponent: float, party: str) -> PlatformPair:
+    return PlatformPair(x, opponent) if party == "L" else PlatformPair(opponent, x)
+
+
+def seeded_draw(seed: int, sigma_v_lo: float, sigma_v_hi: float) -> tuple[ModelParams, float]:
+    rng = np.random.default_rng([seed, 4])
+    params = ModelParams(
+        w=float(rng.uniform(0.0, 3.0)),
+        V=float(rng.uniform(0.2, 3.0)),
+        sigma_i=float(rng.uniform(0.1, 3.0)),
+        sigma_v=float(rng.uniform(sigma_v_lo, sigma_v_hi)),
+        mu_i=float(rng.uniform(0.2, 0.8)),
+        mu_v=float(rng.uniform(-1.0, 1.0)),
+    )
+    return params, float(rng.uniform(0.0, 1.0))
+
+
+# (params, opponent, span): seeded draws above and below the single-peak
+# bound, and a lopsided race on the widest best-response bracket, where
+# |kappa| > 38 clamps the CDF at the span ends but not in the middle.
+BIT_CASES = {
+    **{
+        f"{side}-bound-{seed}": (*seeded_draw(seed, lo, hi), DEFAULT_SPAN)
+        for side, lo, hi in (("above", 0.102, 10.0), ("below", 0.01, 0.1))
+        for seed in range(3)
+    },
+    "lopsided-wide": (
+        ModelParams(w=0.5, sigma_i=0.01, sigma_v=0.05, mu_v=1.5), 0.6, (-8.0, 9.0)
+    ),
+}
+
+
 @pytest.mark.parametrize("grid_step", [0.0, -1e-4])
 def test_grid_rejects_bad_step(baseline, grid_step):
     with pytest.raises(ValueError):
@@ -40,15 +78,55 @@ def test_grid_rejects_bad_step(baseline, grid_step):
 
 
 def test_grid_rejects_empty_span(baseline):
-    with pytest.raises(ValueError):
-        grid_best_response(0.75, "L", baseline, span=(1.0, 1.0))
-    with pytest.raises(ValueError):
-        grid_best_response(0.75, "L", baseline, span=(1.5, -0.5))
+    for span in [(1.0, 1.0), (1.5, -0.5), (0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)]:
+        with pytest.raises(ValueError):
+            grid_best_response(0.75, "L", baseline, span=span)
 
 
 def test_grid_rejects_unknown_party(baseline):
     with pytest.raises(ValueError):
         grid_best_response(0.75, "X", baseline)  # type: ignore[arg-type]
+
+
+@pytest.mark.parametrize("opponent", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("party", ["L", "R"])
+def test_grid_rejects_a_nonfinite_opponent(baseline, opponent, party):
+    with pytest.raises(InvalidParamsError):
+        grid_best_response(opponent, party, baseline)
+    with pytest.raises(InvalidParamsError):
+        peak_scan(opponent, party, baseline)
+
+
+@pytest.mark.parametrize("party", ["L", "R"])
+def test_grid_nonfinite_margin_raises_domain_error(party):
+    # 1 - 2*mu_i overflows to inf, so every margin on the grid is inf
+    params = ModelParams(w=1.0, mu_i=-1e308)
+    with pytest.raises(DomainError):
+        grid_best_response(0.5, party, params)
+    with pytest.raises(DomainError):
+        peak_scan(0.5, party, params)
+
+
+@pytest.mark.parametrize("party", ["L", "R"])
+@pytest.mark.parametrize("case", BIT_CASES)
+def test_grid_payoffs_match_the_scalar_payoffs_bit_for_bit(case, party):
+    params, opponent, span = BIT_CASES[case]
+    step = 1e-3
+    xs, vals = _grid_payoffs(opponent, party, params, span, step)
+    assert not xs.flags.writeable
+    assert xs.tolist() == [span[0] + k * step for k in range(len(xs))]
+    utility = expected_utility_L if party == "L" else expected_utility_R
+    ref = np.array([utility(pair(x, opponent, party), params) for x in xs.tolist()])
+    assert np.array_equal(vals.view(np.int64), ref.view(np.int64))
+    if case == "lopsided-wide":
+        kappa = np.array([win_margin(pair(x, opponent, party), params) for x in xs.tolist()])
+        assert (np.abs(kappa) > 38.0).any() and (np.abs(kappa) <= 38.0).any()
+
+
+def test_grid_tie_breaks_toward_one_half_on_a_flat_payoff():
+    # mu_v=100 clamps Pr(L wins) to exactly 0 on the whole span, so L's
+    # payoff is the same sure-loss value at every grid point
+    assert grid_best_response(0.75, "L", ModelParams(w=0.0, mu_v=100.0)) == 0.5
 
 
 def test_grid_finds_the_symmetric_best_response(baseline):

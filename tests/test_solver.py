@@ -121,6 +121,16 @@ def test_low_sigma_v_warns_but_still_certifies():
     assert 0.0 < res.platforms.p_L < 0.5
 
 
+def test_solve_asymmetric_below_the_bound_frozen_value():
+    # below sqrt(32/3125) every best response runs the grid oracle; these
+    # bits and the iteration count pin the oracle's argmaxes
+    with pytest.warns(SinglePeakednessWarning):
+        res = solve_asymmetric(ModelParams(w=1.0, sigma_v=0.08, mu_v=0.3))
+    assert (res.platforms.p_L, res.platforms.p_R) == (0.2641356252348499, 0.7657555661173803)
+    assert res.iterations == 29
+    assert res.certified
+
+
 def test_best_response_satisfies_first_order_condition(baseline):
     b_l = best_response(0.75, "L", baseline)
     assert abs(d_euL_d_pL(PlatformPair(b_l, 0.75), baseline)) < 1e-9
