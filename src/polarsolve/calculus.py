@@ -10,6 +10,14 @@ against central finite differences by the verification suite (check
 ``deriv-fd``) — if a transcription question ever arises, the finite
 difference is the arbiter.
 
+The four own-platform derivatives are thin wrappers around private
+kernels (``_d_euL_d_pL`` and friends) that take checked plain floats
+``(p_L, p_R, params, sn)`` with ``sn = noise_scale(params)``, as the
+payoff kernels in :mod:`polarsolve.model` do.  Validation happens where
+inputs enter the package (:class:`~polarsolve.model.ModelParams`,
+:class:`~polarsolve.model.PlatformPair` and the entry of
+:func:`polarsolve.solver.best_response`), not inside these kernels.
+
 Derivative notation used below, with kappa the standardized win margin,
 sigma_n the combined noise scale and phi/Phi the standard-normal
 density/CDF:
@@ -28,7 +36,7 @@ from typing import Literal
 
 from .errors import DomainError, PreconditionError
 from .gaussmath import std_normal_cdf, std_normal_pdf
-from .model import ModelParams, PlatformPair, noise_scale, win_margin
+from .model import ModelParams, PlatformPair, _margin, noise_scale
 
 __all__ = [
     "d_euL_d_pL",
@@ -55,48 +63,60 @@ def _dphi(x: float) -> float:
     return -x * std_normal_pdf(x)
 
 
-def d_euL_d_pL(pp: PlatformPair, params: ModelParams) -> float:
-    """dE[pi_L]/dp_L at an arbitrary profile."""
-    sn = noise_scale(params)
-    k = win_margin(pp, params)
-    a_l = pp.p_R**2 - pp.p_L**2 + params.V + params.w
-    return (1.0 - 2.0 * pp.p_L) * std_normal_pdf(k) * a_l / sn - 2.0 * pp.p_L * std_normal_cdf(k)
+def _d_euL_d_pL(p_L: float, p_R: float, params: ModelParams, sn: float) -> float:
+    k = _margin(p_L, p_R, params, sn)
+    a_l = p_R**2 - p_L**2 + params.V + params.w
+    return (1.0 - 2.0 * p_L) * std_normal_pdf(k) * a_l / sn - 2.0 * p_L * std_normal_cdf(k)
 
 
-def d_euR_d_pR(pp: PlatformPair, params: ModelParams) -> float:
-    """dE[pi_R]/dp_R at an arbitrary profile."""
-    sn = noise_scale(params)
-    k = win_margin(pp, params)
-    a_r = (pp.p_L - 2.0) * pp.p_L - (pp.p_R - 2.0) * pp.p_R + params.V + params.w
-    return -(2.0 * pp.p_R - 1.0) * std_normal_pdf(k) * a_r / sn + 2.0 * (1.0 - pp.p_R) * (
+def _d_euR_d_pR(p_L: float, p_R: float, params: ModelParams, sn: float) -> float:
+    k = _margin(p_L, p_R, params, sn)
+    a_r = (p_L - 2.0) * p_L - (p_R - 2.0) * p_R + params.V + params.w
+    return -(2.0 * p_R - 1.0) * std_normal_pdf(k) * a_r / sn + 2.0 * (1.0 - p_R) * (
         1.0 - std_normal_cdf(k)
     )
 
 
-def d2_euL_d_pL2(pp: PlatformPair, params: ModelParams) -> float:
-    """d^2 E[pi_L]/dp_L^2; negative at any certified equilibrium."""
-    sn = noise_scale(params)
-    k = win_margin(pp, params)
-    a_l = pp.p_R**2 - pp.p_L**2 + params.V + params.w
-    b_l = (2.0 - 5.0 * pp.p_L) * pp.p_L + pp.p_R**2 + params.V + params.w
+def _d2_euL_d_pL2(p_L: float, p_R: float, params: ModelParams, sn: float) -> float:
+    k = _margin(p_L, p_R, params, sn)
+    a_l = p_R**2 - p_L**2 + params.V + params.w
+    b_l = (2.0 - 5.0 * p_L) * p_L + p_R**2 + params.V + params.w
     return (
-        (1.0 - 2.0 * pp.p_L) ** 2 * _dphi(k) * a_l / sn**2
+        (1.0 - 2.0 * p_L) ** 2 * _dphi(k) * a_l / sn**2
         - 2.0 * std_normal_pdf(k) * b_l / sn
         - 2.0 * std_normal_cdf(k)
     )
 
 
-def d2_euR_d_pR2(pp: PlatformPair, params: ModelParams) -> float:
-    """d^2 E[pi_R]/dp_R^2; negative at any certified equilibrium."""
-    sn = noise_scale(params)
-    k = win_margin(pp, params)
-    a_r = (pp.p_L - 2.0) * pp.p_L - (pp.p_R - 2.0) * pp.p_R + params.V + params.w
-    b_r = (pp.p_L - 2.0) * pp.p_L + (8.0 - 5.0 * pp.p_R) * pp.p_R + params.V + params.w - 2.0
+def _d2_euR_d_pR2(p_L: float, p_R: float, params: ModelParams, sn: float) -> float:
+    k = _margin(p_L, p_R, params, sn)
+    a_r = (p_L - 2.0) * p_L - (p_R - 2.0) * p_R + params.V + params.w
+    b_r = (p_L - 2.0) * p_L + (8.0 - 5.0 * p_R) * p_R + params.V + params.w - 2.0
     return (
-        -((2.0 * pp.p_R - 1.0) ** 2) * _dphi(k) * a_r / sn**2
+        -((2.0 * p_R - 1.0) ** 2) * _dphi(k) * a_r / sn**2
         - 2.0 * std_normal_pdf(k) * b_r / sn
         - 2.0 * (1.0 - std_normal_cdf(k))
     )
+
+
+def d_euL_d_pL(pp: PlatformPair, params: ModelParams) -> float:
+    """dE[pi_L]/dp_L at an arbitrary profile."""
+    return _d_euL_d_pL(pp.p_L, pp.p_R, params, noise_scale(params))
+
+
+def d_euR_d_pR(pp: PlatformPair, params: ModelParams) -> float:
+    """dE[pi_R]/dp_R at an arbitrary profile."""
+    return _d_euR_d_pR(pp.p_L, pp.p_R, params, noise_scale(params))
+
+
+def d2_euL_d_pL2(pp: PlatformPair, params: ModelParams) -> float:
+    """d^2 E[pi_L]/dp_L^2; negative at any certified equilibrium."""
+    return _d2_euL_d_pL2(pp.p_L, pp.p_R, params, noise_scale(params))
+
+
+def d2_euR_d_pR2(pp: PlatformPair, params: ModelParams) -> float:
+    """d^2 E[pi_R]/dp_R^2; negative at any certified equilibrium."""
+    return _d2_euR_d_pR2(pp.p_L, pp.p_R, params, noise_scale(params))
 
 
 def foc_symmetric(p_L: float, params: ModelParams) -> float:

@@ -13,6 +13,16 @@ which collapses to a linear inequality in (i_hat, v); hence L's winning
 probability is a normal CDF of the standardized margin computed by
 :func:`win_margin`.  Everything here is a pure function of immutable
 values and safe to call concurrently.
+
+Inputs are validated where they enter: :class:`ModelParams` and
+:class:`PlatformPair` check their fields on construction, and
+:func:`polarsolve.solver.best_response` checks its opponent's platform
+once on entry.  The private kernels :func:`_margin`, :func:`_eu_L` and
+:func:`_eu_R` take those checked values as plain floats ``(p_L, p_R,
+params, sn)``, with the noise scale ``sn = noise_scale(params)`` passed in,
+so a search can evaluate them many times without rebuilding a
+``PlatformPair`` or recomputing ``sn``.  The public functions are thin
+wrappers around them and return the same bits.
 """
 
 from __future__ import annotations
@@ -79,6 +89,16 @@ class ModelParams:
             raise InvalidParamsError(f"sigma_i must be > 0, got {self.sigma_i}")
         if self.sigma_v <= 0.0:
             raise InvalidParamsError(f"sigma_v must be > 0, got {self.sigma_v}")
+        try:
+            sn = noise_scale(self)
+        except OverflowError:
+            sn = math.inf
+        if not 0.0 < sn < math.inf:
+            raise InvalidParamsError(
+                f"noise scale sqrt(sigma_v^2 + 4 w^2 sigma_i^2) is {sn!r}, not a positive "
+                f"finite double, for w={self.w!r}, sigma_i={self.sigma_i!r}, "
+                f"sigma_v={self.sigma_v!r}"
+            )
         anchors = {"i_L": 0.0, "i_R": 1.0, "p_hat_L": 0.0, "p_hat_R": 1.0, "p_hat_V": 0.5}
         for name, required in anchors.items():
             if getattr(self, name) != required:
@@ -124,6 +144,33 @@ def noise_scale(params: ModelParams) -> float:
     return math.sqrt(params.sigma_v**2 + 4.0 * params.w**2 * params.sigma_i**2)
 
 
+def _margin(p_L: float, p_R: float, params: ModelParams, sn: float) -> float:
+    """:func:`win_margin` of the profile ``(p_L, p_R)``, given ``sn``."""
+    num = (
+        p_L * (1.0 - p_L)
+        - p_R * (1.0 - p_R)
+        + params.w * (1.0 - 2.0 * params.mu_i)
+        - params.mu_v
+    )
+    return num / sn
+
+
+def _eu_L(p_L: float, p_R: float, params: ModelParams, sn: float) -> float:
+    """:func:`expected_utility_L` of the profile ``(p_L, p_R)``, given ``sn``.
+
+    The CDF is taken before the squares, so a margin that is not finite
+    raises :class:`~polarsolve.errors.DomainError` before a huge platform
+    can overflow ``**``."""
+    pr = std_normal_cdf(_margin(p_L, p_R, params, sn))
+    return pr * (params.V - p_L**2) - (1.0 - pr) * (params.w + p_R**2)
+
+
+def _eu_R(p_L: float, p_R: float, params: ModelParams, sn: float) -> float:
+    """:func:`expected_utility_R` of the profile ``(p_L, p_R)``, given ``sn``."""
+    pr = std_normal_cdf(_margin(p_L, p_R, params, sn))
+    return (1.0 - pr) * (params.V - (1.0 - p_R) ** 2) - pr * (params.w + (1.0 - p_L) ** 2)
+
+
 def win_margin(pp: PlatformPair, params: ModelParams) -> float:
     """Standardized margin kappa such that Pr(L wins) = Phi(kappa).
 
@@ -131,18 +178,12 @@ def win_margin(pp: PlatformPair, params: ModelParams) -> float:
     Positive numerator terms favour L; at a symmetric profile with
     mu_v = w(1-2*mu_i) the margin is exactly zero.
     """
-    num = (
-        pp.p_L * (1.0 - pp.p_L)
-        - pp.p_R * (1.0 - pp.p_R)
-        + params.w * (1.0 - 2.0 * params.mu_i)
-        - params.mu_v
-    )
-    return num / noise_scale(params)
+    return _margin(pp.p_L, pp.p_R, params, noise_scale(params))
 
 
 def win_probability_L(pp: PlatformPair, params: ModelParams) -> float:
     """Probability that party L wins the election (R's is the complement)."""
-    return std_normal_cdf(win_margin(pp, params))
+    return std_normal_cdf(_margin(pp.p_L, pp.p_R, params, noise_scale(params)))
 
 
 def expected_utility_L(pp: PlatformPair, params: ModelParams) -> float:
@@ -152,13 +193,9 @@ def expected_utility_L(pp: PlatformPair, params: ModelParams) -> float:
     away from L's own bliss at 0; losing costs the full ideological
     distance (w * 1^2) plus R's platform distance.
     """
-    pr = win_probability_L(pp, params)
-    return pr * (params.V - pp.p_L**2) - (1.0 - pr) * (params.w + pp.p_R**2)
+    return _eu_L(pp.p_L, pp.p_R, params, noise_scale(params))
 
 
 def expected_utility_R(pp: PlatformPair, params: ModelParams) -> float:
     """E[pi_R] = (1-Pr)*(V - (1-p_R)^2) - Pr*(w + (1-p_L)^2)."""
-    pr = win_probability_L(pp, params)
-    return (1.0 - pr) * (params.V - (1.0 - pp.p_R) ** 2) - pr * (
-        params.w + (1.0 - pp.p_L) ** 2
-    )
+    return _eu_R(pp.p_L, pp.p_R, params, noise_scale(params))

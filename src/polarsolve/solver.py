@@ -28,6 +28,10 @@ from dataclasses import dataclass
 from typing import Callable, Literal
 
 from .calculus import (
+    _d2_euL_d_pL2,
+    _d2_euR_d_pR2,
+    _d_euL_d_pL,
+    _d_euR_d_pR,
     d2_euL_d_pL2,
     d2_euR_d_pR2,
     d_euL_d_pL,
@@ -46,8 +50,10 @@ from .errors import (
 from .model import (
     ModelParams,
     PlatformPair,
-    expected_utility_L,
-    expected_utility_R,
+    _eu_L,
+    _eu_R,
+    _finite,
+    noise_scale,
     win_probability_L,
 )
 from .oracle import grid_best_response
@@ -94,6 +100,10 @@ class SolverConfig:
             raise InvalidParamsError(
                 f"bracket_lo must be below bracket_hi, got "
                 f"[{self.bracket_lo}, {self.bracket_hi}]"
+            )
+        if not (math.isfinite(self.bracket_lo) and math.isfinite(self.bracket_hi)):
+            raise InvalidParamsError(
+                f"bracket ends must be finite, got [{self.bracket_lo}, {self.bracket_hi}]"
             )
         if self.max_iter < 1:
             raise InvalidParamsError(f"max_iter must be >= 1, got {self.max_iter}")
@@ -260,18 +270,24 @@ def best_response(
     FOC.  If the maximizer presses against the bracket edge the bracket
     doubles, up to [-8, 9]; hitting that cap raises
     :class:`UnboundedResponseError`.
+
+    ``opponent_policy`` is checked once here; the search then runs the
+    payoff and derivative kernels on plain floats with the noise scale
+    computed once.
     """
     cfg = cfg or SolverConfig()
-    if party == "L":
-        objective = lambda x: expected_utility_L(PlatformPair(x, opponent_policy), params)
-        foc = lambda x: d_euL_d_pL(PlatformPair(x, opponent_policy), params)
-        soc = lambda x: d2_euL_d_pL2(PlatformPair(x, opponent_policy), params)
-    elif party == "R":
-        objective = lambda x: expected_utility_R(PlatformPair(opponent_policy, x), params)
-        foc = lambda x: d_euR_d_pR(PlatformPair(opponent_policy, x), params)
-        soc = lambda x: d2_euR_d_pR2(PlatformPair(opponent_policy, x), params)
-    else:
+    if party not in ("L", "R"):
         raise ValueError(f"party must be 'L' or 'R', got {party!r}")
+    opp = _finite("p_R" if party == "L" else "p_L", opponent_policy)
+    sn = noise_scale(params)
+    if party == "L":
+        objective = lambda x: _eu_L(x, opp, params, sn)
+        foc = lambda x: _d_euL_d_pL(x, opp, params, sn)
+        soc = lambda x: _d2_euL_d_pL2(x, opp, params, sn)
+    else:
+        objective = lambda x: _eu_R(opp, x, params, sn)
+        foc = lambda x: _d_euR_d_pR(opp, x, params, sn)
+        soc = lambda x: _d2_euR_d_pR2(opp, x, params, sn)
 
     lo, hi = cfg.bracket_lo, cfg.bracket_hi
     xtol = 1e-9
@@ -281,9 +297,7 @@ def best_response(
             at_edge = (x - lo) < 2.0 * xtol or (hi - x) < 2.0 * xtol
         else:
             try:
-                seed = grid_best_response(
-                    opponent_policy, party, params, grid_step=1e-4, span=(lo, hi)
-                )
+                seed = grid_best_response(opp, party, params, grid_step=1e-4, span=(lo, hi))
             except SpanTooSmallError:
                 at_edge = True
             else:
@@ -296,7 +310,7 @@ def best_response(
         new_hi = min(hi + 0.5 * width, _BRACKET_CAP_HI)
         if (new_lo, new_hi) == (lo, hi):
             raise UnboundedResponseError(
-                f"best response of party {party} to {opponent_policy:g} sits on "
+                f"best response of party {party} to {opp:g} sits on "
                 f"the maximally expanded bracket [{lo}, {hi}]"
             )
         lo, hi = new_lo, new_hi
@@ -366,29 +380,29 @@ def _newton_polish(p_l: float, p_r: float, params: ModelParams) -> tuple[float, 
     """A few 2-D Newton steps on the pair of FOCs (cross-partials by
     central differences); drives residuals from ~1e-10 to machine level."""
     h = 1e-6
+    sn = noise_scale(params)
     for _ in range(3):
-        pp = PlatformPair(p_l, p_r)
-        g_l = d_euL_d_pL(pp, params)
-        g_r = d_euR_d_pR(pp, params)
-        j_ll = d2_euL_d_pL2(pp, params)
-        j_rr = d2_euR_d_pR2(pp, params)
+        g_l = _d_euL_d_pL(p_l, p_r, params, sn)
+        g_r = _d_euR_d_pR(p_l, p_r, params, sn)
+        j_ll = _d2_euL_d_pL2(p_l, p_r, params, sn)
+        j_rr = _d2_euR_d_pR2(p_l, p_r, params, sn)
         j_lr = (
-            d_euL_d_pL(PlatformPair(p_l, p_r + h), params)
-            - d_euL_d_pL(PlatformPair(p_l, p_r - h), params)
+            _d_euL_d_pL(p_l, p_r + h, params, sn) - _d_euL_d_pL(p_l, p_r - h, params, sn)
         ) / (2.0 * h)
         j_rl = (
-            d_euR_d_pR(PlatformPair(p_l + h, p_r), params)
-            - d_euR_d_pR(PlatformPair(p_l - h, p_r), params)
+            _d_euR_d_pR(p_l + h, p_r, params, sn) - _d_euR_d_pR(p_l - h, p_r, params, sn)
         ) / (2.0 * h)
         det = j_ll * j_rr - j_lr * j_rl
         if det == 0.0 or not math.isfinite(det):
             break
         step_l = (j_rr * g_l - j_lr * g_r) / det
         step_r = (j_ll * g_r - j_rl * g_l) / det
-        cand_l, cand_r = p_l - step_l, p_r - step_r
-        cand = PlatformPair(cand_l, cand_r)
+        # a step that overflows is reported as an invalid profile
+        cand_l = _finite("p_L", p_l - step_l)
+        cand_r = _finite("p_R", p_r - step_r)
         worse = max(
-            abs(d_euL_d_pL(cand, params)), abs(d_euR_d_pR(cand, params))
+            abs(_d_euL_d_pL(cand_l, cand_r, params, sn)),
+            abs(_d_euR_d_pR(cand_l, cand_r, params, sn)),
         ) > max(abs(g_l), abs(g_r))
         if worse:
             break

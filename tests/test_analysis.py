@@ -121,6 +121,18 @@ def test_asymmetric_sweep_crosses_the_moderation_threshold():
         assert math.isfinite(r.dpL_dw_fd)
 
 
+def test_asymmetric_sweep_frozen_rows():
+    # bit-identity anchors for the asymmetric sweep, FD column included
+    params = ModelParams(w=1.0, V=0.5, sigma_i=2.0, sigma_v=0.5, mu_i=0.8, mu_v=-1.0)
+    rows = sweep_w([0.01, 1.0, 100.0], params, mode="asymmetric")
+    assert [(r.p_L, r.p_R, r.dpL_dw_fd) for r in rows] == [
+        (0.0778637009318122, 0.5850649348264017, 0.24615656248457018),
+        (0.14280954491754833, 0.8398201148680681, -0.0275085505109518),
+        (0.09234438109729072, 0.9241109199066427, -8.555141803312516e-06),
+    ]
+    assert all(r.certified for r in rows)
+
+
 def test_shape_report_baseline_u_shape(baseline):
     rows = sweep_w([i * 0.02 for i in range(51)], baseline)
     report = shape_report(rows, baseline)

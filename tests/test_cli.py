@@ -90,6 +90,13 @@ def test_solve_rejects_negative_w(capsys):
     assert err.startswith("error: invalid-params:")
 
 
+def test_solve_rejects_a_noise_scale_that_overflows(capsys):
+    code, out, err = run_cli(["solve", "--w", "1e200"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid-params: noise scale")
+
+
 def test_unknown_flag_is_an_args_error(capsys):
     code, _, err = run_cli(["solve", "--frobnicate", "1"], capsys)
     assert code == 2

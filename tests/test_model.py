@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from polarsolve import (
@@ -17,7 +18,18 @@ from polarsolve import (
     win_margin,
     win_probability_L,
 )
+from polarsolve.calculus import (
+    _d2_euL_d_pL2,
+    _d2_euR_d_pR2,
+    _d_euL_d_pL,
+    _d_euR_d_pR,
+    d2_euL_d_pL2,
+    d2_euR_d_pR2,
+    d_euL_d_pL,
+    d_euR_d_pR,
+)
 from polarsolve.gaussmath import std_normal_cdf
+from polarsolve.model import _eu_L, _eu_R, _margin
 
 # Frozen anchor: a lopsided instance where ideology dominates.  The win
 # probability was cross-checked against Monte Carlo on the raw vote rule.
@@ -58,6 +70,22 @@ def swap_platforms(pp: PlatformPair) -> PlatformPair:
 def test_invalid_params_are_rejected(kwargs):
     with pytest.raises(InvalidParamsError):
         ModelParams(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"w": 1e308, "mu_i": -1.0},  # w**2 raises OverflowError
+        {"w": 1e200},
+        {"w": 1e153, "sigma_i": 10.0},  # 4 w^2 sigma_i^2 overflows to inf
+        {"w": 0.0, "sigma_v": 1e-200},  # sigma_v**2 underflows to 0
+    ],
+)
+def test_noise_scale_out_of_double_range_is_rejected(kwargs):
+    with pytest.raises(InvalidParamsError, match="noise scale") as info:
+        ModelParams(**kwargs)
+    for name in ("w=", "sigma_i=", "sigma_v="):
+        assert name in str(info.value)
 
 
 def test_boundary_w_zero_is_allowed():
@@ -187,3 +215,41 @@ def test_expected_utility_is_bounded_by_the_rent(rng):
         pp = PlatformPair(float(rng.uniform(-0.5, 1.5)), float(rng.uniform(-0.5, 1.5)))
         assert expected_utility_L(pp, params) <= params.V
         assert expected_utility_R(pp, params) <= params.V
+
+
+def test_public_functions_equal_the_float_kernels_bit_for_bit(rng):
+    # the kernels behind the best-response search must return exactly what
+    # the validated public API returns, and the payoffs exactly what the
+    # documented formulas give when evaluated in the same order
+    pairs = [
+        (win_margin, _margin),
+        (expected_utility_L, _eu_L),
+        (expected_utility_R, _eu_R),
+        (d_euL_d_pL, _d_euL_d_pL),
+        (d_euR_d_pR, _d_euR_d_pR),
+        (d2_euL_d_pL2, _d2_euL_d_pL2),
+        (d2_euR_d_pR2, _d2_euR_d_pR2),
+    ]
+    for _ in range(100):
+        params = ModelParams(
+            w=float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3)))),
+            V=float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2)))),
+            sigma_i=float(np.exp(rng.uniform(np.log(1e-2), np.log(10.0)))),
+            sigma_v=float(np.exp(rng.uniform(np.log(0.05), np.log(10.0)))),
+            mu_i=float(rng.uniform(-1.0, 2.0)),
+            mu_v=float(rng.uniform(-3.0, 3.0)),
+        )
+        p_l, p_r = float(rng.uniform(-1.0, 2.0)), float(rng.uniform(-1.0, 2.0))
+        pp, sn = PlatformPair(p_l, p_r), noise_scale(params)
+        for public, kernel in pairs:
+            assert public(pp, params) == kernel(p_l, p_r, params, sn), public.__name__
+        kappa = (
+            p_l * (1.0 - p_l) - p_r * (1.0 - p_r) + params.w * (1.0 - 2.0 * params.mu_i)
+        ) - params.mu_v
+        pr = std_normal_cdf(kappa / sn)
+        assert _eu_L(p_l, p_r, params, sn) == pr * (params.V - p_l**2) - (1.0 - pr) * (
+            params.w + p_r**2
+        )
+        assert _eu_R(p_l, p_r, params, sn) == (1.0 - pr) * (params.V - (1.0 - p_r) ** 2) - pr * (
+            params.w + (1.0 - p_l) ** 2
+        )

@@ -7,6 +7,7 @@ import pytest
 
 from polarsolve import (
     ConvergenceError,
+    DomainError,
     InvalidParamsError,
     ModelParams,
     SinglePeakednessWarning,
@@ -39,6 +40,8 @@ P_STAR_W1 = 0.23702503069772776
         {"bracket_lo": 1.0, "bracket_hi": 1.0},
         {"bracket_lo": 2.0, "bracket_hi": -2.0},
         {"max_iter": 0},
+        {"bracket_lo": -math.inf},
+        {"bracket_hi": math.inf},
     ],
 )
 def test_solver_config_validation(kwargs):
@@ -149,6 +152,38 @@ def test_best_response_fixed_point_is_the_symmetric_root(baseline):
     p_star, _ = symmetric_foc_root(baseline)
     assert best_response(1.0 - p_star, "L", baseline) == pytest.approx(p_star, abs=1e-9)
     assert best_response(p_star, "R", baseline) == pytest.approx(1.0 - p_star, abs=1e-9)
+
+
+def test_best_response_frozen_values():
+    # bit-identity anchors: the float-kernel search must reproduce these
+    # exactly, FOC Newton steps included
+    p = ModelParams(w=1.0, mu_i=0.3, mu_v=0.1)
+    assert best_response(0.75, "L", p) == 0.223319170101579
+    assert best_response(0.25, "R", p) == 0.7512376301124425
+
+
+def test_solve_asymmetric_frozen_value():
+    res = solve_asymmetric(ModelParams(w=1.0, mu_i=0.3, mu_v=0.1))
+    assert (res.platforms.p_L, res.platforms.p_R) == (0.22331295107760948, 0.7498706867408111)
+    assert res.iterations == 29
+    assert res.certified
+
+
+@pytest.mark.parametrize("sigma_v", [1.0, 0.08])  # golden section; grid pre-scan
+@pytest.mark.parametrize("party, name", [("L", "p_R"), ("R", "p_L")])
+@pytest.mark.parametrize("opponent", [math.nan, math.inf, True])
+def test_best_response_rejects_a_bad_opponent(opponent, party, name, sigma_v):
+    params = ModelParams(w=1.0, sigma_v=sigma_v)
+    with pytest.raises(InvalidParamsError, match=f"^{name} must be a finite real number"):
+        best_response(opponent, party, params)
+
+
+@pytest.mark.parametrize("party", ["L", "R"])
+def test_best_response_to_a_huge_opponent_is_a_domain_error(party):
+    # the opponent's margin term overflows to inf; the CDF must see it
+    # before the payoff squares the opponent's platform
+    with pytest.raises(DomainError):
+        best_response(1e200, party, ModelParams(w=1.0))
 
 
 def test_best_response_rejects_unknown_party(baseline):
