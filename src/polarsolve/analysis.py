@@ -27,12 +27,19 @@ from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
 from .calculus import dpL_dw_symmetric
-from .errors import ConvergenceError, DegenerateError, DomainError, PolarsolveError
+from .errors import (
+    ConvergenceError,
+    DegenerateError,
+    DomainError,
+    InvalidParamsError,
+    PolarsolveError,
+)
 from .gaussmath import std_normal_pdf
-from .model import ModelParams
+from .model import ModelParams, _checked_noise_scale
 from .solver import (
     SolverConfig,
     _bisect,
+    _sym_root,
     solve_asymmetric,
     solve_symmetric,
     symmetric_foc_root,
@@ -63,9 +70,6 @@ _EMPIRICAL_SYM_TOL = 1e-8
 
 #: Knife-edge half-width for the theorem-side w = w_hat verdict.
 _W_HAT_TOL = 1e-10
-
-#: Growth cap while searching for the peak of p_L*(w).
-_W_MAX_CAP = 1e6
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,11 +106,6 @@ class ShapeReport:
     sign_changes: int
 
 
-def _locus_params(params: ModelParams, w: float) -> ModelParams:
-    """Parameters moved to ``w`` staying on the symmetry locus."""
-    return replace(params, w=w, mu_v=w * (1.0 - 2.0 * params.mu_i))
-
-
 def _fd_slope(solve_pl, w: float, p_at_w: float) -> float:
     """Finite-difference slope of w -> p_L*(w).
 
@@ -135,10 +134,15 @@ def _sweep_row(
         if mode == "symmetric":
             res = solve_symmetric(params_w, cfg)
             analytic = dpL_dw_symmetric(res.platforms.p_L, params_w)
-            # p_L*(w) lives on the symmetry locus; the FOC is mu-free, so
-            # re-locusing mu_v at the perturbed w differentiates the same
-            # curve the analytic formula does.
-            solve_pl = lambda wp: symmetric_foc_root(_locus_params(params, wp), cfg)[0]
+            # p_L*(w) lives on the symmetry locus, where the FOC depends on
+            # (V, w, sigma_i, sigma_v) only: the root at the perturbed w is
+            # the same curve the analytic formula differentiates.
+            solve_pl = lambda wp: _sym_root(
+                params.V,
+                wp,
+                _checked_noise_scale(wp, params.sigma_i, params.sigma_v),
+                cfg.tol_root,
+            )[0]
         else:
             res = solve_asymmetric(params_w, cfg)
             analytic = math.nan  # defined only on the symmetric manifold
@@ -263,28 +267,35 @@ def _pl_slope_at(params: ModelParams, w: float, cfg: SolverConfig) -> float:
 def w_tilde(params: ModelParams, cfg: SolverConfig | None = None) -> float:
     """The interior peak of w -> p_L*(w) (trough of delta(w)).
 
-    The slope of p_L* is positive at w = 0 and negative past the peak.
-    W doubles from 1 until the slope at W is negative; one bisection on
-    the sign of the analytic slope over [last W with slope >= 0, W] then
-    locates the peak to 1e-12 relative, well within the 1e-6
-    self-consistency contract with the sign-flip boundary
-    w = sigma_v^2 / (4 sigma_i^2 (1 + V - 2 p_L*)).
+    The slope of p_L* is positive exactly while
+    w < c / (1 + V - 2 p_L*) with c = sigma_v^2 / (4 sigma_i^2), and
+    p_L* lies in (0, 1/2), so the peak lies in the closed bracket
+    [c / (1 + V), c / V].  After one check of the slope's sign at both
+    ends, one bisection on the sign of the analytic slope locates the
+    peak.  Its tolerance is 1e-12 times the bracket's lower end, so the
+    peak is found to 1e-12 relative however small or large it is, well
+    within the 1e-6 self-consistency contract with the sign-flip
+    boundary.
 
-    The peak can lie beyond the search cap w = 1e6 (large sigma_v over
-    small sigma_i; about 0.5% of the benchmark's locus-statics draws), in
-    which case :class:`ConvergenceError` is raised.
+    There is no search cap: a peak far out in w (large sigma_v over
+    small sigma_i) is bracketed like any other.  If rounding defeats the
+    sign check at an end of the bracket (only in extreme parameter
+    ranges) :class:`ConvergenceError` names the bracket.
     """
     cfg = cfg or SolverConfig()
-    w_lo, w_hi = 0.0, 1.0
-    while _pl_slope_at(params, w_hi, cfg) >= 0.0:
-        w_lo, w_hi = w_hi, 2.0 * w_hi
-        if w_hi > _W_MAX_CAP:
-            raise ConvergenceError(
-                f"p_L*(w) slope never turned negative up to w={_W_MAX_CAP:g}; "
-                f"params={params}"
-            )
+    c = params.sigma_v**2 / (4.0 * params.sigma_i**2)
+    w_lo, w_hi = c / (1.0 + params.V), c / params.V
     slope = lambda w: _pl_slope_at(params, w, cfg)
-    return _bisect(slope, w_lo, w_hi, 1e-12 * max(1.0, w_lo))[0]
+    try:
+        bracketed = slope(w_lo) > 0.0 >= slope(w_hi)
+    except InvalidParamsError:  # an end that is no valid w (c overflowed), or its noise scale
+        bracketed = False
+    if not bracketed:
+        raise ConvergenceError(
+            f"p_L*(w) slope does not change sign over the closed bracket "
+            f"[{w_lo!r}, {w_hi!r}]; params={params}"
+        )
+    return _bisect(slope, w_lo, w_hi, 1e-12 * w_lo)[0]
 
 
 def symmetry_locus_mu_v(w: float, mu_i: float) -> float:

@@ -129,14 +129,25 @@ def foc_symmetric(p_L: float, params: ModelParams) -> float:
     guarantees a unique bracketed root.  Independent of mu_i/mu_v: on
     the symmetry locus the win margin is identically zero.
     """
-    return (1.0 - 2.0 * p_L) * _PHI0 * (params.V + params.w + 1.0 - 2.0 * p_L) / noise_scale(
-        params
-    ) - p_L
+    return _foc_symmetric(p_L, params.V, params.w, noise_scale(params))
 
 
 def foc_symmetric_derivative(p_L: float, params: ModelParams) -> float:
     """d/dp_L of :func:`foc_symmetric`; strictly negative on [0, 1/2]."""
-    return -2.0 * _PHI0 * (params.V + params.w + 2.0 * (1.0 - 2.0 * p_L)) / noise_scale(params) - 1.0
+    return _foc_symmetric_derivative(p_L, params.V, params.w, noise_scale(params))
+
+
+def _foc_symmetric(p_L: float, V: float, w: float, sn: float) -> float:
+    """:func:`foc_symmetric` of plain floats, given ``sn``.
+
+    Every rounded operation here is monotone in ``p_L``, so the computed
+    value is nonincreasing on [0, 1/2], not only the exact one."""
+    return (1.0 - 2.0 * p_L) * _PHI0 * (V + w + 1.0 - 2.0 * p_L) / sn - p_L
+
+
+def _foc_symmetric_derivative(p_L: float, V: float, w: float, sn: float) -> float:
+    """:func:`foc_symmetric_derivative` of plain floats, given ``sn``."""
+    return -2.0 * _PHI0 * (V + w + 2.0 * (1.0 - 2.0 * p_L)) / sn - 1.0
 
 
 def foc_symmetric_valence_only(p_L: float, params: ModelParams) -> float:

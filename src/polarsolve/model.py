@@ -89,16 +89,7 @@ class ModelParams:
             raise InvalidParamsError(f"sigma_i must be > 0, got {self.sigma_i}")
         if self.sigma_v <= 0.0:
             raise InvalidParamsError(f"sigma_v must be > 0, got {self.sigma_v}")
-        try:
-            sn = noise_scale(self)
-        except OverflowError:
-            sn = math.inf
-        if not 0.0 < sn < math.inf:
-            raise InvalidParamsError(
-                f"noise scale sqrt(sigma_v^2 + 4 w^2 sigma_i^2) is {sn!r}, not a positive "
-                f"finite double, for w={self.w!r}, sigma_i={self.sigma_i!r}, "
-                f"sigma_v={self.sigma_v!r}"
-            )
+        _checked_noise_scale(self.w, self.sigma_i, self.sigma_v)
         anchors = {"i_L": 0.0, "i_R": 1.0, "p_hat_L": 0.0, "p_hat_R": 1.0, "p_hat_V": 0.5}
         for name, required in anchors.items():
             if getattr(self, name) != required:
@@ -139,9 +130,29 @@ def voter_utility(i: float, p: float, i_hat: float, params: ModelParams) -> floa
     return -params.w * di * di - dp * dp
 
 
+def _noise_scale(w: float, sigma_i: float, sigma_v: float) -> float:
+    """:func:`noise_scale` of plain floats."""
+    return math.sqrt(sigma_v**2 + 4.0 * w**2 * sigma_i**2)
+
+
+def _checked_noise_scale(w: float, sigma_i: float, sigma_v: float) -> float:
+    """:func:`_noise_scale`, or :class:`InvalidParamsError` naming ``w``,
+    ``sigma_i`` and ``sigma_v`` when it is not a positive finite double."""
+    try:
+        sn = _noise_scale(w, sigma_i, sigma_v)
+    except OverflowError:
+        sn = math.inf
+    if not 0.0 < sn < math.inf:
+        raise InvalidParamsError(
+            f"noise scale sqrt(sigma_v^2 + 4 w^2 sigma_i^2) is {sn!r}, not a positive "
+            f"finite double, for w={w!r}, sigma_i={sigma_i!r}, sigma_v={sigma_v!r}"
+        )
+    return sn
+
+
 def noise_scale(params: ModelParams) -> float:
     """Standard deviation of the combined shock 2*w*i_hat + v."""
-    return math.sqrt(params.sigma_v**2 + 4.0 * params.w**2 * params.sigma_i**2)
+    return _noise_scale(params.w, params.sigma_i, params.sigma_v)
 
 
 def _margin(p_L: float, p_R: float, params: ModelParams, sn: float) -> float:

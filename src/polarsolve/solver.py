@@ -6,7 +6,11 @@ Two entry points:
   mu_v = w(1-2*mu_i).  The symmetric first-order condition is strictly
   decreasing on [0, 1/2] with a guaranteed sign change (positive at 0,
   exactly -1/2 at 1/2), so plain bisection cannot fail; two Newton
-  polish steps push the residual to machine level.
+  polish steps push the residual to machine level.  The FOC is a
+  quadratic in 1 - 2 p_L, so the bisection's halvings are replayed
+  against its closed-form root with float compares and confirmed by two
+  FOC signs: the same bits as bisecting the FOC, with four FOC
+  evaluations instead of about forty.
 
 * :func:`solve_asymmetric` — damped alternating best responses for
   general parameters, finished with a short 2-D Newton polish on the
@@ -28,16 +32,17 @@ from dataclasses import dataclass
 from typing import Callable, Literal
 
 from .calculus import (
+    _PHI0,
     _d2_euL_d_pL2,
     _d2_euR_d_pR2,
     _d_euL_d_pL,
     _d_euR_d_pR,
+    _foc_symmetric,
+    _foc_symmetric_derivative,
     d2_euL_d_pL2,
     d2_euR_d_pR2,
     d_euL_d_pL,
     d_euR_d_pR,
-    foc_symmetric,
-    foc_symmetric_derivative,
 )
 from .errors import (
     ConvergenceError,
@@ -175,16 +180,10 @@ def _certificate(
     )
 
 
-def _bisect(
+def _bisect_bracket(
     f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> tuple[float, int]:
-    """Sign change of f on [lo, hi], with f(lo) > 0 >= f(hi): the
-    midpoint of the final bracket and the number of f evaluations.
-
-    Stops once hi - lo <= tol, or when the bracket's endpoints are
-    adjacent doubles (the midpoint rounds to one of them), so a ``tol``
-    below the float spacing still terminates.
-    """
+) -> tuple[float, float, int]:
+    """Final bracket of :func:`_bisect` and its number of f evaluations."""
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -195,7 +194,57 @@ def _bisect(
             lo = mid
         else:
             hi = mid
+    return lo, hi, iterations
+
+
+def _bisect(
+    f: Callable[[float], float], lo: float, hi: float, tol: float
+) -> tuple[float, int]:
+    """Sign change of f on [lo, hi], with f(lo) > 0 >= f(hi): the
+    midpoint of the final bracket and the number of f evaluations.
+
+    Stops once hi - lo <= tol, or when the bracket's endpoints are
+    adjacent doubles (the midpoint rounds to one of them), so a ``tol``
+    below the float spacing still terminates.
+    """
+    lo, hi, iterations = _bisect_bracket(f, lo, hi, tol)
     return 0.5 * (lo + hi), iterations
+
+
+def _symmetric_closed_form(V: float, w: float, sn: float) -> float:
+    """Root of the symmetric FOC from its quadratic in x = 1 - 2 p_L,
+    a x^2 + b x - 1/2 = 0 with a = phi(0)/sn and b = phi(0)(V+w)/sn + 1/2,
+    in the stable form x = 1/(b + sqrt(b^2 + 2a)).  Within a few ulps of
+    the bisection's answer but not always equal to it."""
+    a = _PHI0 / sn
+    b = _PHI0 * (V + w) / sn + 0.5
+    return 0.5 * (1.0 - 1.0 / (b + math.sqrt(b * b + 2.0 * a)))
+
+
+def _sym_root(V: float, w: float, sn: float, tol: float) -> tuple[float, int]:
+    """:func:`symmetric_foc_root` of plain floats, given ``sn``.
+
+    Replays the bisection of the FOC on [0, 1/2] against the closed-form
+    root, then confirms the final bracket with two FOC signs.  The
+    computed FOC is nonincreasing in p_L, so once f(lo) > 0 >= f(hi)
+    holds at the end, every halving that moved lo agreed with the FOC's
+    sign (its midpoint lies at or below lo) and so did every one that
+    moved hi: the bracket, the count and the result are those of
+    bisecting the FOC itself.  If a sign check fails, the FOC is
+    bisected after all.
+    """
+    f = lambda x: _foc_symmetric(x, V, w, sn)
+    r = _symmetric_closed_form(V, w, sn)
+    lo, hi, iterations = _bisect_bracket(lambda x: r - x, 0.0, 0.5, tol)
+    if f(lo) > 0.0 >= f(hi):
+        p = 0.5 * (lo + hi)
+    else:
+        p, iterations = _bisect(f, 0.0, 0.5, tol)
+    for _ in range(2):  # Newton polish to machine-level residual
+        p -= f(p) / _foc_symmetric_derivative(p, V, w, sn)
+        p = min(max(p, 0.0), 0.5)
+        iterations += 1
+    return p, iterations
 
 
 def symmetric_foc_root(
@@ -203,19 +252,18 @@ def symmetric_foc_root(
 ) -> tuple[float, int]:
     """Unique root of the symmetric FOC on [0, 1/2] and the iteration count.
 
-    Bisection cannot fail here: the FOC is strictly decreasing with
-    foc(0) > 0 > foc(1/2) = -1/2, so the bracket never degenerates.
-    Meaningful for any valid params (the FOC does not involve mu_i or
-    mu_v); whether the profile is an equilibrium is a separate question
-    answered by :func:`solve_symmetric`.
+    The FOC is strictly decreasing with foc(0) > 0 > foc(1/2) = -1/2, so
+    bisection to ``cfg.tol_root`` cannot fail; two Newton steps then push
+    the residual to machine level.  The FOC is a quadratic in 1 - 2 p_L,
+    so the halvings are replayed against its closed-form root with float
+    compares and confirmed by two FOC signs at the end (see
+    :func:`_sym_root`); the result and the count are those of bisecting
+    the FOC itself.  Meaningful for any valid params (the FOC does not
+    involve mu_i or mu_v); whether the profile is an equilibrium is a
+    separate question answered by :func:`solve_symmetric`.
     """
     cfg = cfg or SolverConfig()
-    p, iterations = _bisect(lambda x: foc_symmetric(x, params), 0.0, 0.5, cfg.tol_root)
-    for _ in range(2):  # Newton polish to machine-level residual
-        p -= foc_symmetric(p, params) / foc_symmetric_derivative(p, params)
-        p = min(max(p, 0.0), 0.5)
-        iterations += 1
-    return p, iterations
+    return _sym_root(params.V, params.w, noise_scale(params), cfg.tol_root)
 
 
 def solve_symmetric(params: ModelParams, cfg: SolverConfig | None = None) -> EquilibriumResult:

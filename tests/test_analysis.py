@@ -11,6 +11,7 @@ from polarsolve import (
     DegenerateError,
     DomainError,
     ModelParams,
+    SinglePeakednessWarning,
     classify_moderate,
     delta_at_zero,
     delta_limit_infinity,
@@ -121,6 +122,29 @@ def test_asymmetric_sweep_crosses_the_moderation_threshold():
         assert math.isfinite(r.dpL_dw_fd)
 
 
+def test_symmetric_sweep_frozen_fd_column():
+    # bit-identity anchors for the symmetric FD column: the one-sided
+    # stencil at w = 0 and at 0 < w < h, a central one, and the large-w end
+    params = ModelParams(w=0.0, V=0.5, sigma_i=2.0, sigma_v=0.5)
+    rows = sweep_w([0.0, 5e-5, 1.0, 1e6], params)
+    assert [(r.p_L, r.dpL_dw_fd) for r in rows] == [
+        (0.29586695700132315, 0.10505052410819671),
+        (0.2958722017875133, 0.10474092808326896),
+        (0.15152963332791064, -0.051008385428125136),
+        (0.08314971294794139, -1.3877787807814457e-13),
+    ]
+    assert all(r.certified for r in rows)
+
+
+def test_symmetric_sweep_row_fails_cleanly_when_its_stencil_leaves_valid_params():
+    # at w = h the central stencil reaches w = 0, where sigma_v^2 underflows
+    # and the noise scale is 0: that row is a NaN row, the next one is solved
+    with pytest.warns(SinglePeakednessWarning):
+        rows = sweep_w([1e-4, 1.0], ModelParams(w=1.0, sigma_v=1e-170))
+    assert math.isnan(rows[0].p_L) and not rows[0].certified
+    assert math.isfinite(rows[1].dpL_dw_fd)
+
+
 def test_asymmetric_sweep_frozen_rows():
     # bit-identity anchors for the asymmetric sweep, FD column included
     params = ModelParams(w=1.0, V=0.5, sigma_i=2.0, sigma_v=0.5, mu_i=0.8, mu_v=-1.0)
@@ -173,25 +197,50 @@ def test_w_tilde_self_consistency(baseline):
 
 
 def test_w_tilde_is_a_slope_sign_change(baseline):
-    # the baseline, a trough far out at w~ ~ 25962, and seeded log-uniform
+    # the baseline, a trough far out at w~ ~ 25962, seeded log-uniform
     # draws over V in [1e-2, 1e2], sigma_i in [1e-2, 10], sigma_v in [0.102, 10]
+    # and a tiny trough
     cases = [baseline, ModelParams(w=0.0, V=1.0, sigma_i=0.03, sigma_v=10.0)]
     rng = np.random.default_rng(20261018)
     for _ in range(12):
         v, s_i, s_v = np.exp(rng.uniform(np.log([1e-2, 1e-2, 0.102]), np.log([1e2, 10.0, 10.0])))
         cases.append(ModelParams(w=0.0, V=float(v), sigma_i=float(s_i), sigma_v=float(s_v)))
+    # w~ ~ 2.94e-6, where a 1e-12 absolute bisection tolerance was 8.6e-8 relative
+    cases.append(
+        ModelParams(w=0.0, V=26.789727851703216, sigma_i=9.462624337026526, sigma_v=0.16799079993032656)
+    )
     for params in cases:
-        wt = w_tilde(params)
-        h = 1e-6 * max(1.0, wt)
-        for w, expected_positive in ((wt - h, True), (wt + h, False)):
-            params_w = replace(params, w=w)
-            slope = dpL_dw_symmetric(symmetric_foc_root(params_w)[0], params_w)
-            assert (slope > 0.0) is expected_positive, (params, wt)
+        _assert_slope_changes_sign(params, w_tilde(params))
 
 
-def test_w_tilde_beyond_the_search_cap_raises():
-    with pytest.raises(ConvergenceError, match="1e\\+06"):
-        w_tilde(ModelParams(w=0.0, V=0.01, sigma_i=0.01, sigma_v=10.0))
+def _assert_slope_changes_sign(params, wt):
+    """The slope of p_L*(w) is positive at w~(1 - 1e-9) and negative at w~(1 + 1e-9)."""
+    for w, expected_positive in ((wt * (1.0 - 1e-9), True), (wt * (1.0 + 1e-9), False)):
+        params_w = replace(params, w=w)
+        slope = dpL_dw_symmetric(symmetric_foc_root(params_w)[0], params_w)
+        assert (slope > 0.0) is expected_positive, (params, wt)
+
+
+def test_w_tilde_far_beyond_w_one_million():
+    # the closed bracket [c/(1+V), c/V] has no search cap
+    params = ModelParams(w=0.0, V=0.01, sigma_i=0.01, sigma_v=10.0)
+    wt = w_tilde(params)
+    assert wt == pytest.approx(7.26e6, rel=1e-3)
+    _assert_slope_changes_sign(params, wt)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        # 4 sigma_i^2 overflows, so c = 0 and the bracket collapses to [0, 0]
+        ModelParams(w=0.0, sigma_i=1e154),
+        # c overflows, so the bracket's ends are not valid values of w
+        ModelParams(w=0.0, sigma_i=1e-150, sigma_v=1e150),
+    ],
+)
+def test_w_tilde_names_a_bracket_rounding_defeats(params):
+    with pytest.raises(ConvergenceError, match="closed bracket"):
+        w_tilde(params)
 
 
 def test_w_tilde_moves_with_sigma_v(baseline):

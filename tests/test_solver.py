@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from polarsolve import (
@@ -22,6 +23,7 @@ from polarsolve import (
 from polarsolve.calculus import d_euL_d_pL, d_euR_d_pR, foc_symmetric
 from polarsolve.model import PlatformPair
 from polarsolve.oracle import grid_best_response
+from polarsolve import solver
 from polarsolve.solver import _bisect
 
 # Frozen solver anchors, cross-checked against the 1e-4 grid oracle and
@@ -74,6 +76,77 @@ def test_bisect_keeps_lo_where_f_is_positive():
     x, iterations = _bisect(lambda t: 0.25 - t, 0.0, 1.0, 1e-3)
     assert x == 0.25 - 2.0**-11
     assert iterations == 10
+
+
+def _reference_symmetric_root(params, tol):
+    """Bisection of the symmetric FOC itself, then two Newton steps, with
+    the FOC, its derivative and the noise scale written out as documented."""
+    sn = math.sqrt(params.sigma_v**2 + 4.0 * params.w**2 * params.sigma_i**2)
+    phi0 = 1.0 / math.sqrt(2.0 * math.pi)
+    v_w = params.V + params.w
+    foc = lambda p: (1.0 - 2.0 * p) * phi0 * (v_w + 1.0 - 2.0 * p) / sn - p
+    dfoc = lambda p: -2.0 * phi0 * (v_w + 2.0 * (1.0 - 2.0 * p)) / sn - 1.0
+    p, iterations = _bisect(foc, 0.0, 0.5, tol)
+    for _ in range(2):
+        p -= foc(p) / dfoc(p)
+        p = min(max(p, 0.0), 0.5)
+        iterations += 1
+    return p, iterations
+
+
+def _wide_range_params(rng, n):
+    """Seeded draws with V, w, sigma_i and sigma_v log-uniform over
+    [1e-12, 1e12], every tenth at w = 0, plus the corners of that box;
+    draws whose noise scale leaves the doubles are skipped."""
+    corners = [
+        ModelParams(w=w, V=v, sigma_i=s_i, sigma_v=s_v)
+        for w in (0.0, 1e-12, 1e12)
+        for v in (1e-12, 1e12)
+        for s_i in (1e-12, 1e12)
+        for s_v in (1e-12, 1e12)
+    ]
+    out = list(corners)
+    while len(out) < n:
+        v, w, s_i, s_v = 10.0 ** rng.uniform(-12.0, 12.0, size=4)
+        if len(out) % 10 == 0:
+            w = 0.0
+        try:
+            out.append(ModelParams(w=float(w), V=float(v), sigma_i=float(s_i), sigma_v=float(s_v)))
+        except InvalidParamsError:
+            continue
+    return out
+
+
+@pytest.mark.parametrize("tol_root", [1e-12, 1e-9, 1e-300])
+def test_symmetric_root_replays_the_bisection_bit_for_bit(tol_root):
+    # the closed-form replay must give the bisection's (p, iterations) exactly,
+    # also when tol_root is below the float spacing near the root
+    cfg = SolverConfig(tol_root=tol_root)
+    for params in _wide_range_params(np.random.default_rng(20261018), 2000):
+        assert symmetric_foc_root(params, cfg) == _reference_symmetric_root(params, tol_root), params
+
+
+def test_symmetric_root_falls_back_when_the_closed_form_is_off(monkeypatch):
+    # a closed-form root one final-bracket width too high steers the replay
+    # into the neighbouring bracket: the FOC sign check must catch it and
+    # the real bisection must give the same answer
+    closed_form = solver._symmetric_closed_form
+    fallbacks = []
+
+    def off_by_one_bracket(V, w, sn):
+        return closed_form(V, w, sn) + 0.5 * 2.0**-39
+
+    def counting_bisect(f, lo, hi, tol):
+        fallbacks.append(lo)
+        return _bisect(f, lo, hi, tol)
+
+    cases = [ModelParams(w=w, V=v) for w in (0.0, 0.3, 1.0, 50.0) for v in (0.1, 1.0, 10.0)]
+    expected = [symmetric_foc_root(params) for params in cases]
+    monkeypatch.setattr(solver, "_symmetric_closed_form", off_by_one_bracket)
+    monkeypatch.setattr(solver, "_bisect", counting_bisect)
+    assert [symmetric_foc_root(params) for params in cases] == expected
+    assert len(fallbacks) == len(cases)
+    assert expected[cases.index(ModelParams(w=1.0))] == (0.2370250306977277, 41)
 
 
 def test_symmetric_root_residual_is_machine_level(baseline):
