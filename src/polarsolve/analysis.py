@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
-from .calculus import dpL_dw_symmetric
+from .calculus import _PHI0, _dpL_dw_symmetric
 from .errors import (
     ConvergenceError,
     DegenerateError,
@@ -34,7 +34,6 @@ from .errors import (
     InvalidParamsError,
     PolarsolveError,
 )
-from .gaussmath import std_normal_pdf
 from .model import ModelParams, _checked_noise_scale
 from .solver import (
     SolverConfig,
@@ -42,7 +41,6 @@ from .solver import (
     _sym_root,
     solve_asymmetric,
     solve_symmetric,
-    symmetric_foc_root,
 )
 
 __all__ = [
@@ -58,8 +56,6 @@ __all__ = [
     "classify_moderate",
     "prop5_slope_identity",
 ]
-
-_PHI0 = std_normal_pdf(0.0)
 
 #: Step for the finite-difference slope column of a sweep.
 _FD_STEP = 1e-4
@@ -133,7 +129,9 @@ def _sweep_row(
         params_w = replace(params, w=w)
         if mode == "symmetric":
             res = solve_symmetric(params_w, cfg)
-            analytic = dpL_dw_symmetric(res.platforms.p_L, params_w)
+            analytic = _dpL_dw_symmetric(
+                res.platforms.p_L, params.V, w, params.sigma_i, params.sigma_v
+            )
             # p_L*(w) lives on the symmetry locus, where the FOC depends on
             # (V, w, sigma_i, sigma_v) only: the root at the perturbed w is
             # the same curve the analytic formula differentiates.
@@ -180,15 +178,15 @@ def sweep_w(
     """
     cfg = cfg or SolverConfig()
     if mode not in ("symmetric", "asymmetric"):
-        raise ValueError(f"mode must be 'symmetric' or 'asymmetric', got {mode!r}")
+        raise InvalidParamsError(f"mode must be 'symmetric' or 'asymmetric', got {mode!r}")
     grid = [float(w) for w in w_grid]
     if not grid:
-        raise ValueError("w_grid must be nonempty")
+        raise InvalidParamsError("w_grid must be nonempty")
     for a, b in zip(grid, grid[1:]):
         if not a < b:
-            raise ValueError(f"w_grid must be strictly increasing ({a} !< {b})")
+            raise InvalidParamsError(f"w_grid must be strictly increasing ({a} !< {b})")
     if grid[0] < 0.0 or not all(math.isfinite(w) for w in grid):
-        raise ValueError("w_grid values must be finite and nonnegative")
+        raise InvalidParamsError("w_grid values must be finite and nonnegative")
     return [_sweep_row(w, params_base, cfg, mode) for w in grid]
 
 
@@ -219,9 +217,9 @@ def shape_report(
     Rows must all be solved (no NaNs).
     """
     if len(rows) < 3:
-        raise ValueError("need at least 3 rows to diagnose a shape")
+        raise InvalidParamsError("need at least 3 rows to diagnose a shape")
     if any(not math.isfinite(r.delta) for r in rows):
-        raise ValueError("shape analysis requires fully solved rows (no NaNs)")
+        raise InvalidParamsError("shape analysis requires fully solved rows (no NaNs)")
     d_changes, d_first, d_last = _slope_sign_changes([r.delta for r in rows])
     p_changes, p_first, p_last = _slope_sign_changes([r.p_L for r in rows])
     u_shaped = d_changes == 1 and d_first < 0 and d_last > 0
@@ -258,12 +256,6 @@ def delta_limit_infinity(params: ModelParams) -> float:
     return params.sigma_i / (params.sigma_i + _PHI0)
 
 
-def _pl_slope_at(params: ModelParams, w: float, cfg: SolverConfig) -> float:
-    params_w = replace(params, w=w)
-    p, _ = symmetric_foc_root(params_w, cfg)
-    return dpL_dw_symmetric(p, params_w)
-
-
 def w_tilde(params: ModelParams, cfg: SolverConfig | None = None) -> float:
     """The interior peak of w -> p_L*(w) (trough of delta(w)).
 
@@ -272,20 +264,31 @@ def w_tilde(params: ModelParams, cfg: SolverConfig | None = None) -> float:
     p_L* lies in (0, 1/2), so the peak lies in the closed bracket
     [c / (1 + V), c / V].  After one check of the slope's sign at both
     ends, one bisection on the sign of the analytic slope locates the
-    peak.  Its tolerance is 1e-12 times the bracket's lower end, so the
-    peak is found to 1e-12 relative however small or large it is, well
-    within the 1e-6 self-consistency contract with the sign-flip
-    boundary.
+    peak; the slope runs on the float root and slope kernels.  The
+    tolerance is 1e-12 times the bracket's lower end, so the peak is
+    found to 1e-12 relative however small or large it is, well within
+    the 1e-6 self-consistency contract with the sign-flip boundary.  A
+    bracket already that narrow (V above about 1e12) is returned as its
+    midpoint without a sign check.
 
     There is no search cap: a peak far out in w (large sigma_v over
     small sigma_i) is bracketed like any other.  If rounding defeats the
     sign check at an end of the bracket (only in extreme parameter
-    ranges) :class:`ConvergenceError` names the bracket.
+    ranges, such as V above about 1e7, where the end slopes can be
+    rounding noise) :class:`ConvergenceError` names the bracket.
     """
     cfg = cfg or SolverConfig()
-    c = params.sigma_v**2 / (4.0 * params.sigma_i**2)
-    w_lo, w_hi = c / (1.0 + params.V), c / params.V
-    slope = lambda w: _pl_slope_at(params, w, cfg)
+    V, sigma_i, sigma_v = params.V, params.sigma_i, params.sigma_v
+    c = sigma_v**2 / (4.0 * sigma_i**2)
+    w_lo, w_hi = c / (1.0 + V), c / V
+    tol = 1e-12 * w_lo
+    if w_lo > 0.0 and w_hi - w_lo <= tol:
+        return 0.5 * (w_lo + w_hi)
+
+    def slope(w: float) -> float:
+        sn = _checked_noise_scale(w, sigma_i, sigma_v)
+        return _dpL_dw_symmetric(_sym_root(V, w, sn, cfg.tol_root)[0], V, w, sigma_i, sigma_v)
+
     try:
         bracketed = slope(w_lo) > 0.0 >= slope(w_hi)
     except InvalidParamsError:  # an end that is no valid w (c overflowed), or its noise scale
@@ -295,7 +298,7 @@ def w_tilde(params: ModelParams, cfg: SolverConfig | None = None) -> float:
             f"p_L*(w) slope does not change sign over the closed bracket "
             f"[{w_lo!r}, {w_hi!r}]; params={params}"
         )
-    return _bisect(slope, w_lo, w_hi, 1e-12 * w_lo)[0]
+    return _bisect(slope, w_lo, w_hi, tol)[0]
 
 
 def symmetry_locus_mu_v(w: float, mu_i: float) -> float:

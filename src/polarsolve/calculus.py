@@ -17,6 +17,10 @@ payoff kernels in :mod:`polarsolve.model` do.  Validation happens where
 inputs enter the package (:class:`~polarsolve.model.ModelParams`,
 :class:`~polarsolve.model.PlatformPair` and the entry of
 :func:`polarsolve.solver.best_response`), not inside these kernels.
+The symmetric FOC (``sn = sigma_v`` or ``2 sigma_i w`` gives the polar
+ones) and its IFT slope ``_dpL_dw_symmetric`` have float kernels too;
+the sweeps and ``w_tilde`` call the slope kernel on the solver's own
+root, while :func:`dpL_dw_symmetric` first checks the caller's root.
 
 Derivative notation used below, with kappa the standardized win margin,
 sigma_n the combined noise scale and phi/Phi the standard-normal
@@ -34,7 +38,7 @@ from __future__ import annotations
 import math
 from typing import Literal
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, InvalidParamsError, PreconditionError
 from .gaussmath import std_normal_cdf, std_normal_pdf
 from .model import ModelParams, PlatformPair, _margin, noise_scale
 
@@ -153,7 +157,7 @@ def _foc_symmetric_derivative(p_L: float, V: float, w: float, sn: float) -> floa
 def foc_symmetric_valence_only(p_L: float, params: ModelParams) -> float:
     """Symmetric FOC in the valence-uncertainty-only limit sigma_i -> 0
     (the noise scale collapses to sigma_v)."""
-    return (1.0 - 2.0 * p_L) * _PHI0 * (params.V + params.w + 1.0 - 2.0 * p_L) / params.sigma_v - p_L
+    return _foc_symmetric(p_L, params.V, params.w, params.sigma_v)
 
 
 def foc_symmetric_ideology_only(p_L: float, params: ModelParams) -> float:
@@ -169,9 +173,7 @@ def foc_symmetric_ideology_only(p_L: float, params: ModelParams) -> float:
             "ideology-only FOC is singular at w=0 (limit policy is 1/2); "
             "w must be positive"
         )
-    return (1.0 - 2.0 * p_L) * _PHI0 * (params.V + params.w + 1.0 - 2.0 * p_L) / (
-        2.0 * params.sigma_i * params.w
-    ) - p_L
+    return _foc_symmetric(p_L, params.V, params.w, 2.0 * params.sigma_i * params.w)
 
 
 def _require_root(foc: float, label: str) -> None:
@@ -194,13 +196,15 @@ def dpL_dw_symmetric(p_L: float, params: ModelParams) -> float:
     ``p_L`` must be a root of the symmetric FOC for these params.
     """
     _require_root(foc_symmetric(p_L, params), "foc_symmetric")
-    s2 = params.sigma_v**2 + 4.0 * params.sigma_i**2 * params.w**2
-    num = (1.0 - 2.0 * p_L) * _PHI0 * (
-        4.0 * params.sigma_i**2 * params.w * (2.0 * p_L - params.V - 1.0) + params.sigma_v**2
-    )
-    den = s2 * (
-        2.0 * _PHI0 * (params.V + params.w + 2.0 * (1.0 - 2.0 * p_L)) + math.sqrt(s2)
-    )
+    return _dpL_dw_symmetric(p_L, params.V, params.w, params.sigma_i, params.sigma_v)
+
+
+def _dpL_dw_symmetric(p_L: float, V: float, w: float, sigma_i: float, sigma_v: float) -> float:
+    """:func:`dpL_dw_symmetric` of plain floats, without the root check:
+    for a ``p_L`` that the symmetric root solver just returned."""
+    s2 = sigma_v**2 + 4.0 * sigma_i**2 * w**2
+    num = (1.0 - 2.0 * p_L) * _PHI0 * (4.0 * sigma_i**2 * w * (2.0 * p_L - V - 1.0) + sigma_v**2)
+    den = s2 * (2.0 * _PHI0 * (V + w + 2.0 * (1.0 - 2.0 * p_L)) + math.sqrt(s2))
     return num / den
 
 
@@ -238,4 +242,4 @@ def dpL_dw_polar(
                 + params.sigma_i * params.w
             )
         )
-    raise ValueError(f"which must be 'valence_only' or 'ideology_only', got {which!r}")
+    raise InvalidParamsError(f"which must be 'valence_only' or 'ideology_only', got {which!r}")

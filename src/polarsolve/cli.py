@@ -55,9 +55,7 @@ _TOP_KEYS = frozenset(
      "w_list", "mu_i_steps", "only"}
 )
 _PARAM_KEYS = frozenset({"w", "V", "sigma_i", "sigma_v", "mu_i", "mu_v"})
-_SOLVER_KEYS = frozenset(
-    {"tol_root", "tol_fp", "max_iter", "damping", "bracket_lo", "bracket_hi"}
-)
+_SOLVER_KEYS = frozenset({"tol_root", "tol_fp", "max_iter", "damping"})
 
 
 class _CliError(Exception):

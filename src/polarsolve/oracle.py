@@ -22,7 +22,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import SpanTooSmallError
+from .errors import InvalidParamsError, SpanTooSmallError
 from .gaussmath import _std_normal_cdf_array
 from .model import ModelParams, PlatformPair, _finite, noise_scale
 
@@ -84,11 +84,11 @@ def _grid_columns(lo: float, hi: float, grid_step: float) -> tuple[np.ndarray, .
 def _grid(span: tuple[float, float], grid_step: float) -> tuple[np.ndarray, ...]:
     lo, hi = span
     if not grid_step > 0.0:
-        raise ValueError(f"grid_step must be positive, got {grid_step}")
+        raise InvalidParamsError(f"grid_step must be positive, got {grid_step}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"span ends must be finite, got {span}")
+        raise InvalidParamsError(f"span ends must be finite, got {span}")
     if not lo < hi:
-        raise ValueError(f"span must be a nonempty interval, got {span}")
+        raise InvalidParamsError(f"span must be a nonempty interval, got {span}")
     return _grid_columns(float(lo), float(hi), float(grid_step))
 
 
@@ -104,7 +104,7 @@ def _grid_payoffs(
     in the same order, so each value has the scalar call's bits."""
     xs, xs_sq, one_minus_xs_sq = _grid(span, grid_step)
     if party not in ("L", "R"):
-        raise ValueError(f"party must be 'L' or 'R', got {party!r}")
+        raise InvalidParamsError(f"party must be 'L' or 'R', got {party!r}")
     opp = _finite("p_R" if party == "L" else "p_L", opponent_policy)
     own_term = xs * (1.0 - xs)
     opp_term = opp * (1.0 - opp)
@@ -162,7 +162,7 @@ def mc_win_probability(
     in practice.  Bit-reproducible for a given seed.
     """
     if n_samples < 10_000:
-        raise ValueError(f"n_samples must be at least 10000, got {n_samples}")
+        raise InvalidParamsError(f"n_samples must be at least 10000, got {n_samples}")
     wins = 0
     remaining = n_samples
     batch_index = 0
@@ -197,7 +197,7 @@ def peak_scan(
     the span edges, and an argmax escaping the span is the
     :func:`grid_best_response` oracle's job to flag, not this one's."""
     if grid_step > 1e-3:
-        raise ValueError(f"grid_step must be <= 1e-3 for a peak scan, got {grid_step}")
+        raise InvalidParamsError(f"grid_step must be <= 1e-3 for a peak scan, got {grid_step}")
     _, vals = _grid_payoffs(opponent_policy, party, params, DEFAULT_SPAN, grid_step)
     inner = vals[1:-1]
     n_max = int(np.count_nonzero((inner > vals[:-2]) & (inner > vals[2:])))

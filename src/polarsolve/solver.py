@@ -77,9 +77,9 @@ __all__ = [
 #: How exactly mu_v must equal w(1-2*mu_i) for the symmetric solver.
 LOCUS_TOL = 1e-12
 
-# Maximal extent of the adaptively doubled best-response bracket.
-_BRACKET_CAP_LO = -8.0
-_BRACKET_CAP_HI = 9.0
+#: The best-response search brackets, tried in order: each widens the
+#: last by half its width on both sides, up to the cap [-8, 9].
+_BR_BRACKETS = ((-0.5, 1.5), (-1.5, 2.5), (-3.5, 4.5), (-7.5, 8.5), (-8.0, 9.0))
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio conjugate
 
@@ -93,23 +93,12 @@ class SolverConfig:
     tol_fp: float = 1e-10         # fixed-point platform-change tolerance
     max_iter: int = 500           # best-response iteration budget
     damping: float = 0.5          # step fraction toward the best response
-    bracket_lo: float = -0.5      # initial best-response search interval
-    bracket_hi: float = 1.5
 
     def __post_init__(self) -> None:
         if not (self.tol_root > 0.0 and self.tol_fp > 0.0):
             raise InvalidParamsError("solver tolerances must be positive")
         if not 0.0 < self.damping <= 1.0:
             raise InvalidParamsError(f"damping must be in (0, 1], got {self.damping}")
-        if not self.bracket_lo < self.bracket_hi:
-            raise InvalidParamsError(
-                f"bracket_lo must be below bracket_hi, got "
-                f"[{self.bracket_lo}, {self.bracket_hi}]"
-            )
-        if not (math.isfinite(self.bracket_lo) and math.isfinite(self.bracket_hi)):
-            raise InvalidParamsError(
-                f"bracket ends must be finite, got [{self.bracket_lo}, {self.bracket_hi}]"
-            )
         if self.max_iter < 1:
             raise InvalidParamsError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -312,7 +301,7 @@ def best_response(
 ) -> float:
     """Maximizer of the party's expected utility against a fixed opponent.
 
-    Golden-section search over the configured bracket (the objective is
+    Golden-section search over [-0.5, 1.5] (the objective is
     unimodal for sigma_v above the bound; below it a global 1e-4-grid
     pre-scan locates the basin first), then Newton steps on the analytic
     FOC.  If the maximizer presses against the bracket edge the bracket
@@ -325,7 +314,7 @@ def best_response(
     """
     cfg = cfg or SolverConfig()
     if party not in ("L", "R"):
-        raise ValueError(f"party must be 'L' or 'R', got {party!r}")
+        raise InvalidParamsError(f"party must be 'L' or 'R', got {party!r}")
     opp = _finite("p_R" if party == "L" else "p_L", opponent_policy)
     sn = noise_scale(params)
     if party == "L":
@@ -337,9 +326,8 @@ def best_response(
         foc = lambda x: _d_euR_d_pR(opp, x, params, sn)
         soc = lambda x: _d2_euR_d_pR2(opp, x, params, sn)
 
-    lo, hi = cfg.bracket_lo, cfg.bracket_hi
     xtol = 1e-9
-    while True:
+    for lo, hi in _BR_BRACKETS:
         if params.single_peaked_guaranteed:
             x = _golden_max(objective, lo, hi, xtol)
             at_edge = (x - lo) < 2.0 * xtol or (hi - x) < 2.0 * xtol
@@ -353,15 +341,11 @@ def best_response(
                 at_edge = False
         if not at_edge:
             break
-        width = hi - lo
-        new_lo = max(lo - 0.5 * width, _BRACKET_CAP_LO)
-        new_hi = min(hi + 0.5 * width, _BRACKET_CAP_HI)
-        if (new_lo, new_hi) == (lo, hi):
-            raise UnboundedResponseError(
-                f"best response of party {party} to {opp:g} sits on "
-                f"the maximally expanded bracket [{lo}, {hi}]"
-            )
-        lo, hi = new_lo, new_hi
+    else:
+        raise UnboundedResponseError(
+            f"best response of party {party} to {opp:g} sits on "
+            f"the maximally expanded bracket [{lo}, {hi}]"
+        )
 
     for _ in range(4):
         g = foc(x)

@@ -41,10 +41,10 @@ from .calculus import (
     d_euL_d_pL,
     d_euR_d_pR,
     dpL_dw_polar,
-    dpL_dw_symmetric,
     foc_symmetric_ideology_only,
     foc_symmetric_valence_only,
 )
+from .errors import InvalidParamsError
 from .model import (
     ModelParams,
     PlatformPair,
@@ -234,33 +234,27 @@ def _check_prop5_slope(rng: np.random.Generator) -> tuple[bool, str]:
 
 
 def _check_eq3_ift(rng: np.random.Generator) -> tuple[bool, str]:
-    """Analytic dp_L*/dw vs perturb-and-resolve FD, and its sign-flip
-    boundary w = sigma_v^2/(4 sigma_i^2 (1 + V - 2 p_L*))."""
+    """Analytic dp_L*/dw vs perturb-and-resolve FD (the two slope columns
+    of a symmetric sweep), and its sign-flip boundary
+    w = sigma_v^2/(4 sigma_i^2 (1 + V - 2 p_L*)).  A NaN or uncertified
+    row fails the check."""
     params = ModelParams(w=0.0)
-    h = 1e-4
-    worst = 0.0
+    rows = sweep_w([0.15 * j for j in range(20)], params)
+    errs = [abs(r.dpL_dw_analytic - r.dpL_dw_fd) for r in rows]
+    worst = math.nan if any(math.isnan(e) for e in errs) else max(errs)
     signs_ok = True
-
-    def root_at(wp: float) -> float:
-        return symmetric_foc_root(replace(params, w=wp))[0]
-
-    for j in range(20):
-        w = 0.15 * j
-        params_w = replace(params, w=w)
-        p = root_at(w)
-        analytic = dpL_dw_symmetric(p, params_w)
-        if w >= h:
-            fd = (root_at(w + h) - root_at(w - h)) / (2.0 * h)
-        else:
-            fd = (-3.0 * p + 4.0 * root_at(w + h) - root_at(w + 2.0 * h)) / (2.0 * h)
-        worst = max(worst, abs(analytic - fd))
-        boundary = params.sigma_v**2 / (4.0 * params.sigma_i**2 * (1.0 + params.V - 2.0 * p))
-        signs_ok = signs_ok and ((analytic > 0.0) == (w < boundary))
-    passed = worst <= 1e-5 and signs_ok
-    return passed, (
+    for r in rows:
+        boundary = params.sigma_v**2 / (4.0 * params.sigma_i**2 * (1.0 + params.V - 2.0 * r.p_L))
+        signs_ok = signs_ok and ((r.dpL_dw_analytic > 0.0) == (r.w < boundary))
+    n_certified = sum(r.certified for r in rows)
+    passed = worst <= 1e-5 and signs_ok and n_certified == len(rows)
+    detail = (
         f"max |analytic - FD| = {worst:.3e} (tol 1e-5); sign matches the "
         f"flip boundary at all 20 points: {signs_ok}"
     )
+    if n_certified < len(rows):
+        detail += f"; only {n_certified}/{len(rows)} rows certified"
+    return passed, detail
 
 
 def _check_oracle_br(rng: np.random.Generator) -> tuple[bool, str]:
@@ -461,13 +455,13 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run the named checks (all by default) and return their results.
 
-    Unknown ids raise ValueError.  Reproducible for a given seed
-    regardless of which subset runs.
+    Unknown ids raise :class:`~polarsolve.errors.InvalidParamsError`.
+    Reproducible for a given seed regardless of which subset runs.
     """
     ids = list(CHECKS) if only is None else list(only)
     unknown = [i for i in ids if i not in CHECKS]
     if unknown:
-        raise ValueError(
+        raise InvalidParamsError(
             f"unknown check id(s) {unknown}; known: {', '.join(CHECKS)}"
         )
     index = {check_id: i for i, check_id in enumerate(CHECKS)}

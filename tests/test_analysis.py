@@ -25,7 +25,7 @@ from polarsolve import (
     w_hat,
     w_tilde,
 )
-from polarsolve.calculus import dpL_dw_symmetric
+from polarsolve.calculus import _dpL_dw_symmetric
 
 # Frozen baseline anchors (V = sigma_i = sigma_v = 1, balanced means).
 DELTA_AT_ZERO_BASELINE = 0.46163455685438337
@@ -209,15 +209,26 @@ def test_w_tilde_is_a_slope_sign_change(baseline):
     cases.append(
         ModelParams(w=0.0, V=26.789727851703216, sigma_i=9.462624337026526, sigma_v=0.16799079993032656)
     )
+    # the solved root's FOC residual scales with V: an absolute re-check of
+    # the root inside each slope evaluation failed here
+    cases.append(ModelParams(w=0.0, V=1e12))
     for params in cases:
         _assert_slope_changes_sign(params, w_tilde(params))
 
 
+def _w_tilde_bracket(params):
+    c = params.sigma_v**2 / (4.0 * params.sigma_i**2)
+    return c / (1.0 + params.V), c / params.V
+
+
 def _assert_slope_changes_sign(params, wt):
-    """The slope of p_L*(w) is positive at w~(1 - 1e-9) and negative at w~(1 + 1e-9)."""
+    """w~ lies in its bracket, and the slope of p_L*(w) is positive at
+    w~(1 - 1e-9) and negative at w~(1 + 1e-9)."""
+    lo, hi = _w_tilde_bracket(params)
+    assert lo <= wt <= hi, (params, wt)
     for w, expected_positive in ((wt * (1.0 - 1e-9), True), (wt * (1.0 + 1e-9), False)):
-        params_w = replace(params, w=w)
-        slope = dpL_dw_symmetric(symmetric_foc_root(params_w)[0], params_w)
+        p = symmetric_foc_root(replace(params, w=w))[0]
+        slope = _dpL_dw_symmetric(p, params.V, w, params.sigma_i, params.sigma_v)
         assert (slope > 0.0) is expected_positive, (params, wt)
 
 
@@ -227,6 +238,31 @@ def test_w_tilde_far_beyond_w_one_million():
     wt = w_tilde(params)
     assert wt == pytest.approx(7.26e6, rel=1e-3)
     _assert_slope_changes_sign(params, wt)
+
+
+def test_w_tilde_returns_a_bracket_within_tolerance():
+    # c/(1+V) and c/V are the same double: the bracket is the answer
+    params = ModelParams(w=0.0, V=1e17)
+    lo, hi = _w_tilde_bracket(params)
+    assert lo == hi
+    assert w_tilde(params) == lo
+
+
+def test_w_tilde_wide_range_fuzz():
+    # log-uniform V in [1e-2, 1e17], sigma_i in [1e-3, 1e2], sigma_v in [1e-2, 1e2];
+    # above V ~ 1e7 the end slopes can be rounding noise (ConvergenceError)
+    rng = np.random.default_rng(7)
+    lo_log, hi_log = np.log([1e-2, 1e-3, 1e-2]), np.log([1e17, 1e2, 1e2])
+    for _ in range(400):
+        v, s_i, s_v = (float(x) for x in np.exp(rng.uniform(lo_log, hi_log)))
+        params = ModelParams(w=0.0, V=v, sigma_i=s_i, sigma_v=s_v)
+        try:
+            wt = w_tilde(params)
+        except ConvergenceError:  # any other error (PreconditionError) fails the test
+            assert v > 1e6, params
+            continue
+        lo, hi = _w_tilde_bracket(params)
+        assert lo <= wt <= hi, params
 
 
 @pytest.mark.parametrize(

@@ -350,6 +350,13 @@ def test_config_unknown_params_key(tmp_path, capsys):
     assert "unknown params key(s): gamma" in err
 
 
+def test_config_rejects_the_removed_bracket_keys(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"solver": {"bracket_lo": -0.5}})
+    code, _, err = run_cli(["solve", "--config", cfg], capsys)
+    assert code == 2
+    assert err.startswith("error: invalid-config: unknown solver key(s): bracket_lo")
+
+
 def test_config_malformed_json(tmp_path, capsys):
     cfg = write_config(tmp_path, "{not json")
     code, _, err = run_cli(["solve", "--config", cfg], capsys)

@@ -39,11 +39,7 @@ P_STAR_W1 = 0.23702503069772776
         {"tol_fp": -1e-9},
         {"damping": 0.0},
         {"damping": 1.5},
-        {"bracket_lo": 1.0, "bracket_hi": 1.0},
-        {"bracket_lo": 2.0, "bracket_hi": -2.0},
         {"max_iter": 0},
-        {"bracket_lo": -math.inf},
-        {"bracket_hi": math.inf},
     ],
 )
 def test_solver_config_validation(kwargs):

@@ -4,8 +4,13 @@ The checks themselves are exercised one by one in test_acceptance.py;
 here we pin the registry contents and the runner's seeding semantics.
 """
 
+import math
+from dataclasses import replace
+
 import pytest
 
+from polarsolve import verify
+from polarsolve.analysis import _nan_row
 from polarsolve.verify import CHECKS, CheckResult, central_first, central_second, run_checks
 
 EXPECTED_IDS = [
@@ -73,3 +78,27 @@ def test_subset_runs_reuse_the_full_run_streams():
     (solo,) = run_checks(only=["prop4-locus"], seed=99)
     assert solo.detail == full["prop4-locus"].detail
     assert solo.passed == full["prop4-locus"].passed
+
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda row: _nan_row(row.w),
+        lambda row: replace(row, dpL_dw_fd=math.nan),
+        lambda row: replace(row, certified=False),
+    ],
+    ids=["nan-row", "nan-fd-only", "uncertified-row"],
+)
+def test_eq3_ift_fails_on_a_bad_sweep_row(monkeypatch, spoil):
+    # max(0.0, nan) is 0.0, so a NaN slope must be caught explicitly
+    real_sweep_w = verify.sweep_w
+
+    def spoiled_sweep_w(grid, params):
+        rows = real_sweep_w(grid, params)
+        rows[3] = spoil(rows[3])
+        return rows
+
+    monkeypatch.setattr(verify, "sweep_w", spoiled_sweep_w)
+    (res,) = run_checks(only=["eq3-ift"])
+    assert res.passed is False
