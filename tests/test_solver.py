@@ -39,6 +39,8 @@ P_STAR_W1 = 0.23702503069772776
         {"tol_fp": -1e-9},
         {"damping": 0.0},
         {"damping": 1.5},
+        {"tol_root": math.nan},
+        {"tol_fp": math.nan},
         {"max_iter": 0},
     ],
 )
