@@ -144,8 +144,11 @@ def _sweep_row(
         else:
             res = solve_asymmetric(params_w, cfg)
             analytic = math.nan  # defined only on the symmetric manifold
+            # warm-started from the row's own solution, so each re-solve
+            # stays on the row's equilibrium branch
+            start = (res.platforms.p_L, res.platforms.p_R)
             solve_pl = lambda wp: solve_asymmetric(
-                replace(params, w=wp), cfg
+                replace(params, w=wp), cfg, start=start
             ).platforms.p_L
         fd = _fd_slope(solve_pl, w, res.platforms.p_L)
     except PolarsolveError:
@@ -259,46 +262,36 @@ def delta_limit_infinity(params: ModelParams) -> float:
 def w_tilde(params: ModelParams, cfg: SolverConfig | None = None) -> float:
     """The interior peak of w -> p_L*(w) (trough of delta(w)).
 
-    The slope of p_L* is positive exactly while
-    w < c / (1 + V - 2 p_L*) with c = sigma_v^2 / (4 sigma_i^2), and
-    p_L* lies in (0, 1/2), so the peak lies in the closed bracket
-    [c / (1 + V), c / V].  After one check of the slope's sign at both
-    ends, one bisection on the sign of the analytic slope locates the
-    peak; the slope runs on the float root and slope kernels.  The
-    tolerance is 1e-12 times the bracket's lower end, so the peak is
-    found to 1e-12 relative however small or large it is, well within
-    the 1e-6 self-consistency contract with the sign-flip boundary.  A
+    The slope of p_L* has the sign of c - w (1 + V - 2 p_L*), with
+    c = sigma_v^2 / (4 sigma_i^2).  As p_L* lies in (0, 1/2), that is
+    2 p_L* c / (1 + V) > 0 at w = c / (1 + V) and c (2 p_L* - 1) / V < 0
+    at w = c / V, so one bisection of the analytic slope (on the float
+    root and slope kernels) over that bracket finds the peak without
+    evaluating its ends.  The tolerance is 1e-12 times the lower end:
+    1e-12 relative however small or large the peak, well within the
+    1e-6 self-consistency contract with the sign-flip boundary; a
     bracket already that narrow (V above about 1e12) is returned as its
-    midpoint without a sign check.
-
-    There is no search cap: a peak far out in w (large sigma_v over
-    small sigma_i) is bracketed like any other.  If rounding defeats the
-    sign check at an end of the bracket (only in extreme parameter
-    ranges, such as V above about 1e7, where the end slopes can be
-    rounding noise) :class:`ConvergenceError` names the bracket.
+    midpoint.  There is no search cap.  When rounding leaves no bracket
+    of positive finite w (c underflows to 0 or overflows),
+    :class:`ConvergenceError` names it; a bracketed w whose noise scale
+    overflows raises :class:`InvalidParamsError`.
     """
     cfg = cfg or SolverConfig()
     V, sigma_i, sigma_v = params.V, params.sigma_i, params.sigma_v
-    c = sigma_v**2 / (4.0 * sigma_i**2)
+    four_si2 = 4.0 * sigma_i**2
+    c = sigma_v**2 / four_si2 if four_si2 > 0.0 else math.inf
     w_lo, w_hi = c / (1.0 + V), c / V
-    tol = 1e-12 * w_lo
-    if w_lo > 0.0 and w_hi - w_lo <= tol:
-        return 0.5 * (w_lo + w_hi)
+    if not 0.0 < w_lo <= w_hi < math.inf:
+        raise ConvergenceError(
+            f"no closed bracket [{w_lo!r}, {w_hi!r}] of positive finite w "
+            f"for the peak of p_L*(w); params={params}"
+        )
 
     def slope(w: float) -> float:
         sn = _checked_noise_scale(w, sigma_i, sigma_v)
         return _dpL_dw_symmetric(_sym_root(V, w, sn, cfg.tol_root)[0], V, w, sigma_i, sigma_v)
 
-    try:
-        bracketed = slope(w_lo) > 0.0 >= slope(w_hi)
-    except InvalidParamsError:  # an end that is no valid w (c overflowed), or its noise scale
-        bracketed = False
-    if not bracketed:
-        raise ConvergenceError(
-            f"p_L*(w) slope does not change sign over the closed bracket "
-            f"[{w_lo!r}, {w_hi!r}]; params={params}"
-        )
-    return _bisect(slope, w_lo, w_hi, tol)[0]
+    return _bisect(slope, w_lo, w_hi, 1e-12 * w_lo)[0]
 
 
 def symmetry_locus_mu_v(w: float, mu_i: float) -> float:

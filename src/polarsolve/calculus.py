@@ -13,14 +13,17 @@ difference is the arbiter.
 The four own-platform derivatives are thin wrappers around private
 kernels (``_d_euL_d_pL`` and friends) that take checked plain floats
 ``(p_L, p_R, params, sn)`` with ``sn = noise_scale(params)``, as the
-payoff kernels in :mod:`polarsolve.model` do.  Validation happens where
+margin kernel in :mod:`polarsolve.model` does.  Validation happens where
 inputs enter the package (:class:`~polarsolve.model.ModelParams`,
 :class:`~polarsolve.model.PlatformPair` and the entry of
 :func:`polarsolve.solver.best_response`), not inside these kernels.
-The symmetric FOC (``sn = sigma_v`` or ``2 sigma_i w`` gives the polar
-ones) and its IFT slope ``_dpL_dw_symmetric`` have float kernels too;
-the sweeps and ``w_tilde`` call the slope kernel on the solver's own
-root, while :func:`dpL_dw_symmetric` first checks the caller's root.
+Two more kernels, ``_scaled_foc_L`` and ``_scaled_foc_R``, are the
+own-platform FOCs divided by phi(kappa), for the best-response
+bisection.  The symmetric FOC (``sn = sigma_v`` or ``2 sigma_i w``
+gives the polar ones) and its IFT slope ``_dpL_dw_symmetric`` have
+float kernels too; the sweeps and ``w_tilde`` call the slope kernel on
+the solver's own root, while :func:`dpL_dw_symmetric` first checks the
+caller's root.
 
 Derivative notation used below, with kappa the standardized win margin,
 sigma_n the combined noise scale and phi/Phi the standard-normal
@@ -39,7 +42,7 @@ import math
 from typing import Literal
 
 from .errors import DomainError, InvalidParamsError, PreconditionError
-from .gaussmath import std_normal_cdf, std_normal_pdf
+from .gaussmath import _mills, std_normal_cdf, std_normal_pdf
 from .model import ModelParams, PlatformPair, _margin, noise_scale
 
 __all__ = [
@@ -79,6 +82,24 @@ def _d_euR_d_pR(p_L: float, p_R: float, params: ModelParams, sn: float) -> float
     return -(2.0 * p_R - 1.0) * std_normal_pdf(k) * a_r / sn + 2.0 * (1.0 - p_R) * (
         1.0 - std_normal_cdf(k)
     )
+
+
+def _scaled_foc_L(p_L: float, p_R: float, params: ModelParams, sn: float) -> float:
+    """:func:`_d_euL_d_pL` divided by phi(kappa),
+    (1-2 p_L) A_L / sigma_n - 2 p_L M(kappa) with M = Phi/phi: the same
+    sign, which survives where phi(kappa) underflows.  The margin comes
+    first, so a huge p_R raises :class:`DomainError` before it is squared."""
+    m = _mills(_margin(p_L, p_R, params, sn))
+    a_l = p_R**2 - p_L**2 + params.V + params.w
+    return (1.0 - 2.0 * p_L) * a_l / sn - 2.0 * p_L * m
+
+
+def _scaled_foc_R(p_L: float, p_R: float, params: ModelParams, sn: float) -> float:
+    """:func:`_d_euR_d_pR` divided by phi(kappa),
+    -(2 p_R-1) A_R / sigma_n + 2 (1-p_R) M(-kappa)."""
+    m = _mills(-_margin(p_L, p_R, params, sn))
+    a_r = (p_L - 2.0) * p_L - (p_R - 2.0) * p_R + params.V + params.w
+    return -(2.0 * p_R - 1.0) * a_r / sn + 2.0 * (1.0 - p_R) * m
 
 
 def _d2_euL_d_pL2(p_L: float, p_R: float, params: ModelParams, sn: float) -> float:

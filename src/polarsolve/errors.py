@@ -53,8 +53,9 @@ class ConvergenceError(SolverError):
 
 
 class UnboundedResponseError(SolverError):
-    """A best response sat on the bracket edge even after the bracket was
-    expanded to its maximal extent."""
+    """No longer raised: every best response lies in a constant bracket,
+    [0, 1/2] for L and [1/2, 1] for R.  Kept exported so that code
+    catching it keeps working."""
 
 
 class SpanTooSmallError(PolarsolveError, ValueError):

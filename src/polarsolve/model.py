@@ -17,12 +17,11 @@ values and safe to call concurrently.
 Inputs are validated where they enter: :class:`ModelParams` and
 :class:`PlatformPair` check their fields on construction, and
 :func:`polarsolve.solver.best_response` checks its opponent's platform
-once on entry.  The private kernels :func:`_margin`, :func:`_eu_L` and
-:func:`_eu_R` take those checked values as plain floats ``(p_L, p_R,
-params, sn)``, with the noise scale ``sn = noise_scale(params)`` passed in,
-so a search can evaluate them many times without rebuilding a
-``PlatformPair`` or recomputing ``sn``.  The public functions are thin
-wrappers around them and return the same bits.
+once on entry.  The private kernel :func:`_margin` takes those checked
+values as plain floats ``(p_L, p_R, params, sn)``, with the noise scale
+``sn = noise_scale(params)`` passed in, so the derivative kernels in
+:mod:`polarsolve.calculus` can evaluate it many times without
+rebuilding a ``PlatformPair`` or recomputing ``sn``.
 """
 
 from __future__ import annotations
@@ -166,22 +165,6 @@ def _margin(p_L: float, p_R: float, params: ModelParams, sn: float) -> float:
     return num / sn
 
 
-def _eu_L(p_L: float, p_R: float, params: ModelParams, sn: float) -> float:
-    """:func:`expected_utility_L` of the profile ``(p_L, p_R)``, given ``sn``.
-
-    The CDF is taken before the squares, so a margin that is not finite
-    raises :class:`~polarsolve.errors.DomainError` before a huge platform
-    can overflow ``**``."""
-    pr = std_normal_cdf(_margin(p_L, p_R, params, sn))
-    return pr * (params.V - p_L**2) - (1.0 - pr) * (params.w + p_R**2)
-
-
-def _eu_R(p_L: float, p_R: float, params: ModelParams, sn: float) -> float:
-    """:func:`expected_utility_R` of the profile ``(p_L, p_R)``, given ``sn``."""
-    pr = std_normal_cdf(_margin(p_L, p_R, params, sn))
-    return (1.0 - pr) * (params.V - (1.0 - p_R) ** 2) - pr * (params.w + (1.0 - p_L) ** 2)
-
-
 def win_margin(pp: PlatformPair, params: ModelParams) -> float:
     """Standardized margin kappa such that Pr(L wins) = Phi(kappa).
 
@@ -202,11 +185,16 @@ def expected_utility_L(pp: PlatformPair, params: ModelParams) -> float:
 
     Winning yields the rent V minus the cost of running on a platform
     away from L's own bliss at 0; losing costs the full ideological
-    distance (w * 1^2) plus R's platform distance.
+    distance (w * 1^2) plus R's platform distance.  The CDF is taken
+    before the squares, so a margin that is not finite raises
+    :class:`~polarsolve.errors.DomainError` before a huge platform can
+    overflow ``**``.
     """
-    return _eu_L(pp.p_L, pp.p_R, params, noise_scale(params))
+    pr = std_normal_cdf(_margin(pp.p_L, pp.p_R, params, noise_scale(params)))
+    return pr * (params.V - pp.p_L**2) - (1.0 - pr) * (params.w + pp.p_R**2)
 
 
 def expected_utility_R(pp: PlatformPair, params: ModelParams) -> float:
     """E[pi_R] = (1-Pr)*(V - (1-p_R)^2) - Pr*(w + (1-p_L)^2)."""
-    return _eu_R(pp.p_L, pp.p_R, params, noise_scale(params))
+    pr = std_normal_cdf(_margin(pp.p_L, pp.p_R, params, noise_scale(params)))
+    return (1.0 - pr) * (params.V - (1.0 - pp.p_R) ** 2) - pr * (params.w + (1.0 - pp.p_L) ** 2)

@@ -14,10 +14,13 @@ Two entry points:
 
 * :func:`solve_asymmetric` — damped alternating best responses for
   general parameters, finished with a short 2-D Newton polish on the
-  analytic first-order conditions.  Convergence of the iteration is an
-  empirical matter and non-convergence is a first-class reported
-  outcome (:class:`~polarsolve.errors.ConvergenceError` with the full
-  iterate trace), never a silent truncation.
+  analytic first-order conditions.  Each best response bisects the
+  party's FOC divided by phi(kappa) on a constant bracket whose end
+  signs are proven, [0, 1/2] for L and [1/2, 1] for R, so it cannot
+  fail, also where the win probability underflows.  Convergence of the
+  iteration is an empirical matter and non-convergence is a first-class
+  reported outcome (:class:`~polarsolve.errors.ConvergenceError` with
+  the full iterate trace), never a silent truncation.
 
 Every result carries its own certificate: FOC residuals, second-order
 condition values, and — when sigma_v sits below the unimodality bound —
@@ -39,6 +42,8 @@ from .calculus import (
     _d_euR_d_pR,
     _foc_symmetric,
     _foc_symmetric_derivative,
+    _scaled_foc_L,
+    _scaled_foc_R,
     d2_euL_d_pL2,
     d2_euR_d_pR2,
     d_euL_d_pL,
@@ -50,13 +55,10 @@ from .errors import (
     SinglePeakednessWarning,
     SpanTooSmallError,
     SymmetryLocusError,
-    UnboundedResponseError,
 )
 from .model import (
     ModelParams,
     PlatformPair,
-    _eu_L,
-    _eu_R,
     _finite,
     noise_scale,
     win_probability_L,
@@ -76,12 +78,6 @@ __all__ = [
 
 #: How exactly mu_v must equal w(1-2*mu_i) for the symmetric solver.
 LOCUS_TOL = 1e-12
-
-#: The best-response search brackets, tried in order: each widens the
-#: last by half its width on both sides, up to the cap [-8, 9].
-_BR_BRACKETS = ((-0.5, 1.5), (-1.5, 2.5), (-3.5, 4.5), (-7.5, 8.5), (-8.0, 9.0))
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden ratio conjugate
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,23 +272,6 @@ def solve_symmetric(params: ModelParams, cfg: SolverConfig | None = None) -> Equ
     return _certificate(PlatformPair(p, 1.0 - p), params, cfg, iterations, "symmetric")
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> float:
-    """Golden-section maximization of a unimodal f on [lo, hi]."""
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > xtol:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = f(d)
-    return 0.5 * (lo + hi)
-
-
 def best_response(
     opponent_policy: float,
     party: Literal["L", "R"],
@@ -301,16 +280,16 @@ def best_response(
 ) -> float:
     """Maximizer of the party's expected utility against a fixed opponent.
 
-    Golden-section search over [-0.5, 1.5] (the objective is
-    unimodal for sigma_v above the bound; below it a global 1e-4-grid
-    pre-scan locates the basin first), then Newton steps on the analytic
-    FOC.  If the maximizer presses against the bracket edge the bracket
-    doubles, up to [-8, 9]; hitting that cap raises
-    :class:`UnboundedResponseError`.
-
-    ``opponent_policy`` is checked once here; the search then runs the
-    payoff and derivative kernels on plain floats with the noise scale
-    computed once.
+    L's maximizer lies in [0, 1/2] for any opponent: below 0 the win
+    probability and the stake A_L = p_R^2 - p_L^2 + V + w are both lower
+    than at 0, and above 1/2 the mirror 1 - p_L wins as often with a
+    larger stake.  L's FOC is positive at 0 and -Phi(kappa) < 0 at 1/2,
+    so the search bisects it on [0, 1/2] to 1e-9, divided by phi(kappa)
+    to keep its sign where phi underflows, then takes up to four Newton
+    steps on the raw FOC.  R's bracket is the mirror [1/2, 1].  Below the
+    single-peak bound a 1e-4-grid pre-scan first narrows the bracket to
+    its argmax +- 1e-4.  ``opponent_policy`` is checked once here; the
+    kernels then run on plain floats with the noise scale computed once.
     """
     cfg = cfg or SolverConfig()
     if party not in ("L", "R"):
@@ -318,35 +297,21 @@ def best_response(
     opp = _finite("p_R" if party == "L" else "p_L", opponent_policy)
     sn = noise_scale(params)
     if party == "L":
-        objective = lambda x: _eu_L(x, opp, params, sn)
+        lo, hi = 0.0, 0.5
+        scaled_foc = lambda x: _scaled_foc_L(x, opp, params, sn)
         foc = lambda x: _d_euL_d_pL(x, opp, params, sn)
         soc = lambda x: _d2_euL_d_pL2(x, opp, params, sn)
     else:
-        objective = lambda x: _eu_R(opp, x, params, sn)
+        lo, hi = 0.5, 1.0
+        scaled_foc = lambda x: _scaled_foc_R(opp, x, params, sn)
         foc = lambda x: _d_euR_d_pR(opp, x, params, sn)
         soc = lambda x: _d2_euR_d_pR2(opp, x, params, sn)
 
-    xtol = 1e-9
-    for lo, hi in _BR_BRACKETS:
-        if params.single_peaked_guaranteed:
-            x = _golden_max(objective, lo, hi, xtol)
-            at_edge = (x - lo) < 2.0 * xtol or (hi - x) < 2.0 * xtol
-        else:
-            try:
-                seed = grid_best_response(opp, party, params, grid_step=1e-4, span=(lo, hi))
-            except SpanTooSmallError:
-                at_edge = True
-            else:
-                x = _golden_max(objective, seed - 1e-4, seed + 1e-4, xtol)
-                at_edge = False
-        if not at_edge:
-            break
-    else:
-        raise UnboundedResponseError(
-            f"best response of party {party} to {opp:g} sits on "
-            f"the maximally expanded bracket [{lo}, {hi}]"
-        )
-
+    if not params.single_peaked_guaranteed:
+        # the default span contains the bracket, so the argmax is interior
+        seed = grid_best_response(opp, party, params, grid_step=1e-4)
+        lo, hi = max(lo, seed - 1e-4), min(hi, seed + 1e-4)
+    x = _bisect(scaled_foc, lo, hi, 1e-9)[0]
     for _ in range(4):
         g = foc(x)
         if abs(g) <= cfg.tol_root:

@@ -10,6 +10,7 @@ from polarsolve import (
     ConvergenceError,
     DegenerateError,
     DomainError,
+    InvalidParamsError,
     ModelParams,
     SinglePeakednessWarning,
     classify_moderate,
@@ -147,12 +148,13 @@ def test_symmetric_sweep_row_fails_cleanly_when_its_stencil_leaves_valid_params(
 
 def test_asymmetric_sweep_frozen_rows():
     # bit-identity anchors for the asymmetric sweep, FD column included
+    # (its re-solves start from the row's own solution)
     params = ModelParams(w=1.0, V=0.5, sigma_i=2.0, sigma_v=0.5, mu_i=0.8, mu_v=-1.0)
     rows = sweep_w([0.01, 1.0, 100.0], params, mode="asymmetric")
     assert [(r.p_L, r.p_R, r.dpL_dw_fd) for r in rows] == [
-        (0.0778637009318122, 0.5850649348264017, 0.24615656248457018),
+        (0.07786370093181219, 0.5850649348264015, 0.2461565624845008),
         (0.14280954491754833, 0.8398201148680681, -0.0275085505109518),
-        (0.09234438109729072, 0.9241109199066427, -8.555141803312516e-06),
+        (0.09234438109729072, 0.9241109199066427, -8.555141733923577e-06),
     ]
     assert all(r.certified for r in rows)
 
@@ -250,17 +252,14 @@ def test_w_tilde_returns_a_bracket_within_tolerance():
 
 def test_w_tilde_wide_range_fuzz():
     # log-uniform V in [1e-2, 1e17], sigma_i in [1e-3, 1e2], sigma_v in [1e-2, 1e2];
-    # above V ~ 1e7 the end slopes can be rounding noise (ConvergenceError)
+    # above V ~ 1e7 the slopes at the bracket's ends are rounding noise, and
+    # they are never evaluated: every draw has a peak in its bracket
     rng = np.random.default_rng(7)
     lo_log, hi_log = np.log([1e-2, 1e-3, 1e-2]), np.log([1e17, 1e2, 1e2])
     for _ in range(400):
         v, s_i, s_v = (float(x) for x in np.exp(rng.uniform(lo_log, hi_log)))
         params = ModelParams(w=0.0, V=v, sigma_i=s_i, sigma_v=s_v)
-        try:
-            wt = w_tilde(params)
-        except ConvergenceError:  # any other error (PreconditionError) fails the test
-            assert v > 1e6, params
-            continue
+        wt = w_tilde(params)
         lo, hi = _w_tilde_bracket(params)
         assert lo <= wt <= hi, params
 
@@ -272,11 +271,19 @@ def test_w_tilde_wide_range_fuzz():
         ModelParams(w=0.0, sigma_i=1e154),
         # c overflows, so the bracket's ends are not valid values of w
         ModelParams(w=0.0, sigma_i=1e-150, sigma_v=1e150),
+        # 4 sigma_i^2 underflows to 0, so c would divide by zero
+        ModelParams(w=0.0, sigma_i=1e-170),
     ],
 )
 def test_w_tilde_names_a_bracket_rounding_defeats(params):
     with pytest.raises(ConvergenceError, match="closed bracket"):
         w_tilde(params)
+
+
+def test_w_tilde_names_a_bracketed_w_with_no_noise_scale():
+    # c ~ 2.5e299 is finite, but 4 w^2 sigma_i^2 overflows inside the bracket
+    with pytest.raises(InvalidParamsError, match="noise scale"):
+        w_tilde(ModelParams(w=0.0, sigma_i=1e-150))
 
 
 def test_w_tilde_moves_with_sigma_v(baseline):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from polarsolve.errors import DomainError
-from polarsolve.gaussmath import std_normal_cdf, std_normal_pdf
+from polarsolve.gaussmath import _mills, std_normal_cdf, std_normal_pdf
 
 # Frozen oracle values.  phi(2.5) was confirmed by the Fourier identity
 # below; Phi(0.25) by direct quadrature of the density.
@@ -90,3 +90,34 @@ def test_nonfinite_arguments_are_rejected(bad):
         std_normal_pdf(bad)
     with pytest.raises(DomainError):
         std_normal_cdf(bad)
+    with pytest.raises(DomainError):
+        _mills(bad)
+
+
+# Phi(x)/phi(x) to 17 digits, from 60-digit mpmath (ncdf/npdf).  Below -5
+# the continued fraction is accurate to a few 1e-17; at and above -5 the
+# ratio of the primitives inherits exp's argument rounding (~1e-14 at 30).
+@pytest.mark.parametrize(
+    "x, expected, rel",
+    [
+        (-1000.0, 0.00099999900000299999, 5e-16),
+        (-100.0, 0.0099990002998501049, 5e-16),
+        (-38.5, 0.025956537944110659, 5e-16),
+        (-10.0, 0.099028596471731921, 5e-16),
+        (-5.5, 0.17632298575710270, 5e-16),
+        (-5.0, 0.19280810471531576, 3e-14),
+        (-2.0, 0.42136922928805447, 3e-14),
+        (0.0, 1.2533141373155003, 3e-14),
+        (1.5, 7.2051430072747785, 3e-14),
+        (8.0, 197930788642469.18, 3e-14),
+        (30.0, 6.7858896130611187e195, 3e-14),
+    ],
+)
+def test_mills_ratio_frozen_values(x, expected, rel):
+    assert _mills(x) == pytest.approx(expected, rel=rel, abs=0.0)
+
+
+def test_mills_ratio_is_infinite_where_the_density_underflows():
+    # phi(40) underflows to 0 while Phi(40) = 1
+    assert std_normal_pdf(40.0) == 0.0
+    assert _mills(40.0) == math.inf

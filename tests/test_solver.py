@@ -20,8 +20,8 @@ from polarsolve import (
     solve_symmetric,
     symmetric_foc_root,
 )
-from polarsolve.calculus import d_euL_d_pL, d_euR_d_pR, foc_symmetric
-from polarsolve.model import PlatformPair
+from polarsolve.calculus import _scaled_foc_L, d_euL_d_pL, d_euR_d_pR, foc_symmetric
+from polarsolve.model import PlatformPair, noise_scale
 from polarsolve.oracle import grid_best_response
 from polarsolve import solver
 from polarsolve.solver import _bisect
@@ -240,7 +240,62 @@ def test_solve_asymmetric_frozen_value():
     assert res.certified
 
 
-@pytest.mark.parametrize("sigma_v", [1.0, 0.08])  # golden section; grid pre-scan
+# offlocus-sweep seed 1, base 13: L trails so far that phi(kappa) ~ 1e-15
+# and the raw FOC is below tol_fp whatever p_L is; its sign lives in the
+# FOC divided by phi(kappa).  A search on the raw payoff, flat to rounding
+# here, once certified p_L = 0.28497 at w=1000.
+_BASE_13 = dict(
+    V=13.95926091518241,
+    sigma_i=0.081564335882881,
+    sigma_v=0.1029496035374516,
+    mu_i=1.1641572388799872,
+    mu_v=-1.4178709420834927,
+)
+
+
+@pytest.mark.parametrize("w, p_L", [(1000.0, 0.49044533684933445), (100.0, 0.49143700670200774)])
+def test_lopsided_race_certifies_the_root_of_the_scaled_foc(w, p_L):
+    params = ModelParams(w=w, **_BASE_13)
+    res = solve_asymmetric(params)
+    assert res.certified
+    assert res.platforms.p_L == pytest.approx(p_L, abs=1e-12)
+    scaled = _scaled_foc_L(res.platforms.p_L, res.platforms.p_R, params, noise_scale(params))
+    assert abs(scaled) < 1e-12
+
+
+def test_solve_asymmetric_where_r_sits_at_its_bliss_point():
+    # offlocus-sweep seed 1, base 0 at w=10: a best-response search whose
+    # bracket had to be found by widening raised UnboundedResponseError
+    params = ModelParams(
+        w=10.0,
+        V=0.2083274125304709,
+        sigma_i=0.04193379134602997,
+        sigma_v=0.1646495621560118,
+        mu_i=1.6405763521365806,
+        mu_v=-0.8791919639152201,
+    )
+    res = solve_asymmetric(params)
+    assert res.certified
+    assert res.platforms.p_L == pytest.approx(0.49847008168581625, abs=1e-12)
+    assert res.platforms.p_R == pytest.approx(1.0, abs=1e-12)
+
+
+def test_best_response_wide_range_fuzz():
+    # log-uniform w in [1e-3, 1e3], V in [1e-2, 1e2], sigma_i in [1e-2, 10]
+    # and sigma_v in [0.102, 10]; mu_i in [-1, 2], mu_v in [-3, 3] and the
+    # opponent in [-3, 4]: every best response exists and lies in its
+    # party's half of [0, 1]
+    rng = np.random.default_rng(20261018)
+    lo_log, hi_log = np.log([1e-3, 1e-2, 1e-2, 0.102]), np.log([1e3, 1e2, 10.0, 10.0])
+    for _ in range(500):
+        w, v, s_i, s_v = (float(x) for x in np.exp(rng.uniform(lo_log, hi_log)))
+        mu_i, mu_v, opponent = (float(x) for x in rng.uniform([-1.0, -3.0, -3.0], [2.0, 3.0, 4.0]))
+        params = ModelParams(w=w, V=v, sigma_i=s_i, sigma_v=s_v, mu_i=mu_i, mu_v=mu_v)
+        assert 0.0 <= best_response(opponent, "L", params) <= 0.5, (params, opponent)
+        assert 0.5 <= best_response(opponent, "R", params) <= 1.0, (params, opponent)
+
+
+@pytest.mark.parametrize("sigma_v", [1.0, 0.08])  # bisection alone; grid pre-scan first
 @pytest.mark.parametrize("party, name", [("L", "p_R"), ("R", "p_L")])
 @pytest.mark.parametrize("opponent", [math.nan, math.inf, True])
 def test_best_response_rejects_a_bad_opponent(opponent, party, name, sigma_v):
