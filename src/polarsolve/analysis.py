@@ -38,9 +38,9 @@ from .model import ModelParams, _checked_noise_scale
 from .solver import (
     SolverConfig,
     _bisect,
+    _solve_symmetric_at,
     _sym_root,
     solve_asymmetric,
-    solve_symmetric,
 )
 
 __all__ = [
@@ -126,9 +126,8 @@ def _sweep_row(
     mode: Literal["symmetric", "asymmetric"],
 ) -> SweepRow:
     try:
-        params_w = replace(params, w=w)
         if mode == "symmetric":
-            res = solve_symmetric(params_w, cfg)
+            res = _solve_symmetric_at(params, w, cfg)
             analytic = _dpL_dw_symmetric(
                 res.platforms.p_L, params.V, w, params.sigma_i, params.sigma_v
             )
@@ -142,7 +141,7 @@ def _sweep_row(
                 cfg.tol_root,
             )[0]
         else:
-            res = solve_asymmetric(params_w, cfg)
+            res = solve_asymmetric(replace(params, w=w), cfg)
             analytic = math.nan  # defined only on the symmetric manifold
             # warm-started from the row's own solution, so each re-solve
             # stays on the row's equilibrium branch

@@ -16,7 +16,9 @@ kernels (``_d_euL_d_pL`` and friends) that take checked plain floats
 margin kernel in :mod:`polarsolve.model` does.  Validation happens where
 inputs enter the package (:class:`~polarsolve.model.ModelParams`,
 :class:`~polarsolve.model.PlatformPair` and the entry of
-:func:`polarsolve.solver.best_response`), not inside these kernels.
+:func:`polarsolve.solver.best_response`); inside, a kernel checks only
+its margin, once and before any square (so a huge platform raises
+:class:`DomainError`), then calls the unchecked ``_pdf``/``_cdf``.
 Two more kernels, ``_scaled_foc_L`` and ``_scaled_foc_R``, are the
 own-platform FOCs divided by phi(kappa), for the best-response
 bisection.  The symmetric FOC (``sn = sigma_v`` or ``2 sigma_i w``
@@ -42,7 +44,7 @@ import math
 from typing import Literal
 
 from .errors import DomainError, InvalidParamsError, PreconditionError
-from .gaussmath import _mills, std_normal_cdf, std_normal_pdf
+from .gaussmath import _cdf, _mills, _pdf, _require_finite
 from .model import ModelParams, PlatformPair, _margin, noise_scale
 
 __all__ = [
@@ -62,26 +64,19 @@ __all__ = [
 #: may be evaluated before they stop being meaningful.
 _ON_MANIFOLD_TOL = 1e-8
 
-_PHI0 = std_normal_pdf(0.0)
-
-
-def _dphi(x: float) -> float:
-    """phi'(x) = -x * phi(x)."""
-    return -x * std_normal_pdf(x)
+_PHI0 = _pdf(0.0)
 
 
 def _d_euL_d_pL(p_L: float, p_R: float, params: ModelParams, sn: float) -> float:
-    k = _margin(p_L, p_R, params, sn)
+    k = _require_finite(_margin(p_L, p_R, params, sn))
     a_l = p_R**2 - p_L**2 + params.V + params.w
-    return (1.0 - 2.0 * p_L) * std_normal_pdf(k) * a_l / sn - 2.0 * p_L * std_normal_cdf(k)
+    return (1.0 - 2.0 * p_L) * _pdf(k) * a_l / sn - 2.0 * p_L * _cdf(k)
 
 
 def _d_euR_d_pR(p_L: float, p_R: float, params: ModelParams, sn: float) -> float:
-    k = _margin(p_L, p_R, params, sn)
+    k = _require_finite(_margin(p_L, p_R, params, sn))
     a_r = (p_L - 2.0) * p_L - (p_R - 2.0) * p_R + params.V + params.w
-    return -(2.0 * p_R - 1.0) * std_normal_pdf(k) * a_r / sn + 2.0 * (1.0 - p_R) * (
-        1.0 - std_normal_cdf(k)
-    )
+    return -(2.0 * p_R - 1.0) * _pdf(k) * a_r / sn + 2.0 * (1.0 - p_R) * (1.0 - _cdf(k))
 
 
 def _scaled_foc_L(p_L: float, p_R: float, params: ModelParams, sn: float) -> float:
@@ -103,24 +98,25 @@ def _scaled_foc_R(p_L: float, p_R: float, params: ModelParams, sn: float) -> flo
 
 
 def _d2_euL_d_pL2(p_L: float, p_R: float, params: ModelParams, sn: float) -> float:
-    k = _margin(p_L, p_R, params, sn)
+    k = _require_finite(_margin(p_L, p_R, params, sn))
     a_l = p_R**2 - p_L**2 + params.V + params.w
     b_l = (2.0 - 5.0 * p_L) * p_L + p_R**2 + params.V + params.w
+    # (-k * _pdf(k)) is phi'(k), parenthesised to keep the product's order
     return (
-        (1.0 - 2.0 * p_L) ** 2 * _dphi(k) * a_l / sn**2
-        - 2.0 * std_normal_pdf(k) * b_l / sn
-        - 2.0 * std_normal_cdf(k)
+        (1.0 - 2.0 * p_L) ** 2 * (-k * _pdf(k)) * a_l / sn**2
+        - 2.0 * _pdf(k) * b_l / sn
+        - 2.0 * _cdf(k)
     )
 
 
 def _d2_euR_d_pR2(p_L: float, p_R: float, params: ModelParams, sn: float) -> float:
-    k = _margin(p_L, p_R, params, sn)
+    k = _require_finite(_margin(p_L, p_R, params, sn))
     a_r = (p_L - 2.0) * p_L - (p_R - 2.0) * p_R + params.V + params.w
     b_r = (p_L - 2.0) * p_L + (8.0 - 5.0 * p_R) * p_R + params.V + params.w - 2.0
     return (
-        -((2.0 * p_R - 1.0) ** 2) * _dphi(k) * a_r / sn**2
-        - 2.0 * std_normal_pdf(k) * b_r / sn
-        - 2.0 * (1.0 - std_normal_cdf(k))
+        -((2.0 * p_R - 1.0) ** 2) * (-k * _pdf(k)) * a_r / sn**2
+        - 2.0 * _pdf(k) * b_r / sn
+        - 2.0 * (1.0 - _cdf(k))
     )
 
 

@@ -1,8 +1,10 @@
 """Standard-normal primitives.
 
 Every probabilistic expression in the package routes through the two
-functions here, so their accuracy budget (relative error at or below
+formulas here, so their accuracy budget (relative error at or below
 1e-15 on [-8, 8]) is what all downstream equilibrium tolerances assume.
+The public pair checks its argument and calls the unchecked :func:`_pdf`
+and :func:`_cdf`, which kernels that check their margin call directly.
 
 The CDF is evaluated through the complementary error function
 (``math.erfc`` is correctly rounded on every mainstream libm), which is
@@ -47,8 +49,7 @@ def std_normal_pdf(x: float) -> float:
     Strictly positive and symmetric; underflows to 0.0 only beyond
     |x| ~ 38.6 where the true value is below the smallest double.
     """
-    _require_finite(x)
-    return math.exp(-0.5 * x * x) * _INV_SQRT_2PI
+    return _pdf(_require_finite(x))
 
 
 def std_normal_cdf(x: float) -> float:
@@ -57,7 +58,16 @@ def std_normal_cdf(x: float) -> float:
     Strictly increasing with Phi(-x) = 1 - Phi(x); clamps to exact 0/1
     for |x| > 38 (see module docstring).
     """
-    _require_finite(x)
+    return _cdf(_require_finite(x))
+
+
+def _pdf(x: float) -> float:
+    """:func:`std_normal_pdf` without the check, for the kernels."""
+    return math.exp(-0.5 * x * x) * _INV_SQRT_2PI
+
+
+def _cdf(x: float) -> float:
+    """:func:`std_normal_cdf` without the check, for the kernels."""
     if x > _CDF_CLAMP:
         return 1.0
     if x < -_CDF_CLAMP:
@@ -88,8 +98,8 @@ def _mills(x: float) -> float:
     """
     _require_finite(x)
     if x >= -5.0:
-        pdf = std_normal_pdf(x)
-        return std_normal_cdf(x) / pdf if pdf > 0.0 else math.inf
+        pdf = _pdf(x)
+        return _cdf(x) / pdf if pdf > 0.0 else math.inf
     t = -x
     f = t
     for k in range(40, 0, -1):

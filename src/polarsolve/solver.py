@@ -7,10 +7,11 @@ Two entry points:
   decreasing on [0, 1/2] with a guaranteed sign change (positive at 0,
   exactly -1/2 at 1/2), so plain bisection cannot fail; two Newton
   polish steps push the residual to machine level.  The FOC is a
-  quadratic in 1 - 2 p_L, so the bisection's halvings are replayed
-  against its closed-form root with float compares and confirmed by two
-  FOC signs: the same bits as bisecting the FOC, with four FOC
-  evaluations instead of about forty.
+  quadratic in 1 - 2 p_L, so the bisection's final bracket is the dyadic
+  cell around its closed-form root, confirmed by two FOC signs: the same
+  bits as bisecting the FOC, with four FOC evaluations and no loop.  A
+  symmetric sweep row solves through :func:`_solve_symmetric_at`, which
+  builds no ``ModelParams``.
 
 * :func:`solve_asymmetric` — damped alternating best responses for
   general parameters, finished with a short 2-D Newton polish on the
@@ -31,8 +32,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Literal
+from dataclasses import dataclass, replace
+from typing import Callable, Literal, NamedTuple
 
 from .calculus import (
     _PHI0,
@@ -44,10 +45,6 @@ from .calculus import (
     _foc_symmetric_derivative,
     _scaled_foc_L,
     _scaled_foc_R,
-    d2_euL_d_pL2,
-    d2_euR_d_pR2,
-    d_euL_d_pL,
-    d_euR_d_pR,
 )
 from .errors import (
     ConvergenceError,
@@ -56,12 +53,14 @@ from .errors import (
     SpanTooSmallError,
     SymmetryLocusError,
 )
+from .gaussmath import _cdf
 from .model import (
     ModelParams,
     PlatformPair,
+    _checked_noise_scale,
     _finite,
+    _margin,
     noise_scale,
-    win_probability_L,
 )
 from .oracle import grid_best_response
 
@@ -91,12 +90,14 @@ class SolverConfig:
     damping: float = 0.5          # step fraction toward the best response
 
     def __post_init__(self) -> None:
+        for name in ("tol_root", "tol_fp", "damping"):
+            _finite(name, getattr(self, name))
         if not (self.tol_root > 0.0 and self.tol_fp > 0.0):
             raise InvalidParamsError("solver tolerances must be positive")
         if not 0.0 < self.damping <= 1.0:
             raise InvalidParamsError(f"damping must be in (0, 1], got {self.damping}")
-        if self.max_iter < 1:
-            raise InvalidParamsError(f"max_iter must be >= 1, got {self.max_iter}")
+        if type(self.max_iter) is not int or self.max_iter < 1:
+            raise InvalidParamsError(f"max_iter must be an int >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,14 +120,14 @@ class EquilibriumResult:
         return self.platforms.delta
 
 
-def _warn_single_peakedness(params: ModelParams) -> None:
+def _warn_single_peakedness(params: ModelParams, stacklevel: int = 3) -> None:
     warnings.warn(
         f"sigma_v={params.sigma_v:g} is below the unimodality bound "
         f"sqrt(32/3125)~0.10119; single-peakedness is not guaranteed, "
         f"best-response search uses a global grid pre-scan and results are "
         f"certified against the grid oracle",
         SinglePeakednessWarning,
-        stacklevel=3,
+        stacklevel=stacklevel,
     )
 
 
@@ -141,20 +142,27 @@ def _grid_certified(pp: PlatformPair, params: ModelParams) -> bool:
     return abs(g_l - pp.p_L) <= 1e-3 and abs(g_r - pp.p_R) <= 1e-3
 
 
+#: The fields the kernels read: an unchecked stand-in for ``replace(params, w=w)``.
+_AtW = NamedTuple("_AtW", [("V", float), ("w", float), ("mu_i", float), ("mu_v", float)])
+
+
 def _certificate(
-    pp: PlatformPair, params: ModelParams, cfg: SolverConfig, iterations: int,
-    kind: Literal["symmetric", "asymmetric"],
+    pp: PlatformPair, params: ModelParams, w: float, sn: float, cfg: SolverConfig,
+    iterations: int, kind: Literal["symmetric", "asymmetric"],
 ) -> EquilibriumResult:
-    f_l = d_euL_d_pL(pp, params)
-    f_r = d_euR_d_pR(pp, params)
-    s_l = d2_euL_d_pL2(pp, params)
-    s_r = d2_euR_d_pR2(pp, params)
+    """Certificate of ``pp`` for ``params`` at weight ``w`` (noise scale ``sn``),
+    on the kernels; a ``ModelParams`` at ``w`` is built only for the grid oracle."""
+    at_w = _AtW(params.V, w, params.mu_i, params.mu_v)
+    f_l = _d_euL_d_pL(pp.p_L, pp.p_R, at_w, sn)
+    f_r = _d_euR_d_pR(pp.p_L, pp.p_R, at_w, sn)
+    s_l = _d2_euL_d_pL2(pp.p_L, pp.p_R, at_w, sn)
+    s_r = _d2_euR_d_pR2(pp.p_L, pp.p_R, at_w, sn)
     certified = max(abs(f_l), abs(f_r)) < cfg.tol_fp and s_l < 0.0 and s_r < 0.0
     if certified and not params.single_peaked_guaranteed:
-        certified = _grid_certified(pp, params)
+        certified = _grid_certified(pp, replace(params, w=w))
     return EquilibriumResult(
         platforms=pp,
-        pr_L=win_probability_L(pp, params),
+        pr_L=_cdf(_margin(pp.p_L, pp.p_R, at_w, sn)),
         foc_residual_L=f_l,
         foc_residual_R=f_r,
         soc_L=s_l,
@@ -210,17 +218,25 @@ def _sym_root(V: float, w: float, sn: float, tol: float) -> tuple[float, int]:
     """:func:`symmetric_foc_root` of plain floats, given ``sn``.
 
     Replays the bisection of the FOC on [0, 1/2] against the closed-form
-    root, then confirms the final bracket with two FOC signs.  The
-    computed FOC is nonincreasing in p_L, so once f(lo) > 0 >= f(hi)
-    holds at the end, every halving that moved lo agreed with the FOC's
-    sign (its midpoint lies at or below lo) and so did every one that
-    moved hi: the bracket, the count and the result are those of
-    bisecting the FOC itself.  If a sign check fails, the FOC is
-    bisected after all.
+    root r, then confirms the final bracket with two FOC signs.  A ``tol``
+    of m 2^e (1/2 <= m < 1) fixes n = max(-e, 0) halvings, which end on the
+    dyadic cell of width 2^-(n+1) with lo < r <= hi (a tie r == mid moves
+    hi); only a cell finer than 2^-50, where a midpoint can round onto an
+    end, is replayed halving by halving.  The computed FOC is nonincreasing
+    in p_L, so once f(lo) > 0 >= f(hi), every halving that moved lo agreed
+    with the FOC's sign (its midpoint lies at or below lo) and so did every
+    one that moved hi: the bracket, the count and the result are those of
+    bisecting the FOC itself.  If a sign check fails, it is bisected after all.
     """
     f = lambda x: _foc_symmetric(x, V, w, sn)
     r = _symmetric_closed_form(V, w, sn)
-    lo, hi, iterations = _bisect_bracket(lambda x: r - x, 0.0, 0.5, tol)
+    if tol >= 2.0**-50:
+        iterations = max(-math.frexp(tol)[1], 0)
+        width = math.ldexp(0.5, -iterations)
+        lo = max(math.ceil(r / width) - 1, 0) * width
+        hi = lo + width
+    else:
+        lo, hi, iterations = _bisect_bracket(lambda x: r - x, 0.0, 0.5, tol)
     if f(lo) > 0.0 >= f(hi):
         p = 0.5 * (lo + hi)
     else:
@@ -239,13 +255,11 @@ def symmetric_foc_root(
 
     The FOC is strictly decreasing with foc(0) > 0 > foc(1/2) = -1/2, so
     bisection to ``cfg.tol_root`` cannot fail; two Newton steps then push
-    the residual to machine level.  The FOC is a quadratic in 1 - 2 p_L,
-    so the halvings are replayed against its closed-form root with float
-    compares and confirmed by two FOC signs at the end (see
-    :func:`_sym_root`); the result and the count are those of bisecting
-    the FOC itself.  Meaningful for any valid params (the FOC does not
-    involve mu_i or mu_v); whether the profile is an equilibrium is a
-    separate question answered by :func:`solve_symmetric`.
+    the residual to machine level.  The bisection's final bracket comes
+    from the FOC's closed-form root, confirmed by two FOC signs (see
+    :func:`_sym_root`), with the bisection's bits.  Meaningful for any
+    valid params (the FOC does not involve mu_i or mu_v); whether the
+    profile is an equilibrium is answered by :func:`solve_symmetric`.
     """
     cfg = cfg or SolverConfig()
     return _sym_root(params.V, params.w, noise_scale(params), cfg.tol_root)
@@ -258,18 +272,27 @@ def solve_symmetric(params: ModelParams, cfg: SolverConfig | None = None) -> Equ
     ``LOCUS_TOL``); off the locus no symmetric equilibrium exists and
     :func:`solve_asymmetric` is the right call.
     """
-    cfg = cfg or SolverConfig()
-    locus_gap = params.mu_v - params.w * (1.0 - 2.0 * params.mu_i)
+    return _solve_symmetric_at(params, params.w, cfg or SolverConfig(), stacklevel=4)
+
+
+def _solve_symmetric_at(
+    params: ModelParams, w: float, cfg: SolverConfig, stacklevel: int = 3
+) -> EquilibriumResult:
+    """:func:`solve_symmetric` of ``replace(params, w=w)``, without building
+    it: the noise scale is checked once here, and the root and certificate
+    run on the float kernels.  A symmetric sweep row calls this directly."""
+    sn = _checked_noise_scale(w, params.sigma_i, params.sigma_v)
+    locus_gap = params.mu_v - w * (1.0 - 2.0 * params.mu_i)
     if abs(locus_gap) > LOCUS_TOL:
         raise SymmetryLocusError(
             f"mu_v={params.mu_v:g} is off the symmetry locus "
-            f"w(1-2*mu_i)={params.w * (1.0 - 2.0 * params.mu_i):g} "
+            f"w(1-2*mu_i)={w * (1.0 - 2.0 * params.mu_i):g} "
             f"(gap {locus_gap:.3e}); use solve_asymmetric"
         )
     if not params.single_peaked_guaranteed:
-        _warn_single_peakedness(params)
-    p, iterations = symmetric_foc_root(params, cfg)
-    return _certificate(PlatformPair(p, 1.0 - p), params, cfg, iterations, "symmetric")
+        _warn_single_peakedness(params, stacklevel)
+    p, iterations = _sym_root(params.V, w, sn, cfg.tol_root)
+    return _certificate(PlatformPair(p, 1.0 - p), params, w, sn, cfg, iterations, "symmetric")
 
 
 def best_response(
@@ -370,7 +393,9 @@ def solve_asymmetric(
                 trace,
             )
         p_l, p_r = _newton_polish(p_l, p_r, params)
-    return _certificate(PlatformPair(p_l, p_r), params, cfg, converged, "asymmetric")
+    return _certificate(
+        PlatformPair(p_l, p_r), params, params.w, noise_scale(params), cfg, converged, "asymmetric"
+    )
 
 
 def _newton_polish(p_l: float, p_r: float, params: ModelParams) -> tuple[float, float]:

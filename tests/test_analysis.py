@@ -1,6 +1,7 @@
 """Comparative statics: sweeps, shape diagnosis, thresholds, closed forms."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +27,10 @@ from polarsolve import (
     w_hat,
     w_tilde,
 )
+from polarsolve import analysis
+from polarsolve.analysis import SweepRow
 from polarsolve.calculus import _dpL_dw_symmetric
+from polarsolve.errors import PolarsolveError
 
 # Frozen baseline anchors (V = sigma_i = sigma_v = 1, balanced means).
 DELTA_AT_ZERO_BASELINE = 0.46163455685438337
@@ -144,6 +148,55 @@ def test_symmetric_sweep_row_fails_cleanly_when_its_stencil_leaves_valid_params(
         rows = sweep_w([1e-4, 1.0], ModelParams(w=1.0, sigma_v=1e-170))
     assert math.isnan(rows[0].p_L) and not rows[0].certified
     assert math.isfinite(rows[1].dpL_dw_fd)
+
+
+def _row_from_public_solves(w, params):
+    """A symmetric sweep row built from the public ``solve_symmetric`` and
+    ``symmetric_foc_root`` at ``replace(params, w=...)``."""
+    try:
+        res = solve_symmetric(replace(params, w=w))
+        p_l = res.platforms.p_L
+        analytic = _dpL_dw_symmetric(p_l, params.V, w, params.sigma_i, params.sigma_v)
+        fd = analysis._fd_slope(lambda wp: symmetric_foc_root(replace(params, w=wp))[0], w, p_l)
+    except PolarsolveError:
+        return analysis._nan_row(w)
+    return SweepRow(
+        w, p_l, res.platforms.p_R, res.delta, res.pr_L, analytic, fd,
+        res.soc_L, res.soc_R, res.certified,
+    )
+
+
+@pytest.mark.parametrize(
+    "params, grid",
+    [
+        (ModelParams(w=0.0), [0.0, 5e-5, 0.05, 1.0, 3.0, 1e6]),
+        (ModelParams(w=0.0, V=0.02, sigma_i=7.0, sigma_v=0.2), [0.0, 0.5, 100.0]),
+        # on the tilted locus only at w=1
+        (ModelParams(w=1.0, mu_i=0.75, mu_v=-0.5), [0.5, 1.0, 2.0]),
+        # off the locus at every w: every row is NaN
+        (ModelParams(w=1.0, mu_v=0.3), [0.0, 1.0, 2.0]),
+        # 4 w^2 sigma_i^2 overflows at the last w, so its row is NaN
+        (ModelParams(w=0.0, sigma_i=1e150), [0.0, 1.0, 1e10]),
+    ],
+)
+def test_symmetric_sweep_rows_equal_rows_from_the_public_solver(params, grid):
+    expected = [_row_from_public_solves(w, params) for w in grid]
+    assert repr(sweep_w(grid, params)) == repr(expected)
+
+
+def test_symmetric_sweep_below_the_bound_grid_certifies_and_warns_once_per_row():
+    params = ModelParams(w=0.0, sigma_v=0.05)
+    grid = [0.0, 0.5, 2.0]
+    with pytest.warns(SinglePeakednessWarning) as record:
+        expected = [_row_from_public_solves(w, params) for w in grid]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = sweep_w(grid, params)
+    assert repr(rows) == repr(expected)
+    assert all(r.certified for r in rows)
+    assert len(record) == len(grid)
+    assert [w.category for w in caught] == [SinglePeakednessWarning] * len(grid)
+    assert {w.filename for w in caught} == {analysis.__file__}
 
 
 def test_asymmetric_sweep_frozen_rows():

@@ -262,3 +262,14 @@ def test_payoff_slope_relabeling_antisymmetry(rng):
         got2 = d2_euR_d_pR2(PlatformPair(p_l, p_r), params)
         want2 = d2_euL_d_pL2(PlatformPair(1.0 - p_r, 1.0 - p_l), mirrored)
         assert got2 == pytest.approx(want2, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("deriv", [d_euL_d_pL, d_euR_d_pR, d2_euL_d_pL2, d2_euR_d_pR2])
+@pytest.mark.parametrize(
+    "pp", [PlatformPair(0.3, 1e160), PlatformPair(1e200, 0.5), PlatformPair(0.5, -1e200)]
+)
+def test_derivatives_at_a_huge_platform_are_domain_errors(deriv, pp):
+    # the margin is not finite here, and it is checked before any platform
+    # is squared, so no bare OverflowError escapes
+    with pytest.raises(DomainError):
+        deriv(pp, ModelParams(w=1.0))

@@ -6,6 +6,7 @@ are observable; one subprocess smoke test at the end confirms the real
 """
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -355,6 +356,18 @@ def test_config_rejects_the_removed_bracket_keys(tmp_path, capsys):
     code, _, err = run_cli(["solve", "--config", cfg], capsys)
     assert code == 2
     assert err.startswith("error: invalid-config: unknown solver key(s): bracket_lo")
+
+
+def test_config_rejects_an_infinite_tolerance(tmp_path, capsys):
+    # json.dumps writes inf as the JSON extension Infinity, which the
+    # reader accepts; the solver config must reject it
+    cfg = write_config(tmp_path, {"solver": {"tol_fp": math.inf}})
+    code, out, err = run_cli(
+        ["solve", "--w", "1", "--mu-i", "0.3", "--mu-v", "0.1", "--config", cfg], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid-params:")
 
 
 def test_config_malformed_json(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from polarsolve.errors import DomainError
-from polarsolve.gaussmath import _mills, std_normal_cdf, std_normal_pdf
+from polarsolve.gaussmath import _cdf, _mills, _pdf, std_normal_cdf, std_normal_pdf
 
 # Frozen oracle values.  phi(2.5) was confirmed by the Fourier identity
 # below; Phi(0.25) by direct quadrature of the density.
@@ -120,4 +120,16 @@ def test_mills_ratio_frozen_values(x, expected, rel):
 def test_mills_ratio_is_infinite_where_the_density_underflows():
     # phi(40) underflows to 0 while Phi(40) = 1
     assert std_normal_pdf(40.0) == 0.0
+    assert _mills(40.0) == math.inf
+
+
+def test_unchecked_primitives_equal_the_public_ones_bit_for_bit():
+    # the clamp at |x| = 38, the last finite density near 38.5 and the
+    # underflow at 40 included
+    rng = np.random.default_rng(20261018)
+    edges = [0.0, 38.0, 38.5, 40.0, math.nextafter(38.0, 39.0), 1e300]
+    xs = edges + [-x for x in edges] + [float(x) for x in rng.uniform(-45.0, 45.0, 2000)]
+    for x in xs:
+        assert repr(_pdf(x)) == repr(std_normal_pdf(x)), x
+        assert repr(_cdf(x)) == repr(std_normal_cdf(x)), x
     assert _mills(40.0) == math.inf

@@ -42,6 +42,16 @@ P_STAR_W1 = 0.23702503069772776
         {"tol_root": math.nan},
         {"tol_fp": math.nan},
         {"max_iter": 0},
+        # an infinite tol_fp would stop the damped iteration after one
+        # round and make the certificate's residual test vacuous
+        {"tol_root": math.inf},
+        {"tol_fp": math.inf},
+        # a fractional max_iter would reach range() as a bare TypeError
+        {"max_iter": 2.5},
+        {"max_iter": True},
+        {"tol_root": True},
+        {"tol_fp": True},
+        {"damping": True},
     ],
 )
 def test_solver_config_validation(kwargs):
@@ -115,7 +125,9 @@ def _wide_range_params(rng, n):
     return out
 
 
-@pytest.mark.parametrize("tol_root", [1e-12, 1e-9, 1e-300])
+# 0.5 and 0.75 halve [0, 1/2] zero times; 2**-50 is the finest tolerance
+# whose final cell is computed directly, 2**-51 the coarsest replayed one
+@pytest.mark.parametrize("tol_root", [1e-12, 1e-9, 1e-300, 0.5, 0.75, 2.0**-40, 2.0**-50, 2.0**-51])
 def test_symmetric_root_replays_the_bisection_bit_for_bit(tol_root):
     # the closed-form replay must give the bisection's (p, iterations) exactly,
     # also when tol_root is below the float spacing near the root
@@ -145,6 +157,35 @@ def test_symmetric_root_falls_back_when_the_closed_form_is_off(monkeypatch):
     assert [symmetric_foc_root(params) for params in cases] == expected
     assert len(fallbacks) == len(cases)
     assert expected[cases.index(ModelParams(w=1.0))] == (0.2370250306977277, 41)
+
+
+def _final_cell(monkeypatch, r, tol):
+    """(lo, hi, halvings) that the symmetric root solver takes for the
+    closed-form root ``r``: the FOC is replaced by one that records its
+    first two arguments, the bracket's ends, and passes the sign check."""
+    ends = []
+    monkeypatch.setattr(solver, "_symmetric_closed_form", lambda V, w, sn: r)
+    monkeypatch.setattr(
+        solver, "_foc_symmetric", lambda x, V, w, sn: ends.append(x) or (-1.0 if ends[1:] else 1.0)
+    )
+    _, iterations = solver._sym_root(1.0, 1.0, 1.0, tol)
+    return ends[0], ends[1], iterations - 2
+
+
+@pytest.mark.parametrize("tol", [0.5, 0.75, 1e-3, 2.0**-40, 1e-12, 2.0**-50, 2.0**-51, 1e-300])
+def test_symmetric_root_final_cell_equals_the_replayed_bisection(monkeypatch, tol):
+    # the halving count n depends on tol only, and the final cell has width
+    # 2**-(n+1): roots at the ends of [0, 1/2], on a cell boundary (a tie
+    # goes to hi) and inside a cell must all give the replay's bracket
+    _, _, n = solver._bisect_bracket(lambda x: 0.3 - x, 0.0, 0.5, tol)
+    width = 2.0 ** -(n + 1)
+    rng = np.random.default_rng(20261018)
+    roots = [0.0, 0.5, width, 0.5 - width, 0.25, 5e-324]
+    roots += [float(k) * width for k in rng.integers(0, 2 ** min(n, 52), size=20, endpoint=True)]
+    roots += [float(x) for x in rng.uniform(0.0, 0.5, size=20)]
+    for r in roots:
+        replayed = solver._bisect_bracket(lambda x: r - x, 0.0, 0.5, tol)
+        assert _final_cell(monkeypatch, r, tol) == replayed, r
 
 
 def test_symmetric_root_residual_is_machine_level(baseline):
@@ -193,6 +234,12 @@ def test_low_sigma_v_warns_but_still_certifies():
         res = solve_symmetric(params)
     assert res.certified
     assert 0.0 < res.platforms.p_L < 0.5
+
+
+def test_single_peakedness_warning_names_the_callers_line():
+    with pytest.warns(SinglePeakednessWarning) as record:
+        solve_symmetric(ModelParams(w=1.0, sigma_v=0.05))
+    assert record[0].filename == __file__
 
 
 def test_solve_asymmetric_below_the_bound_frozen_value():
