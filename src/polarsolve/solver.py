@@ -18,10 +18,14 @@ Two entry points:
   analytic first-order conditions.  Each best response bisects the
   party's FOC divided by phi(kappa) on a constant bracket whose end
   signs are proven, [0, 1/2] for L and [1/2, 1] for R, so it cannot
-  fail, also where the win probability underflows.  Convergence of the
-  iteration is an empirical matter and non-convergence is a first-class
-  reported outcome (:class:`~polarsolve.errors.ConvergenceError` with
-  the full iterate trace), never a silent truncation.
+  fail, also where the win probability underflows.  Inside the iteration
+  each bisection starts from the cell of its own dyadic tree around the
+  party's previous response, when that cell brackets the sign change:
+  the same bits as the cold search, with about a third of its FOC
+  evaluations.  Convergence of the iteration is an empirical matter and
+  non-convergence is a first-class reported outcome
+  (:class:`~polarsolve.errors.ConvergenceError` with the full iterate
+  trace), never a silent truncation.
 
 Every result carries its own certificate: FOC residuals, second-order
 condition values, and — when sigma_v sits below the unimodality bound —
@@ -311,14 +315,69 @@ def best_response(
     to keep its sign where phi underflows, then takes up to four Newton
     steps on the raw FOC.  R's bracket is the mirror [1/2, 1].  Below the
     single-peak bound a 1e-4-grid pre-scan first narrows the bracket to
-    its argmax +- 1e-4.  ``opponent_policy`` is checked once here; the
-    kernels then run on plain floats with the noise scale computed once.
+    its argmax +- 1e-4.  ``party`` and ``opponent_policy`` are checked
+    once here; the search (:func:`_best_response`, with no guess, so it
+    bisects the whole bracket) runs on plain floats with the noise scale
+    computed once.
     """
     cfg = cfg or SolverConfig()
     if party not in ("L", "R"):
         raise InvalidParamsError(f"party must be 'L' or 'R', got {party!r}")
     opp = _finite("p_R" if party == "L" else "p_L", opponent_policy)
-    sn = noise_scale(params)
+    return _best_response(opp, party, params, noise_scale(params), cfg)
+
+
+#: The best response's bisection tolerance: [0, 1/2] halves 29 times, to 2^-30.
+_BR_TOL = 1e-9
+#: Levels of the bisection's dyadic tree that :func:`_dyadic_cell` tries,
+#: finest first: level j holds the cells of width 2^-(j+1), 29, 26, ..., 2.
+_BR_LEVELS = range(-math.frexp(_BR_TOL)[1], 0, -3)
+
+
+def _dyadic_cell(
+    f: Callable[[float], float], lo: float, hi: float, guess: float
+) -> tuple[float, float]:
+    """A cell of :func:`_bisect`'s tree on [lo, hi] (lo in {0, 1/2}, width
+    1/2) that holds ``guess`` and whose ends bracket f's sign change,
+    f(a) > 0 >= f(b) in the bisection's own test; else (lo, hi).
+
+    Tries the finest level first, then 3 levels coarser at a time.  The
+    cell ends lo + k 2^-(j+1) are exact doubles, so the index is exact; a
+    guess at hi falls in the last cell.  An end that is lo or hi is not
+    evaluated: its sign is proven, and the bisection never evaluates it.
+    """
+    for level in _BR_LEVELS:
+        width = math.ldexp(hi - lo, -level)
+        a = lo + min(math.floor((guess - lo) / width), 2**level - 1) * width
+        b = a + width
+        if (a == lo or f(a) > 0.0) and (b == hi or not f(b) > 0.0):
+            return a, b
+    return lo, hi
+
+
+def _best_response(
+    opp: float,
+    party: Literal["L", "R"],
+    params: ModelParams,
+    sn: float,
+    cfg: SolverConfig,
+    guess: float | None = None,
+) -> float:
+    """:func:`best_response` of a checked opponent, given ``sn``.
+
+    Above the single-peak bound a ``guess`` in the party's bracket (the
+    last response, inside :func:`solve_asymmetric`) starts the bisection
+    at the cell :func:`_dyadic_cell` finds around it; the Newton steps
+    stay clamped to the whole bracket.  Premise: the computed scaled FOC
+    changes sign once over the dyadic points the bisection can visit.
+    Then the bisection from [lo, hi] ends on the unique finest cell with
+    f(a) > 0 >= f(b), and any verified coarser cell contains it, so the
+    warm result has the cold one's bits and only the evaluation count
+    changes.  The premise holds where the payoff is single-peaked, except
+    within a few ulps of the root, far inside a 2^-30 cell; for the
+    computed function it is tested, not proven.  Below the bound the
+    grid pre-scan's bracket is not dyadic, and no guess is used.
+    """
     if party == "L":
         lo, hi = 0.0, 0.5
         scaled_foc = lambda x: _scaled_foc_L(x, opp, params, sn)
@@ -334,7 +393,12 @@ def best_response(
         # the default span contains the bracket, so the argmax is interior
         seed = grid_best_response(opp, party, params, grid_step=1e-4)
         lo, hi = max(lo, seed - 1e-4), min(hi, seed + 1e-4)
-    x = _bisect(scaled_foc, lo, hi, 1e-9)[0]
+        cell = lo, hi
+    elif guess is not None and lo <= guess <= hi:
+        cell = _dyadic_cell(scaled_foc, lo, hi, guess)
+    else:
+        cell = lo, hi
+    x = _bisect(scaled_foc, *cell, _BR_TOL)[0]
     for _ in range(4):
         g = foc(x)
         if abs(g) <= cfg.tol_root:
@@ -354,55 +418,63 @@ def solve_asymmetric(
     """Fixed point of damped alternating best responses, Newton-polished.
 
     Updates are Gauss-Seidel with step ``cfg.damping`` toward the
-    current best response.  A persistent period-2 cycle raises
-    :class:`ConvergenceError` suggesting a lower damping; so does an
-    exhausted iteration budget.  The raised error carries the iterate
-    trace.
+    current best response.  Each best response starts its bisection from
+    the party's previous response (the ``start`` entry in round 1); see
+    :func:`_best_response` for why that keeps the cold search's bits.
+    ``start`` must be a pair of finite reals; it is checked once here, as
+    every later iterate is a convex combination of it and responses.  A
+    persistent period-2 cycle raises :class:`ConvergenceError` suggesting
+    a lower damping; so does an exhausted iteration budget.  The raised
+    error carries the iterate trace.
     """
     cfg = cfg or SolverConfig()
+    try:
+        p_l, p_r = start
+    except (TypeError, ValueError):
+        raise InvalidParamsError(f"start must be a pair (p_L, p_R), got {start!r}") from None
+    p_l, p_r = _finite("p_L", p_l), _finite("p_R", p_r)
     if not params.single_peaked_guaranteed:
         _warn_single_peakedness(params)
-    with warnings.catch_warnings():
-        # best_response would re-warn on every inner call
-        warnings.simplefilter("ignore", SinglePeakednessWarning)
-        p_l, p_r = start
-        trace: list[tuple[float, float]] = [(p_l, p_r)]
-        lam = cfg.damping
-        converged = 0
-        for iteration in range(1, cfg.max_iter + 1):
-            p_l_new = (1.0 - lam) * p_l + lam * best_response(p_r, "L", params, cfg)
-            p_r_new = (1.0 - lam) * p_r + lam * best_response(p_l_new, "R", params, cfg)
-            change = max(abs(p_l_new - p_l), abs(p_r_new - p_r))
-            p_l, p_r = p_l_new, p_r_new
-            trace.append((p_l, p_r))
-            if change < cfg.tol_fp:
-                converged = iteration
-                break
-            if len(trace) >= 3 and change > 10.0 * cfg.tol_fp:
-                back = trace[-3]
-                if max(abs(p_l - back[0]), abs(p_r - back[1])) < cfg.tol_fp:
-                    raise ConvergenceError(
-                        f"period-2 oscillation after {iteration} iterations "
-                        f"(amplitude {change:.3e}); lower cfg.damping",
-                        trace,
-                    )
-        if not converged:
-            raise ConvergenceError(
-                f"no best-response fixed point within {cfg.max_iter} iterations "
-                f"(last change {change:.3e})",
-                trace,
-            )
-        p_l, p_r = _newton_polish(p_l, p_r, params)
-    return _certificate(
-        PlatformPair(p_l, p_r), params, params.w, noise_scale(params), cfg, converged, "asymmetric"
-    )
+    sn = noise_scale(params)
+    br_l, br_r = p_l, p_r
+    trace: list[tuple[float, float]] = [(p_l, p_r)]
+    lam = cfg.damping
+    converged = 0
+    for iteration in range(1, cfg.max_iter + 1):
+        br_l = _best_response(p_r, "L", params, sn, cfg, br_l)
+        p_l_new = (1.0 - lam) * p_l + lam * br_l
+        br_r = _best_response(p_l_new, "R", params, sn, cfg, br_r)
+        p_r_new = (1.0 - lam) * p_r + lam * br_r
+        change = max(abs(p_l_new - p_l), abs(p_r_new - p_r))
+        p_l, p_r = p_l_new, p_r_new
+        trace.append((p_l, p_r))
+        if change < cfg.tol_fp:
+            converged = iteration
+            break
+        if len(trace) >= 3 and change > 10.0 * cfg.tol_fp:
+            back = trace[-3]
+            if max(abs(p_l - back[0]), abs(p_r - back[1])) < cfg.tol_fp:
+                raise ConvergenceError(
+                    f"period-2 oscillation after {iteration} iterations "
+                    f"(amplitude {change:.3e}); lower cfg.damping",
+                    trace,
+                )
+    if not converged:
+        raise ConvergenceError(
+            f"no best-response fixed point within {cfg.max_iter} iterations "
+            f"(last change {change:.3e})",
+            trace,
+        )
+    p_l, p_r = _newton_polish(p_l, p_r, params, sn)
+    return _certificate(PlatformPair(p_l, p_r), params, params.w, sn, cfg, converged, "asymmetric")
 
 
-def _newton_polish(p_l: float, p_r: float, params: ModelParams) -> tuple[float, float]:
+def _newton_polish(
+    p_l: float, p_r: float, params: ModelParams, sn: float
+) -> tuple[float, float]:
     """A few 2-D Newton steps on the pair of FOCs (cross-partials by
     central differences); drives residuals from ~1e-10 to machine level."""
     h = 1e-6
-    sn = noise_scale(params)
     for _ in range(3):
         g_l = _d_euL_d_pL(p_l, p_r, params, sn)
         g_r = _d_euR_d_pR(p_l, p_r, params, sn)

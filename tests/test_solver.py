@@ -18,9 +18,10 @@ from polarsolve import (
     find_equilibria,
     solve_asymmetric,
     solve_symmetric,
+    sweep_w,
     symmetric_foc_root,
 )
-from polarsolve.calculus import _scaled_foc_L, d_euL_d_pL, d_euR_d_pR, foc_symmetric
+from polarsolve.calculus import _scaled_foc_L, _scaled_foc_R, d_euL_d_pL, d_euR_d_pR, foc_symmetric
 from polarsolve.model import PlatformPair, noise_scale
 from polarsolve.oracle import grid_best_response
 from polarsolve import solver
@@ -327,19 +328,147 @@ def test_solve_asymmetric_where_r_sits_at_its_bliss_point():
     assert res.platforms.p_R == pytest.approx(1.0, abs=1e-12)
 
 
-def test_best_response_wide_range_fuzz():
+def _wide_draws(seed, n):
     # log-uniform w in [1e-3, 1e3], V in [1e-2, 1e2], sigma_i in [1e-2, 10]
     # and sigma_v in [0.102, 10]; mu_i in [-1, 2], mu_v in [-3, 3] and the
-    # opponent in [-3, 4]: every best response exists and lies in its
-    # party's half of [0, 1]
-    rng = np.random.default_rng(20261018)
+    # opponent in [-3, 4]
+    rng = np.random.default_rng(seed)
     lo_log, hi_log = np.log([1e-3, 1e-2, 1e-2, 0.102]), np.log([1e3, 1e2, 10.0, 10.0])
-    for _ in range(500):
+    for _ in range(n):
         w, v, s_i, s_v = (float(x) for x in np.exp(rng.uniform(lo_log, hi_log)))
         mu_i, mu_v, opponent = (float(x) for x in rng.uniform([-1.0, -3.0, -3.0], [2.0, 3.0, 4.0]))
-        params = ModelParams(w=w, V=v, sigma_i=s_i, sigma_v=s_v, mu_i=mu_i, mu_v=mu_v)
+        yield rng, ModelParams(w=w, V=v, sigma_i=s_i, sigma_v=s_v, mu_i=mu_i, mu_v=mu_v), opponent
+
+
+def test_best_response_wide_range_fuzz():
+    # every best response exists and lies in its party's half of [0, 1]
+    for _, params, opponent in _wide_draws(20261018, 500):
         assert 0.0 <= best_response(opponent, "L", params) <= 0.5, (params, opponent)
         assert 0.5 <= best_response(opponent, "R", params) <= 1.0, (params, opponent)
+
+
+def test_bisection_from_the_warm_cell_keeps_the_cold_bits():
+    # the warm start's premise, one sign change of the computed scaled FOC
+    # over the bisection's dyadic points, checked on the wide box: from the
+    # cell around any guess the bisection ends where it does from the bracket
+    checked = 0
+    for rng, params, opp in _wide_draws(20261019, 500):
+        sn = noise_scale(params)
+        for lo, hi, f in (
+            (0.0, 0.5, lambda x: _scaled_foc_L(x, opp, params, sn)),
+            (0.5, 1.0, lambda x: _scaled_foc_R(opp, x, params, sn)),
+        ):
+            root = _bisect(f, lo, hi, 1e-9)[0]
+            near = [root + s * d for d in (1e-12, 5e-10, 1e-9, 1e-7) for s in (1.0, -1.0)]
+            for guess in [lo, hi, *(float(g) for g in rng.uniform(lo, hi, 3)), *near]:
+                if lo <= guess <= hi:
+                    cell = solver._dyadic_cell(f, lo, hi, guess)
+                    assert _bisect(f, *cell, 1e-9)[0] == root, (params, opp, guess)
+                    checked += 1
+    assert checked > 6000
+
+
+def test_dyadic_cell_is_a_cell_of_the_bisection_tree():
+    seen = []
+
+    def sign_change_at(root):
+        seen.clear()
+        return lambda x: seen.append(x) or root - x
+
+    # a guess at R's bliss point 1.0 falls in the last cell, whose upper
+    # end is the bracket's own and is not evaluated
+    f = sign_change_at(1.0 - 2.0**-31)
+    assert solver._dyadic_cell(f, 0.5, 1.0, 1.0) == (1.0 - 2.0**-30, 1.0)
+    assert seen == [1.0 - 2.0**-30]
+    # f(b) == 0 closes the cell, as it moves hi in the bisection
+    f = sign_change_at(0.75)
+    assert solver._dyadic_cell(f, 0.5, 1.0, 0.75 - 1e-12) == (0.75 - 2.0**-30, 0.75)
+    # a guess far from the sign change: the finest tried cell (levels 29,
+    # 26, ..., 5, 2) holding both, else the bracket
+    f = sign_change_at(0.3)
+    assert solver._dyadic_cell(f, 0.0, 0.5, 0.26) == (0.25, 0.375)
+    assert solver._dyadic_cell(f, 0.0, 0.5, 0.0) == (0.0, 0.5)
+    assert 0.0 not in seen
+
+
+# offlocus-sweep seed 1, base 9: R's best response sits near 0.5104 in a
+# race L leads by kappa ~ 8.7
+_BASE_9 = dict(
+    V=0.11079471346757126,
+    sigma_i=0.03906858079438248,
+    sigma_v=0.34271095974641524,
+    mu_i=-0.07386764934875423,
+    mu_v=-2.1752004872624813,
+)
+# offlocus-sweep seed 1, base 0: R sits at its bliss point 1.0 at w=10
+_BASE_0 = dict(
+    V=0.2083274125304709,
+    sigma_i=0.04193379134602997,
+    sigma_v=0.1646495621560118,
+    mu_i=1.6405763521365806,
+    mu_v=-0.8791919639152201,
+)
+
+
+@pytest.mark.parametrize("base", [_BASE_0, _BASE_9, _BASE_13], ids=["base0", "base9", "base13"])
+def test_warm_started_sweep_equals_the_cold_sweep(base, monkeypatch):
+    base = ModelParams(w=1.0, **base)
+    grid = [float(w) for w in np.geomspace(1e-3, 1e3, 13)]
+    warm = sweep_w(grid, base, mode="asymmetric")
+    monkeypatch.setattr(solver, "_dyadic_cell", lambda f, lo, hi, guess: (lo, hi))
+    assert repr(warm) == repr(sweep_w(grid, base, mode="asymmetric"))
+
+
+def test_below_the_bound_no_best_response_uses_a_warm_cell(monkeypatch):
+    # the grid pre-scan's bracket seed +- 1e-4 is not dyadic
+    def forbidden(*args):
+        raise AssertionError("warm cell below the single-peak bound")
+
+    monkeypatch.setattr(solver, "_dyadic_cell", forbidden)
+    params = ModelParams(w=1.0, sigma_v=0.08, mu_v=0.3)
+    assert solver._best_response(0.75, "L", params, noise_scale(params), SolverConfig(), 0.25) == (
+        best_response(0.75, "L", params)
+    )
+    with pytest.warns(SinglePeakednessWarning):
+        assert solve_asymmetric(params).certified
+
+
+def test_warm_started_solve_makes_fewer_scaled_foc_calls(monkeypatch):
+    # cold, each best response bisects [0, 1/2] in 29 steps: 1,682 calls here
+    calls = []
+    for name in ("_scaled_foc_L", "_scaled_foc_R"):
+        kernel = getattr(solver, name)
+        monkeypatch.setattr(
+            solver, name, lambda *args, kernel=kernel: calls.append(1) or kernel(*args)
+        )
+    res = solve_asymmetric(ModelParams(w=1.0, mu_i=0.3, mu_v=0.1))
+    assert res.iterations == 29
+    assert 0 < len(calls) <= 1000
+
+
+@pytest.mark.parametrize(
+    "start", [("a", 0.75), (0.25,), (0.25, 0.75, 0.5), None, (True, 0.75), (0.25, True)]
+)
+def test_solve_asymmetric_rejects_a_bad_start(start, baseline):
+    with pytest.raises(InvalidParamsError, match="start must be a pair|must be a finite real"):
+        solve_asymmetric(baseline, start=start)
+
+
+@pytest.mark.parametrize("name, start", [
+    ("p_L", (math.nan, 0.75)), ("p_L", (-math.inf, 0.75)),
+    ("p_R", (0.25, math.nan)), ("p_R", (0.25, math.inf)),
+])
+def test_solve_asymmetric_rejects_a_non_finite_start(name, start, baseline):
+    with pytest.raises(InvalidParamsError, match=f"^{name} must be a finite real number"):
+        solve_asymmetric(baseline, start=start)
+
+
+def test_solve_asymmetric_accepts_a_start_outside_the_brackets(baseline):
+    # a start outside [0, 1/2] x [1/2, 1] is a valid profile; it is only
+    # no guess for the first round's best responses
+    far = solve_asymmetric(baseline, start=(-5.0, 0.75))
+    assert far.certified
+    assert far.platforms.p_L == pytest.approx(solve_asymmetric(baseline).platforms.p_L, abs=1e-8)
 
 
 @pytest.mark.parametrize("sigma_v", [1.0, 0.08])  # bisection alone; grid pre-scan first
