@@ -69,5 +69,5 @@ class DegenerateError(PolarsolveError, ArithmeticError):
 
 class SinglePeakednessWarning(UserWarning):
     """sigma_v is below sqrt(32/3125): party objectives are not guaranteed
-    unimodal, so solvers fall back to global grid pre-scans and certify
-    against the grid oracle."""
+    unimodal, so results are certified against the grid oracle, and best
+    responses run a global grid pre-scan only when that certification fails."""

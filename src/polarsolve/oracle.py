@@ -83,8 +83,8 @@ def _grid_columns(lo: float, hi: float, grid_step: float) -> tuple[np.ndarray, .
 
 def _grid(span: tuple[float, float], grid_step: float) -> tuple[np.ndarray, ...]:
     lo, hi = span
-    if not grid_step > 0.0:
-        raise InvalidParamsError(f"grid_step must be positive, got {grid_step}")
+    if not (grid_step > 0.0 and math.isfinite(grid_step)):
+        raise InvalidParamsError(f"grid_step must be positive and finite, got {grid_step}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidParamsError(f"span ends must be finite, got {span}")
     if not lo < hi:
@@ -161,8 +161,10 @@ def mc_win_probability(
     inequality decides measure-zero ties for R; no draw ever lands there
     in practice.  Bit-reproducible for a given seed.
     """
-    if n_samples < 10_000:
-        raise InvalidParamsError(f"n_samples must be at least 10000, got {n_samples}")
+    if type(n_samples) is not int or n_samples < 10_000:
+        raise InvalidParamsError(f"n_samples must be an int >= 10000, got {n_samples!r}")
+    if type(seed) is not int or seed < 0:
+        raise InvalidParamsError(f"seed must be a non-negative int, got {seed!r}")
     wins = 0
     remaining = n_samples
     batch_index = 0

@@ -22,10 +22,12 @@ Two entry points:
   each bisection starts from the cell of its own dyadic tree around the
   party's previous response, when that cell brackets the sign change:
   the same bits as the cold search, with about a third of its FOC
-  evaluations.  Convergence of the iteration is an empirical matter and
-  non-convergence is a first-class reported outcome
-  (:class:`~polarsolve.errors.ConvergenceError` with the full iterate
-  trace), never a silent truncation.
+  evaluations.  Below the single-peak bound a result must also pass the
+  grid oracle; only if it does not, or the iteration does not converge,
+  is the solve rerun with a grid pre-scan in every best response.
+  Convergence of the iteration is an empirical matter and non-convergence
+  is a first-class reported outcome (:class:`~polarsolve.errors.ConvergenceError`
+  with the full iterate trace), never a silent truncation.
 
 Every result carries its own certificate: FOC residuals, second-order
 condition values, and — when sigma_v sits below the unimodality bound —
@@ -127,9 +129,9 @@ class EquilibriumResult:
 def _warn_single_peakedness(params: ModelParams, stacklevel: int = 3) -> None:
     warnings.warn(
         f"sigma_v={params.sigma_v:g} is below the unimodality bound "
-        f"sqrt(32/3125)~0.10119; single-peakedness is not guaranteed, "
-        f"best-response search uses a global grid pre-scan and results are "
-        f"certified against the grid oracle",
+        f"sqrt(32/3125)~0.10119; single-peakedness is not guaranteed, so "
+        f"results are certified against the grid oracle, and best responses "
+        f"run a global grid pre-scan only when that certification fails",
         SinglePeakednessWarning,
         stacklevel=stacklevel,
     )
@@ -324,7 +326,8 @@ def best_response(
     if party not in ("L", "R"):
         raise InvalidParamsError(f"party must be 'L' or 'R', got {party!r}")
     opp = _finite("p_R" if party == "L" else "p_L", opponent_policy)
-    return _best_response(opp, party, params, noise_scale(params), cfg)
+    prescan = not params.single_peaked_guaranteed
+    return _best_response(opp, party, params, noise_scale(params), cfg, prescan=prescan)
 
 
 #: The best response's bisection tolerance: [0, 1/2] halves 29 times, to 2^-30.
@@ -362,21 +365,24 @@ def _best_response(
     sn: float,
     cfg: SolverConfig,
     guess: float | None = None,
+    prescan: bool = False,
 ) -> float:
     """:func:`best_response` of a checked opponent, given ``sn``.
 
-    Above the single-peak bound a ``guess`` in the party's bracket (the
-    last response, inside :func:`solve_asymmetric`) starts the bisection
-    at the cell :func:`_dyadic_cell` finds around it; the Newton steps
-    stay clamped to the whole bracket.  Premise: the computed scaled FOC
-    changes sign once over the dyadic points the bisection can visit.
-    Then the bisection from [lo, hi] ends on the unique finest cell with
-    f(a) > 0 >= f(b), and any verified coarser cell contains it, so the
-    warm result has the cold one's bits and only the evaluation count
+    With ``prescan`` (public :func:`best_response` below the single-peak
+    bound, and :func:`solve_asymmetric`'s fallback) the grid pre-scan sets
+    the bracket and no guess is used.  Otherwise a ``guess`` in the party's
+    bracket (the last response, inside :func:`solve_asymmetric`) starts
+    the bisection at the cell :func:`_dyadic_cell` finds around it; the
+    Newton steps stay clamped to the whole bracket.  Premise: the computed
+    scaled FOC changes sign once over the dyadic points the bisection can
+    visit.  Then the bisection from [lo, hi] ends on the unique finest cell
+    with f(a) > 0 >= f(b), and any verified coarser cell contains it, so
+    the warm result has the cold one's bits and only the evaluation count
     changes.  The premise holds where the payoff is single-peaked, except
     within a few ulps of the root, far inside a 2^-30 cell; for the
-    computed function it is tested, not proven.  Below the bound the
-    grid pre-scan's bracket is not dyadic, and no guess is used.
+    computed function it is tested, not proven.  Below the bound, without
+    the pre-scan, the sign change found may be a local maximum only.
     """
     if party == "L":
         lo, hi = 0.0, 0.5
@@ -389,7 +395,7 @@ def _best_response(
         foc = lambda x: _d_euR_d_pR(opp, x, params, sn)
         soc = lambda x: _d2_euR_d_pR2(opp, x, params, sn)
 
-    if not params.single_peaked_guaranteed:
+    if prescan:
         # the default span contains the bracket, so the argmax is interior
         seed = grid_best_response(opp, party, params, grid_step=1e-4)
         lo, hi = max(lo, seed - 1e-4), min(hi, seed + 1e-4)
@@ -421,6 +427,10 @@ def solve_asymmetric(
     current best response.  Each best response starts its bisection from
     the party's previous response (the ``start`` entry in round 1); see
     :func:`_best_response` for why that keeps the cold search's bits.
+    Below the single-peak bound that search may stop on a local maximum: if
+    the result fails the grid oracle or the iteration does not converge,
+    the solve reruns from ``start`` with a grid pre-scan in every best
+    response.
     ``start`` must be a pair of finite reals; it is checked once here, as
     every later iterate is a convex combination of it and responses.  A
     persistent period-2 cycle raises :class:`ConvergenceError` suggesting
@@ -433,17 +443,29 @@ def solve_asymmetric(
     except (TypeError, ValueError):
         raise InvalidParamsError(f"start must be a pair (p_L, p_R), got {start!r}") from None
     p_l, p_r = _finite("p_L", p_l), _finite("p_R", p_r)
-    if not params.single_peaked_guaranteed:
-        _warn_single_peakedness(params)
     sn = noise_scale(params)
+    if params.single_peaked_guaranteed:
+        return _iterate(p_l, p_r, params, sn, cfg, prescan=False)
+    _warn_single_peakedness(params)
+    try:
+        res = _iterate(p_l, p_r, params, sn, cfg, prescan=False)
+    except ConvergenceError:
+        res = None
+    return res if res and res.certified else _iterate(p_l, p_r, params, sn, cfg, prescan=True)
+
+
+def _iterate(
+    p_l: float, p_r: float, params: ModelParams, sn: float, cfg: SolverConfig, prescan: bool
+) -> EquilibriumResult:
+    """:func:`solve_asymmetric`'s damped loop from (p_l, p_r), polish and certificate."""
     br_l, br_r = p_l, p_r
     trace: list[tuple[float, float]] = [(p_l, p_r)]
     lam = cfg.damping
     converged = 0
     for iteration in range(1, cfg.max_iter + 1):
-        br_l = _best_response(p_r, "L", params, sn, cfg, br_l)
+        br_l = _best_response(p_r, "L", params, sn, cfg, br_l, prescan)
         p_l_new = (1.0 - lam) * p_l + lam * br_l
-        br_r = _best_response(p_l_new, "R", params, sn, cfg, br_r)
+        br_r = _best_response(p_l_new, "R", params, sn, cfg, br_r, prescan)
         p_r_new = (1.0 - lam) * p_r + lam * br_r
         change = max(abs(p_l_new - p_l), abs(p_r_new - p_r))
         p_l, p_r = p_l_new, p_r_new

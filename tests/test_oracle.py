@@ -71,9 +71,11 @@ BIT_CASES = {
 }
 
 
-@pytest.mark.parametrize("grid_step", [0.0, -1e-4])
+# an infinite step once reached the payoffs as NaN grid points and raised
+# a DomainError that named the wrong cause
+@pytest.mark.parametrize("grid_step", [0.0, -1e-4, math.inf, math.nan])
 def test_grid_rejects_bad_step(baseline, grid_step):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParamsError, match="grid_step"):
         grid_best_response(0.75, "L", baseline, grid_step=grid_step)
 
 
@@ -159,6 +161,24 @@ def test_grid_edge_argmax_raises(baseline):
 def test_mc_rejects_small_samples(baseline):
     with pytest.raises(ValueError):
         mc_win_probability(PlatformPair(0.3, 0.7), baseline, 9_999, seed=1)
+
+
+# NaN once passed the size check and returned NaN; 1e5 and seed=-1 raised a
+# bare TypeError and ValueError; a bool was accepted as a count or a seed
+@pytest.mark.parametrize(
+    "n_samples, seed, name",
+    [
+        (math.nan, 1, "n_samples"),
+        (1e5, 1, "n_samples"),
+        (True, 1, "n_samples"),
+        (10**5, -1, "seed"),
+        (10**5, True, "seed"),
+        (10**5, 1.0, "seed"),
+    ],
+)
+def test_mc_rejects_a_bad_sample_size_or_seed(baseline, n_samples, seed, name):
+    with pytest.raises(InvalidParamsError, match=name):
+        mc_win_probability(PlatformPair(0.25, 0.75), baseline, n_samples, seed)
 
 
 def test_mc_is_bit_reproducible(baseline):

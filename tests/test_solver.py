@@ -419,18 +419,145 @@ def test_warm_started_sweep_equals_the_cold_sweep(base, monkeypatch):
     assert repr(warm) == repr(sweep_w(grid, base, mode="asymmetric"))
 
 
-def test_below_the_bound_no_best_response_uses_a_warm_cell(monkeypatch):
-    # the grid pre-scan's bracket seed +- 1e-4 is not dyadic
-    def forbidden(*args):
-        raise AssertionError("warm cell below the single-peak bound")
+# below the single-peak bound; the fast pass certifies it with the pre-scan
+# route's bits (test_solve_asymmetric_below_the_bound_frozen_value)
+_BELOW = ModelParams(w=1.0, sigma_v=0.08, mu_v=0.3)
 
-    monkeypatch.setattr(solver, "_dyadic_cell", forbidden)
-    params = ModelParams(w=1.0, sigma_v=0.08, mu_v=0.3)
-    assert solver._best_response(0.75, "L", params, noise_scale(params), SolverConfig(), 0.25) == (
-        best_response(0.75, "L", params)
+
+def _pre_scan_solve(monkeypatch, params, cfg=None):
+    # solve_asymmetric forced onto the pre-scan route from its first pass
+    iterate = solver._iterate
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_iterate", lambda *args, prescan: iterate(*args, prescan=True))
+        with pytest.warns(SinglePeakednessWarning):
+            return solve_asymmetric(params, cfg)
+
+
+def _fail_the_first_grid_certificate(monkeypatch, then=lambda: None):
+    grid_certified = solver._grid_certified
+
+    def fail_once(pp, params):
+        monkeypatch.setattr(solver, "_grid_certified", grid_certified)
+        then()
+        return False
+
+    monkeypatch.setattr(solver, "_grid_certified", fail_once)
+
+
+def _count_grid_scans(monkeypatch):
+    scans = []
+    grid = solver.grid_best_response
+    monkeypatch.setattr(
+        solver, "grid_best_response", lambda *args, **kw: scans.append(1) or grid(*args, **kw)
+    )
+    return scans
+
+
+def test_below_the_bound_no_best_response_uses_a_warm_cell(monkeypatch):
+    # on the pre-scan route (public best_response, and solve_asymmetric's
+    # fallback once the fast pass fails the grid oracle) the bracket
+    # seed +- 1e-4 is not dyadic
+    def forbidden(*args):
+        raise AssertionError("warm cell on the pre-scan route")
+
+    _fail_the_first_grid_certificate(
+        monkeypatch, then=lambda: monkeypatch.setattr(solver, "_dyadic_cell", forbidden)
     )
     with pytest.warns(SinglePeakednessWarning):
-        assert solve_asymmetric(params).certified
+        assert solve_asymmetric(_BELOW).certified
+    assert solver._dyadic_cell is forbidden  # the fallback ran
+    sn, cfg = noise_scale(_BELOW), SolverConfig()
+    assert solver._best_response(0.75, "L", _BELOW, sn, cfg, 0.25, prescan=True) == (
+        best_response(0.75, "L", _BELOW)
+    )
+
+
+def test_below_the_bound_the_fast_pass_runs_no_grid_scan_in_a_best_response(monkeypatch):
+    scans = _count_grid_scans(monkeypatch)
+    with pytest.warns(SinglePeakednessWarning):
+        res = solve_asymmetric(_BELOW)
+    assert res.certified
+    assert len(scans) == 2  # the certificate's, one per party
+
+
+def test_below_the_bound_an_uncertified_result_falls_back_to_the_pre_scan_route(monkeypatch):
+    forced = _pre_scan_solve(monkeypatch, _BELOW)
+    _fail_the_first_grid_certificate(monkeypatch)
+    scans = _count_grid_scans(monkeypatch)
+    with pytest.warns(SinglePeakednessWarning):
+        res = solve_asymmetric(_BELOW)
+    assert repr(res) == repr(forced)
+    # a pre-scan in each of the fallback's best responses, then its certificate
+    assert len(scans) == 2 * forced.iterations + 2
+
+
+def test_below_the_bound_a_fast_pass_that_does_not_converge_falls_back(monkeypatch):
+    forced = _pre_scan_solve(monkeypatch, _BELOW)
+    iterate = solver._iterate
+
+    def fast_pass_stalls(*args, prescan):
+        if not prescan:
+            raise ConvergenceError("stalled", [])
+        return iterate(*args, prescan=prescan)
+
+    monkeypatch.setattr(solver, "_iterate", fast_pass_stalls)
+    with pytest.warns(SinglePeakednessWarning):
+        assert repr(solve_asymmetric(_BELOW)) == repr(forced)
+
+
+def test_below_the_bound_an_exhausted_budget_reruns_the_pre_scan_route(monkeypatch):
+    # max_iter=2 is too small for either pass: the error raised is the
+    # pre-scan route's, with its trace
+    cfg = SolverConfig(max_iter=2)
+    with pytest.raises(ConvergenceError) as forced:
+        _pre_scan_solve(monkeypatch, _BELOW, cfg)
+    scans = _count_grid_scans(monkeypatch)
+    with pytest.warns(SinglePeakednessWarning), pytest.raises(ConvergenceError) as excinfo:
+        solve_asymmetric(_BELOW, cfg)
+    assert excinfo.value.trace == forced.value.trace
+    assert len(scans) == 4  # two pre-scanned rounds, no certificate
+
+
+@pytest.mark.parametrize("cause", ["uncertified", "no convergence"])
+def test_a_solve_that_falls_back_warns_once(cause, monkeypatch):
+    if cause == "uncertified":
+        _fail_the_first_grid_certificate(monkeypatch)
+        cfg = SolverConfig()
+    else:
+        cfg = SolverConfig(max_iter=2)
+    with pytest.warns(SinglePeakednessWarning) as record:
+        try:
+            solve_asymmetric(_BELOW, cfg)
+        except ConvergenceError:
+            pass
+    assert [w.category for w in record] == [SinglePeakednessWarning]
+
+
+def test_below_the_bound_fuzz_matches_the_pre_scan_route(monkeypatch):
+    # sigma_v in [0.02, 0.1], w in [0, 3], V in [0.05, 3], sigma_i in
+    # [0.1, 3], mu_i in [0, 1], mu_v in [-1.5, 1.5]
+    rng = np.random.default_rng(20261020)
+    lo, hi = [0.0, 0.05, 0.1, 0.02, 0.0, -1.5], [3.0, 3.0, 3.0, 0.1, 1.0, 1.5]
+    for _ in range(12):
+        w, v, s_i, s_v, mu_i, mu_v = (float(x) for x in rng.uniform(lo, hi))
+        params = ModelParams(w=w, V=v, sigma_i=s_i, sigma_v=s_v, mu_i=mu_i, mu_v=mu_v)
+        try:
+            forced = _pre_scan_solve(monkeypatch, params)
+        except ConvergenceError:
+            forced = None
+        try:
+            with pytest.warns(SinglePeakednessWarning):
+                res = solve_asymmetric(params)
+        except ConvergenceError:
+            assert forced is None, params  # the fallback is the pre-scan route
+            continue
+        assert res.certified >= (forced is not None and forced.certified), params
+        if res.certified and forced is not None and forced.certified:
+            gap = max(
+                abs(res.platforms.p_L - forced.platforms.p_L),
+                abs(res.platforms.p_R - forced.platforms.p_R),
+            )
+            assert gap <= 1e-9, params
 
 
 def test_warm_started_solve_makes_fewer_scaled_foc_calls(monkeypatch):
