@@ -19,13 +19,13 @@ inputs enter the package (:class:`~polarsolve.model.ModelParams`,
 :func:`polarsolve.solver.best_response`); inside, a kernel checks only
 its margin, once and before any square (so a huge platform raises
 :class:`DomainError`), then calls the unchecked ``_pdf``/``_cdf``.
-Two more kernels, ``_scaled_foc_L`` and ``_scaled_foc_R``, are the
-own-platform FOCs divided by phi(kappa), for the best-response
-bisection.  The symmetric FOC (``sn = sigma_v`` or ``2 sigma_i w``
-gives the polar ones) and its IFT slope ``_dpL_dw_symmetric`` have
-float kernels too; the sweeps and ``w_tilde`` call the slope kernel on
-the solver's own root, while :func:`dpL_dw_symmetric` first checks the
-caller's root.
+Two more kernels, ``_scaled_foc_L`` and ``_scaled_foc_R``, return the
+own-platform FOC divided by phi(kappa) and its closed-form slope, for
+the best response's safeguarded Newton search.  The symmetric FOC
+(``sn = sigma_v`` or ``2 sigma_i w`` gives the polar ones) and its IFT
+slope ``_dpL_dw_symmetric`` have float kernels too; the sweeps and
+``w_tilde`` call the slope kernel on the solver's own root, while
+:func:`dpL_dw_symmetric` first checks the caller's root.
 
 Derivative notation used below, with kappa the standardized win margin,
 sigma_n the combined noise scale and phi/Phi the standard-normal
@@ -79,22 +79,31 @@ def _d_euR_d_pR(p_L: float, p_R: float, params: ModelParams, sn: float) -> float
     return -(2.0 * p_R - 1.0) * _pdf(k) * a_r / sn + 2.0 * (1.0 - p_R) * (1.0 - _cdf(k))
 
 
-def _scaled_foc_L(p_L: float, p_R: float, params: ModelParams, sn: float) -> float:
-    """:func:`_d_euL_d_pL` divided by phi(kappa),
-    (1-2 p_L) A_L / sigma_n - 2 p_L M(kappa) with M = Phi/phi: the same
-    sign, which survives where phi(kappa) underflows.  The margin comes
+def _scaled_foc_L(p_L: float, p_R: float, params: ModelParams, sn: float) -> tuple[float, float]:
+    """:func:`_d_euL_d_pL` divided by phi(kappa) and its slope in p_L.
+
+    G_L = (1-2 p_L) A_L / sigma_n - 2 p_L M(kappa) with M = Phi/phi has the
+    FOC's sign, which survives where phi(kappa) underflows.  With
+    M' = 1 + kappa M and dkappa/dp_L = (1-2 p_L)/sigma_n its slope is
+    -2 (A_L + p_L (1-2 p_L)(2 + kappa M)) / sigma_n - 2 M.  The margin comes
     first, so a huge p_R raises :class:`DomainError` before it is squared."""
-    m = _mills(_margin(p_L, p_R, params, sn))
+    k = _margin(p_L, p_R, params, sn)
+    m = _mills(k)
     a_l = p_R**2 - p_L**2 + params.V + params.w
-    return (1.0 - 2.0 * p_L) * a_l / sn - 2.0 * p_L * m
+    g = (1.0 - 2.0 * p_L) * a_l / sn - 2.0 * p_L * m
+    return g, -2.0 * (a_l + p_L * (1.0 - 2.0 * p_L) * (2.0 + k * m)) / sn - 2.0 * m
 
 
-def _scaled_foc_R(p_L: float, p_R: float, params: ModelParams, sn: float) -> float:
-    """:func:`_d_euR_d_pR` divided by phi(kappa),
-    -(2 p_R-1) A_R / sigma_n + 2 (1-p_R) M(-kappa)."""
-    m = _mills(-_margin(p_L, p_R, params, sn))
+def _scaled_foc_R(p_L: float, p_R: float, params: ModelParams, sn: float) -> tuple[float, float]:
+    """:func:`_d_euR_d_pR` divided by phi(kappa) and its slope in p_R:
+    G_R = -(2 p_R-1) A_R / sigma_n + 2 (1-p_R) M(x) with x = -kappa, and,
+    as dx/dp_R = -(2 p_R-1)/sigma_n, slope
+    -2 (A_R + (2 p_R-1)(1-p_R)(2 + x M)) / sigma_n - 2 M."""
+    x = -_margin(p_L, p_R, params, sn)
+    m = _mills(x)
     a_r = (p_L - 2.0) * p_L - (p_R - 2.0) * p_R + params.V + params.w
-    return -(2.0 * p_R - 1.0) * a_r / sn + 2.0 * (1.0 - p_R) * m
+    g = -(2.0 * p_R - 1.0) * a_r / sn + 2.0 * (1.0 - p_R) * m
+    return g, -2.0 * (a_r + (2.0 * p_R - 1.0) * (1.0 - p_R) * (2.0 + x * m)) / sn - 2.0 * m
 
 
 def _d2_euL_d_pL2(p_L: float, p_R: float, params: ModelParams, sn: float) -> float:

@@ -15,16 +15,15 @@ Two entry points:
 
 * :func:`solve_asymmetric` — damped alternating best responses for
   general parameters, finished with a short 2-D Newton polish on the
-  analytic first-order conditions.  Each best response bisects the
-  party's FOC divided by phi(kappa) on a constant bracket whose end
-  signs are proven, [0, 1/2] for L and [1/2, 1] for R, so it cannot
-  fail, also where the win probability underflows.  Inside the iteration
-  each bisection starts from the cell of its own dyadic tree around the
-  party's previous response, when that cell brackets the sign change:
-  the same bits as the cold search, with about a third of its FOC
-  evaluations.  Below the single-peak bound a result must also pass the
-  grid oracle; only if it does not, or the iteration does not converge,
-  is the solve rerun with a grid pre-scan in every best response.
+  analytic first-order conditions.  Each best response finds the root of
+  the party's FOC divided by phi(kappa) by Newton steps safeguarded by
+  bisection (:func:`_rtsafe`) on a constant bracket whose end signs are
+  proven, [0, 1/2] for L and [1/2, 1] for R, so it cannot fail, also
+  where the win probability underflows.  Inside the iteration each search
+  starts at the party's previous response.  Below the single-peak bound a
+  result must also pass the grid oracle; only if it does not, or the
+  iteration does not converge, is the solve rerun with a grid pre-scan in
+  every best response.
   Convergence of the iteration is an empirical matter and non-convergence
   is a first-class reported outcome (:class:`~polarsolve.errors.ConvergenceError`
   with the full iterate trace), never a silent truncation.
@@ -90,7 +89,7 @@ class SolverConfig:
     """Tunables for both solvers; the defaults satisfy every tolerance
     used by the verification suite."""
 
-    tol_root: float = 1e-12       # bisection interval / FOC target
+    tol_root: float = 1e-12       # root finders' stop: bisection interval / Newton step
     tol_fp: float = 1e-10         # fixed-point platform-change tolerance
     max_iter: int = 500           # best-response iteration budget
     damping: float = 0.5          # step fraction toward the best response
@@ -313,14 +312,14 @@ def best_response(
     probability and the stake A_L = p_R^2 - p_L^2 + V + w are both lower
     than at 0, and above 1/2 the mirror 1 - p_L wins as often with a
     larger stake.  L's FOC is positive at 0 and -Phi(kappa) < 0 at 1/2,
-    so the search bisects it on [0, 1/2] to 1e-9, divided by phi(kappa)
-    to keep its sign where phi underflows, then takes up to four Newton
-    steps on the raw FOC.  R's bracket is the mirror [1/2, 1].  Below the
-    single-peak bound a 1e-4-grid pre-scan first narrows the bracket to
-    its argmax +- 1e-4.  ``party`` and ``opponent_policy`` are checked
-    once here; the search (:func:`_best_response`, with no guess, so it
-    bisects the whole bracket) runs on plain floats with the noise scale
-    computed once.
+    so the search runs safeguarded Newton steps on it, divided by
+    phi(kappa) to keep its sign where phi underflows, from the bracket's
+    midpoint to ``cfg.tol_root``.  R's bracket is the mirror [1/2, 1].
+    Below the single-peak bound a 1e-4-grid pre-scan first narrows the
+    bracket to its argmax +- 1e-4 and starts there.  ``party`` and
+    ``opponent_policy`` are checked once here; the search
+    (:func:`_best_response`, with no guess) runs on plain floats with the
+    noise scale computed once.
     """
     cfg = cfg or SolverConfig()
     if party not in ("L", "R"):
@@ -330,32 +329,37 @@ def best_response(
     return _best_response(opp, party, params, noise_scale(params), cfg, prescan=prescan)
 
 
-#: The best response's bisection tolerance: [0, 1/2] halves 29 times, to 2^-30.
-_BR_TOL = 1e-9
-#: Levels of the bisection's dyadic tree that :func:`_dyadic_cell` tries,
-#: finest first: level j holds the cells of width 2^-(j+1), 29, 26, ..., 2.
-_BR_LEVELS = range(-math.frexp(_BR_TOL)[1], 0, -3)
+def _rtsafe(
+    fdf: Callable[[float], tuple[float, float]], lo: float, hi: float, x: float, tol: float
+) -> float:
+    """Sign change of f on [lo, hi], with f(lo) > 0 > f(hi), by Newton from
+    ``x`` in [lo, hi] safeguarded by bisection ("rtsafe", Press et al.,
+    *Numerical Recipes*, 9.4); ``fdf(x)`` returns f(x) and f'(x).
 
-
-def _dyadic_cell(
-    f: Callable[[float], float], lo: float, hi: float, guess: float
-) -> tuple[float, float]:
-    """A cell of :func:`_bisect`'s tree on [lo, hi] (lo in {0, 1/2}, width
-    1/2) that holds ``guess`` and whose ends bracket f's sign change,
-    f(a) > 0 >= f(b) in the bisection's own test; else (lo, hi).
-
-    Tries the finest level first, then 3 levels coarser at a time.  The
-    cell ends lo + k 2^-(j+1) are exact doubles, so the index is exact; a
-    guess at hi falls in the last cell.  An end that is lo or hi is not
-    evaluated: its sign is proven, and the bisection never evaluates it.
+    Each value moves the bracket's end of its sign.  A Newton step is taken
+    when it lands in [lo, hi], ends included, and is shorter than ``tol`` or
+    at most half the step before; otherwise, as where f or f' is not finite,
+    the bracket is halved.  Returns after a step shorter than ``tol`` or once
+    the iterate stops moving, so any ``tol > 0`` terminates.
     """
-    for level in _BR_LEVELS:
-        width = math.ldexp(hi - lo, -level)
-        a = lo + min(math.floor((guess - lo) / width), 2**level - 1) * width
-        b = a + width
-        if (a == lo or f(a) > 0.0) and (b == hi or not f(b) > 0.0):
-            return a, b
-    return lo, hi
+    step = hi - lo
+    while True:
+        f, df = fdf(x)
+        if f > 0.0:
+            lo = x
+        elif f < 0.0:
+            hi = x
+        finite = math.isfinite(f) and math.isfinite(df) and df != 0.0
+        dx = f / df if finite else math.inf
+        x_new = x - dx
+        if not (lo <= x_new <= hi and (abs(dx) < tol or 2.0 * abs(dx) <= step)):
+            x_new = 0.5 * (lo + hi)
+            dx = hi - x_new
+            if x_new == lo or x_new == hi:
+                return x_new
+        if abs(dx) < tol or x_new == x:
+            return x_new
+        step, x = abs(dx), x_new
 
 
 def _best_response(
@@ -367,53 +371,30 @@ def _best_response(
     guess: float | None = None,
     prescan: bool = False,
 ) -> float:
-    """:func:`best_response` of a checked opponent, given ``sn``.
+    """:func:`best_response` of a checked opponent, given ``sn``: the root
+    of the party's scaled FOC by :func:`_rtsafe` to ``cfg.tol_root``.
 
     With ``prescan`` (public :func:`best_response` below the single-peak
-    bound, and :func:`solve_asymmetric`'s fallback) the grid pre-scan sets
-    the bracket and no guess is used.  Otherwise a ``guess`` in the party's
-    bracket (the last response, inside :func:`solve_asymmetric`) starts
-    the bisection at the cell :func:`_dyadic_cell` finds around it; the
-    Newton steps stay clamped to the whole bracket.  Premise: the computed
-    scaled FOC changes sign once over the dyadic points the bisection can
-    visit.  Then the bisection from [lo, hi] ends on the unique finest cell
-    with f(a) > 0 >= f(b), and any verified coarser cell contains it, so
-    the warm result has the cold one's bits and only the evaluation count
-    changes.  The premise holds where the payoff is single-peaked, except
-    within a few ulps of the root, far inside a 2^-30 cell; for the
-    computed function it is tested, not proven.  Below the bound, without
-    the pre-scan, the sign change found may be a local maximum only.
+    bound, and :func:`solve_asymmetric`'s fallback) the search starts at
+    the 1e-4 grid argmax inside its +- 1e-4 bracket and ``guess`` is
+    ignored.  Otherwise it starts at ``guess`` (the party's previous
+    response, inside :func:`solve_asymmetric`) when that lies in the
+    party's bracket, else at the bracket's midpoint.  Below the bound,
+    without the pre-scan, the sign change found may be a local maximum only.
     """
     if party == "L":
         lo, hi = 0.0, 0.5
-        scaled_foc = lambda x: _scaled_foc_L(x, opp, params, sn)
-        foc = lambda x: _d_euL_d_pL(x, opp, params, sn)
-        soc = lambda x: _d2_euL_d_pL2(x, opp, params, sn)
+        fdf = lambda x: _scaled_foc_L(x, opp, params, sn)
     else:
         lo, hi = 0.5, 1.0
-        scaled_foc = lambda x: _scaled_foc_R(opp, x, params, sn)
-        foc = lambda x: _d_euR_d_pR(opp, x, params, sn)
-        soc = lambda x: _d2_euR_d_pR2(opp, x, params, sn)
-
+        fdf = lambda x: _scaled_foc_R(opp, x, params, sn)
     if prescan:
         # the default span contains the bracket, so the argmax is interior
-        seed = grid_best_response(opp, party, params, grid_step=1e-4)
-        lo, hi = max(lo, seed - 1e-4), min(hi, seed + 1e-4)
-        cell = lo, hi
-    elif guess is not None and lo <= guess <= hi:
-        cell = _dyadic_cell(scaled_foc, lo, hi, guess)
-    else:
-        cell = lo, hi
-    x = _bisect(scaled_foc, *cell, _BR_TOL)[0]
-    for _ in range(4):
-        g = foc(x)
-        if abs(g) <= cfg.tol_root:
-            break
-        h = soc(x)
-        if not h < 0.0:
-            break
-        x = min(max(x - g / h, lo), hi)
-    return x
+        guess = grid_best_response(opp, party, params, grid_step=1e-4)
+        lo, hi = max(lo, guess - 1e-4), min(hi, guess + 1e-4)
+    elif guess is None or not lo <= guess <= hi:
+        guess = 0.5 * (lo + hi)
+    return _rtsafe(fdf, lo, hi, guess, cfg.tol_root)
 
 
 def solve_asymmetric(
@@ -424,9 +405,9 @@ def solve_asymmetric(
     """Fixed point of damped alternating best responses, Newton-polished.
 
     Updates are Gauss-Seidel with step ``cfg.damping`` toward the
-    current best response.  Each best response starts its bisection from
-    the party's previous response (the ``start`` entry in round 1); see
-    :func:`_best_response` for why that keeps the cold search's bits.
+    current best response.  Each best response starts its search at the
+    party's previous response (the ``start`` entry in round 1, or the
+    bracket's midpoint if that lies outside the party's bracket).
     Below the single-peak bound that search may stop on a local maximum: if
     the result fails the grid oracle or the iteration does not converge,
     the solve reruns from ``start`` with a grid pre-scan in every best

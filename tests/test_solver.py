@@ -21,7 +21,7 @@ from polarsolve import (
     sweep_w,
     symmetric_foc_root,
 )
-from polarsolve.calculus import _scaled_foc_L, _scaled_foc_R, d_euL_d_pL, d_euR_d_pR, foc_symmetric
+from polarsolve.calculus import _scaled_foc_L, d_euL_d_pL, d_euR_d_pR, foc_symmetric
 from polarsolve.model import PlatformPair, noise_scale
 from polarsolve.oracle import grid_best_response
 from polarsolve import solver
@@ -244,8 +244,9 @@ def test_single_peakedness_warning_names_the_callers_line():
 
 
 def test_solve_asymmetric_below_the_bound_frozen_value():
-    # below sqrt(32/3125) every best response runs the grid oracle; these
-    # bits and the iteration count pin the oracle's argmaxes
+    # below sqrt(32/3125) the fast pass's result is certified against the
+    # grid oracle; these bits and the iteration count are also those of the
+    # pre-scan route, where every best response starts at the grid argmax
     with pytest.warns(SinglePeakednessWarning):
         res = solve_asymmetric(ModelParams(w=1.0, sigma_v=0.08, mu_v=0.3))
     assert (res.platforms.p_L, res.platforms.p_R) == (0.2641356252348499, 0.7657555661173803)
@@ -307,7 +308,7 @@ def test_lopsided_race_certifies_the_root_of_the_scaled_foc(w, p_L):
     res = solve_asymmetric(params)
     assert res.certified
     assert res.platforms.p_L == pytest.approx(p_L, abs=1e-12)
-    scaled = _scaled_foc_L(res.platforms.p_L, res.platforms.p_R, params, noise_scale(params))
+    scaled, _ = _scaled_foc_L(res.platforms.p_L, res.platforms.p_R, params, noise_scale(params))
     assert abs(scaled) < 1e-12
 
 
@@ -347,48 +348,40 @@ def test_best_response_wide_range_fuzz():
         assert 0.5 <= best_response(opponent, "R", params) <= 1.0, (params, opponent)
 
 
-def test_bisection_from_the_warm_cell_keeps_the_cold_bits():
-    # the warm start's premise, one sign change of the computed scaled FOC
-    # over the bisection's dyadic points, checked on the wide box: from the
-    # cell around any guess the bisection ends where it does from the bracket
+def test_warm_started_best_response_equals_the_cold_one():
+    # the safeguarded Newton search from any start in the bracket, its ends
+    # included, ends within 1e-11 of the search from the bracket's midpoint
+    cfg = SolverConfig()
     checked = 0
-    for rng, params, opp in _wide_draws(20261019, 500):
+    for rng, params, opp in _wide_draws(20261019, 1500):
         sn = noise_scale(params)
-        for lo, hi, f in (
-            (0.0, 0.5, lambda x: _scaled_foc_L(x, opp, params, sn)),
-            (0.5, 1.0, lambda x: _scaled_foc_R(opp, x, params, sn)),
-        ):
-            root = _bisect(f, lo, hi, 1e-9)[0]
-            near = [root + s * d for d in (1e-12, 5e-10, 1e-9, 1e-7) for s in (1.0, -1.0)]
+        for party, lo, hi in (("L", 0.0, 0.5), ("R", 0.5, 1.0)):
+            cold = best_response(opp, party, params)
+            near = [cold + s * d for d in (1e-12, 1e-9, 1e-5) for s in (1.0, -1.0)]
             for guess in [lo, hi, *(float(g) for g in rng.uniform(lo, hi, 3)), *near]:
                 if lo <= guess <= hi:
-                    cell = solver._dyadic_cell(f, lo, hi, guess)
-                    assert _bisect(f, *cell, 1e-9)[0] == root, (params, opp, guess)
+                    warm = solver._best_response(opp, party, params, sn, cfg, guess)
+                    assert lo <= warm <= hi and abs(warm - cold) <= 1e-11, (params, opp, guess)
                     checked += 1
-    assert checked > 6000
+    assert checked > 30000
 
 
-def test_dyadic_cell_is_a_cell_of_the_bisection_tree():
-    seen = []
+def test_rtsafe_steps_on_straight_lines():
+    evals = []
 
-    def sign_change_at(root):
-        seen.clear()
-        return lambda x: seen.append(x) or root - x
+    def line(root, slope_at=lambda x: -1.0):
+        evals.clear()
+        return lambda x: evals.append(x) or (root - x, slope_at(x))
 
-    # a guess at R's bliss point 1.0 falls in the last cell, whose upper
-    # end is the bracket's own and is not evaluated
-    f = sign_change_at(1.0 - 2.0**-31)
-    assert solver._dyadic_cell(f, 0.5, 1.0, 1.0) == (1.0 - 2.0**-30, 1.0)
-    assert seen == [1.0 - 2.0**-30]
-    # f(b) == 0 closes the cell, as it moves hi in the bisection
-    f = sign_change_at(0.75)
-    assert solver._dyadic_cell(f, 0.5, 1.0, 0.75 - 1e-12) == (0.75 - 2.0**-30, 0.75)
-    # a guess far from the sign change: the finest tried cell (levels 29,
-    # 26, ..., 5, 2) holding both, else the bracket
-    f = sign_change_at(0.3)
-    assert solver._dyadic_cell(f, 0.0, 0.5, 0.26) == (0.25, 0.375)
-    assert solver._dyadic_cell(f, 0.0, 0.5, 0.0) == (0.0, 0.5)
-    assert 0.0 not in seen
+    # a Newton step that lands on the bracket's end is taken
+    assert solver._rtsafe(line(1.0), 0.0, 1.0, 0.5, 1e-12) == 1.0
+    assert evals == [0.5, 1.0]
+    # a step shorter than tol is taken although it is not half the last one
+    assert solver._rtsafe(line(0.7), 0.0, 1.0, 0.0, 0.8) == 0.7
+    # an infinite slope makes a bisection step, not a zero Newton step
+    steep_at_0 = line(0.3, lambda x: -math.inf if x == 0.0 else -1.0)
+    assert solver._rtsafe(steep_at_0, 0.0, 0.5, 0.0, 1e-12) == 0.3
+    assert evals == [0.0, 0.25, 0.3]
 
 
 # offlocus-sweep seed 1, base 9: R's best response sits near 0.5104 in a
@@ -410,13 +403,68 @@ _BASE_0 = dict(
 )
 
 
+_SWEEP_GRID = [float(w) for w in np.geomspace(1e-3, 1e3, 13)]
+
+
+def _same_certified_rows(rows, ref):
+    assert [r.certified for r in rows] == [r.certified for r in ref]
+    for row, want in zip(rows, ref):
+        if want.certified:
+            assert row.p_L == pytest.approx(want.p_L, abs=1e-12), row
+            assert row.p_R == pytest.approx(want.p_R, abs=1e-12), row
+
+
 @pytest.mark.parametrize("base", [_BASE_0, _BASE_9, _BASE_13], ids=["base0", "base9", "base13"])
 def test_warm_started_sweep_equals_the_cold_sweep(base, monkeypatch):
+    # the cold sweep drops every guess, so each best response starts at the
+    # midpoint of its bracket
     base = ModelParams(w=1.0, **base)
-    grid = [float(w) for w in np.geomspace(1e-3, 1e3, 13)]
-    warm = sweep_w(grid, base, mode="asymmetric")
-    monkeypatch.setattr(solver, "_dyadic_cell", lambda f, lo, hi, guess: (lo, hi))
-    assert repr(warm) == repr(sweep_w(grid, base, mode="asymmetric"))
+    warm = sweep_w(_SWEEP_GRID, base, mode="asymmetric")
+    best = solver._best_response
+    monkeypatch.setattr(
+        solver, "_best_response",
+        lambda opp, party, params, sn, cfg, guess=None, prescan=False:
+            best(opp, party, params, sn, cfg, None, prescan),
+    )
+    _same_certified_rows(warm, sweep_w(_SWEEP_GRID, base, mode="asymmetric"))
+
+
+def _cap_scaled_foc_calls(monkeypatch, cap):
+    """Count the scaled-FOC kernel's calls, failing past ``cap`` so that a
+    search that never stops fails instead of hanging."""
+    calls = []
+
+    def counted(kernel):
+        def call(*args):
+            calls.append(1)
+            assert len(calls) <= cap, "scaled-FOC call cap exceeded"
+            return kernel(*args)
+        return call
+
+    for name in ("_scaled_foc_L", "_scaled_foc_R"):
+        monkeypatch.setattr(solver, name, counted(getattr(solver, name)))
+    return calls
+
+
+def test_the_finest_tol_root_terminates_and_certifies(monkeypatch):
+    # tol_root = 1e-300 is below every step: the search must stop once its
+    # iterate no longer moves, on the default platforms
+    fine = SolverConfig(tol_root=1e-300)
+    params = ModelParams(w=1.0, mu_i=0.3, mu_v=0.1)
+    bases = [ModelParams(w=1.0, **base) for base in (_BASE_9, _BASE_13)]
+    ref = solve_asymmetric(params)
+    ref_rows = [sweep_w(_SWEEP_GRID, base, mode="asymmetric") for base in bases]
+    calls = _cap_scaled_foc_calls(monkeypatch, 50_000)
+    res = solve_asymmetric(params, fine)
+    assert res.certified
+    assert (res.platforms.p_L, res.platforms.p_R) == pytest.approx(
+        (ref.platforms.p_L, ref.platforms.p_R), abs=1e-12
+    )
+    for base, want in zip(bases, ref_rows):
+        rows = sweep_w(_SWEEP_GRID, base, mode="asymmetric", cfg=fine)
+        assert all(r.certified for r in rows)
+        _same_certified_rows(rows, want)
+    assert calls
 
 
 # below the single-peak bound; the fast pass certifies it with the pre-scan
@@ -455,21 +503,35 @@ def _count_grid_scans(monkeypatch):
 
 def test_below_the_bound_no_best_response_uses_a_warm_cell(monkeypatch):
     # on the pre-scan route (public best_response, and solve_asymmetric's
-    # fallback once the fast pass fails the grid oracle) the bracket
-    # seed +- 1e-4 is not dyadic
-    def forbidden(*args):
-        raise AssertionError("warm cell on the pre-scan route")
-
-    _fail_the_first_grid_certificate(
-        monkeypatch, then=lambda: monkeypatch.setattr(solver, "_dyadic_cell", forbidden)
-    )
-    with pytest.warns(SinglePeakednessWarning):
-        assert solve_asymmetric(_BELOW).certified
-    assert solver._dyadic_cell is forbidden  # the fallback ran
+    # fallback once the fast pass fails the grid oracle) each search starts
+    # at the grid argmax and ignores the previous response
     sn, cfg = noise_scale(_BELOW), SolverConfig()
-    assert solver._best_response(0.75, "L", _BELOW, sn, cfg, 0.25, prescan=True) == (
-        best_response(0.75, "L", _BELOW)
-    )
+    for guess in (None, 0.0, 0.25, 0.5, 0.7):
+        assert solver._best_response(0.75, "L", _BELOW, sn, cfg, guess, prescan=True) == (
+            best_response(0.75, "L", _BELOW)
+        )
+    seeds, starts = [], []
+    grid, rtsafe = solver.grid_best_response, solver._rtsafe
+
+    def seed(*args, **kw):
+        seeds.append(grid(*args, **kw))
+        return seeds[-1]
+
+    def start(f, lo, hi, x, tol):
+        starts.append(x)
+        return rtsafe(f, lo, hi, x, tol)
+
+    def record_starts():
+        monkeypatch.setattr(solver, "grid_best_response", seed)
+        monkeypatch.setattr(solver, "_rtsafe", start)
+
+    _fail_the_first_grid_certificate(monkeypatch, then=record_starts)
+    with pytest.warns(SinglePeakednessWarning):
+        res = solve_asymmetric(_BELOW)
+    assert res.certified
+    assert len(starts) == 2 * res.iterations  # the fallback ran
+    # each search starts at its own pre-scan; the certificate's two scans follow
+    assert seeds[: len(starts)] == starts and len(seeds) == len(starts) + 2
 
 
 def test_below_the_bound_the_fast_pass_runs_no_grid_scan_in_a_best_response(monkeypatch):
@@ -561,16 +623,12 @@ def test_below_the_bound_fuzz_matches_the_pre_scan_route(monkeypatch):
 
 
 def test_warm_started_solve_makes_fewer_scaled_foc_calls(monkeypatch):
-    # cold, each best response bisects [0, 1/2] in 29 steps: 1,682 calls here
-    calls = []
-    for name in ("_scaled_foc_L", "_scaled_foc_R"):
-        kernel = getattr(solver, name)
-        monkeypatch.setattr(
-            solver, name, lambda *args, kernel=kernel: calls.append(1) or kernel(*args)
-        )
+    # about two safeguarded Newton steps per best response: 125 calls here
+    # (811 scaled plus 198 raw FOC and SOC calls with the bisection)
+    calls = _cap_scaled_foc_calls(monkeypatch, 200)
     res = solve_asymmetric(ModelParams(w=1.0, mu_i=0.3, mu_v=0.1))
     assert res.iterations == 29
-    assert 0 < len(calls) <= 1000
+    assert calls
 
 
 @pytest.mark.parametrize(
