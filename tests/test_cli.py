@@ -471,6 +471,65 @@ def test_config_solver_section_can_break_convergence(tmp_path, capsys):
     assert err.startswith("error: no-convergence:")
 
 
+# --- golden stdout -------------------------------------------------------
+
+# Byte-exact stdout of three commands; a refactor of the kernels behind
+# them must not move a byte (diagnostics on stderr are not compared).
+GOLDEN_STDOUT = {
+    "solve-locus": (
+        ["solve"],
+        "kind: symmetric\n"
+        "p_L: 0.23702503069772771\n"
+        "p_R: 0.76297496930227227\n"
+        "delta: 0.52594993860454453\n"
+        "pr_L: 0.5\n"
+        "foc_residual_L: 0\n"
+        "foc_residual_R: 2.7755575615628914e-17\n"
+        "soc_L: -1.9902875605484027\n"
+        "soc_R: -1.9902875605484032\n"
+        "iterations: 41\n"
+        "symmetric: true\n"
+        "certified: true\n",
+    ),
+    "solve-asymmetric": (
+        ["solve", "--mu-i", "0.3", "--mu-v", "0.1"],
+        "kind: asymmetric\n"
+        "p_L: 0.22331295107760948\n"
+        "p_R: 0.74987068674081114\n"
+        "delta: 0.52655773566320163\n"
+        "pr_L: 0.55086586711584073\n"
+        "foc_residual_L: 2.7755575615628914e-17\n"
+        "foc_residual_R: -2.7755575615628914e-17\n"
+        "soc_L: -2.0861909871611264\n"
+        "soc_R: -1.8795264591761522\n"
+        "iterations: 29\n"
+        "symmetric: false\n"
+        "certified: true\n",
+    ),
+    "sweep-asymmetric": (
+        ["sweep", "--mode", "asymmetric", "--w-steps", "3", "--mu-i", "0.3", "--mu-v", "0.1"],
+        "w,p_L,p_R,delta,pr_L,dpL_dw_analytic,dpL_dw_fd,soc_L,soc_R,certified\n"
+        "0,0.27878217818000517,0.7407902988598295,0.46200812067982433,"
+        "0.4637632374971295,nan,0.034073949475854626,-2.2820187435373125,"
+        "-2.4375418185504802,true\n"
+        "1.5,0.20198273104159889,0.76669773580324219,0.56471500476164327,"
+        "0.56061194064633846,nan,-0.033897560782480962,-1.9476983033897901,"
+        "-1.7043095780001218,true\n"
+        "3,0.17124729393332999,0.79446901930316927,0.62322172536983933,"
+        "0.57037394592655977,nan,-0.012274083744101549,-1.7677858980567422,"
+        "-1.4872134390568705,true\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))
+def test_stdout_is_byte_identical_to_the_golden_output(capsys, name):
+    argv, expected = GOLDEN_STDOUT[name]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == expected
+
+
 # --- process-level smoke test ---------------------------------------------
 
 
