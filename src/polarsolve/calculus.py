@@ -10,15 +10,16 @@ against central finite differences by the verification suite (check
 ``deriv-fd``) — if a transcription question ever arises, the finite
 difference is the arbiter.
 
-The four own-platform derivatives are thin wrappers around private
-kernels (``_d_euL_d_pL`` and friends) that take checked plain floats
-``(p_L, p_R, params, sn)`` with ``sn = noise_scale(params)``, as the
-margin kernel in :mod:`polarsolve.model` does.  Validation happens where
-inputs enter the package (:class:`~polarsolve.model.ModelParams`,
+The four own-platform derivatives index into two private kernels,
+``_foc_pair`` (both FOCs and Phi(kappa)) and ``_soc_pair`` (both second
+derivatives), that take checked plain floats ``(p_L, p_R, params, sn)``
+with ``sn = noise_scale(params)``, as the margin kernel in
+:mod:`polarsolve.model` does.  Validation happens where inputs enter the
+package (:class:`~polarsolve.model.ModelParams`,
 :class:`~polarsolve.model.PlatformPair` and the entry of
 :func:`polarsolve.solver.best_response`); inside, a kernel checks only
 its margin, once and before any square (so a huge platform raises
-:class:`DomainError`), then calls the unchecked ``_pdf``/``_cdf``.
+:class:`DomainError`), then calls the unchecked ``_pdf``/``_cdf`` once.
 Two more kernels, ``_scaled_foc_L`` and ``_scaled_foc_R``, return the
 own-platform FOC divided by phi(kappa) and its closed-form slope, for
 the best response's safeguarded Newton search.  The symmetric FOC
@@ -67,20 +68,43 @@ _ON_MANIFOLD_TOL = 1e-8
 _PHI0 = _pdf(0.0)
 
 
-def _d_euL_d_pL(p_L: float, p_R: float, params: ModelParams, sn: float) -> float:
+def _foc_pair(
+    p_L: float, p_R: float, params: ModelParams, sn: float
+) -> tuple[float, float, float]:
+    """Both parties' own-platform FOCs and Phi(kappa), L's win probability."""
     k = _require_finite(_margin(p_L, p_R, params, sn))
+    pdf, cdf = _pdf(k), _cdf(k)
     a_l = p_R**2 - p_L**2 + params.V + params.w
-    return (1.0 - 2.0 * p_L) * _pdf(k) * a_l / sn - 2.0 * p_L * _cdf(k)
-
-
-def _d_euR_d_pR(p_L: float, p_R: float, params: ModelParams, sn: float) -> float:
-    k = _require_finite(_margin(p_L, p_R, params, sn))
     a_r = (p_L - 2.0) * p_L - (p_R - 2.0) * p_R + params.V + params.w
-    return -(2.0 * p_R - 1.0) * _pdf(k) * a_r / sn + 2.0 * (1.0 - p_R) * (1.0 - _cdf(k))
+    return (
+        (1.0 - 2.0 * p_L) * pdf * a_l / sn - 2.0 * p_L * cdf,
+        -(2.0 * p_R - 1.0) * pdf * a_r / sn + 2.0 * (1.0 - p_R) * (1.0 - cdf),
+        cdf,
+    )
+
+
+def _soc_pair(p_L: float, p_R: float, params: ModelParams, sn: float) -> tuple[float, float]:
+    """Both parties' own-platform second derivatives; :class:`DomainError`
+    also where a square overflows (a platform near 1e154, finite margin)."""
+    k = _require_finite(_margin(p_L, p_R, params, sn))
+    pdf, cdf = _pdf(k), _cdf(k)
+    try:
+        a_l = p_R**2 - p_L**2 + params.V + params.w
+        b_l = (2.0 - 5.0 * p_L) * p_L + p_R**2 + params.V + params.w
+        a_r = (p_L - 2.0) * p_L - (p_R - 2.0) * p_R + params.V + params.w
+        b_r = (p_L - 2.0) * p_L + (8.0 - 5.0 * p_R) * p_R + params.V + params.w - 2.0
+        # (-k * pdf) is phi'(k), parenthesised to keep the product's order
+        return (
+            (1.0 - 2.0 * p_L) ** 2 * (-k * pdf) * a_l / sn**2 - 2.0 * pdf * b_l / sn - 2.0 * cdf,
+            -((2.0 * p_R - 1.0) ** 2) * (-k * pdf) * a_r / sn**2
+            - 2.0 * pdf * b_r / sn - 2.0 * (1.0 - cdf),
+        )
+    except OverflowError:
+        raise DomainError(f"second derivatives overflow at p_L={p_L!r}, p_R={p_R!r}") from None
 
 
 def _scaled_foc_L(p_L: float, p_R: float, params: ModelParams, sn: float) -> tuple[float, float]:
-    """:func:`_d_euL_d_pL` divided by phi(kappa) and its slope in p_L.
+    """L's FOC (:func:`_foc_pair`) divided by phi(kappa) and its slope in p_L.
 
     G_L = (1-2 p_L) A_L / sigma_n - 2 p_L M(kappa) with M = Phi/phi has the
     FOC's sign, which survives where phi(kappa) underflows.  With
@@ -95,7 +119,7 @@ def _scaled_foc_L(p_L: float, p_R: float, params: ModelParams, sn: float) -> tup
 
 
 def _scaled_foc_R(p_L: float, p_R: float, params: ModelParams, sn: float) -> tuple[float, float]:
-    """:func:`_d_euR_d_pR` divided by phi(kappa) and its slope in p_R:
+    """R's FOC (:func:`_foc_pair`) divided by phi(kappa) and its slope in p_R:
     G_R = -(2 p_R-1) A_R / sigma_n + 2 (1-p_R) M(x) with x = -kappa, and,
     as dx/dp_R = -(2 p_R-1)/sigma_n, slope
     -2 (A_R + (2 p_R-1)(1-p_R)(2 + x M)) / sigma_n - 2 M."""
@@ -106,47 +130,24 @@ def _scaled_foc_R(p_L: float, p_R: float, params: ModelParams, sn: float) -> tup
     return g, -2.0 * (a_r + (2.0 * p_R - 1.0) * (1.0 - p_R) * (2.0 + x * m)) / sn - 2.0 * m
 
 
-def _d2_euL_d_pL2(p_L: float, p_R: float, params: ModelParams, sn: float) -> float:
-    k = _require_finite(_margin(p_L, p_R, params, sn))
-    a_l = p_R**2 - p_L**2 + params.V + params.w
-    b_l = (2.0 - 5.0 * p_L) * p_L + p_R**2 + params.V + params.w
-    # (-k * _pdf(k)) is phi'(k), parenthesised to keep the product's order
-    return (
-        (1.0 - 2.0 * p_L) ** 2 * (-k * _pdf(k)) * a_l / sn**2
-        - 2.0 * _pdf(k) * b_l / sn
-        - 2.0 * _cdf(k)
-    )
-
-
-def _d2_euR_d_pR2(p_L: float, p_R: float, params: ModelParams, sn: float) -> float:
-    k = _require_finite(_margin(p_L, p_R, params, sn))
-    a_r = (p_L - 2.0) * p_L - (p_R - 2.0) * p_R + params.V + params.w
-    b_r = (p_L - 2.0) * p_L + (8.0 - 5.0 * p_R) * p_R + params.V + params.w - 2.0
-    return (
-        -((2.0 * p_R - 1.0) ** 2) * (-k * _pdf(k)) * a_r / sn**2
-        - 2.0 * _pdf(k) * b_r / sn
-        - 2.0 * (1.0 - _cdf(k))
-    )
-
-
 def d_euL_d_pL(pp: PlatformPair, params: ModelParams) -> float:
     """dE[pi_L]/dp_L at an arbitrary profile."""
-    return _d_euL_d_pL(pp.p_L, pp.p_R, params, noise_scale(params))
+    return _foc_pair(pp.p_L, pp.p_R, params, noise_scale(params))[0]
 
 
 def d_euR_d_pR(pp: PlatformPair, params: ModelParams) -> float:
     """dE[pi_R]/dp_R at an arbitrary profile."""
-    return _d_euR_d_pR(pp.p_L, pp.p_R, params, noise_scale(params))
+    return _foc_pair(pp.p_L, pp.p_R, params, noise_scale(params))[1]
 
 
 def d2_euL_d_pL2(pp: PlatformPair, params: ModelParams) -> float:
     """d^2 E[pi_L]/dp_L^2; negative at any certified equilibrium."""
-    return _d2_euL_d_pL2(pp.p_L, pp.p_R, params, noise_scale(params))
+    return _soc_pair(pp.p_L, pp.p_R, params, noise_scale(params))[0]
 
 
 def d2_euR_d_pR2(pp: PlatformPair, params: ModelParams) -> float:
     """d^2 E[pi_R]/dp_R^2; negative at any certified equilibrium."""
-    return _d2_euR_d_pR2(pp.p_L, pp.p_R, params, noise_scale(params))
+    return _soc_pair(pp.p_L, pp.p_R, params, noise_scale(params))[1]
 
 
 def foc_symmetric(p_L: float, params: ModelParams) -> float:

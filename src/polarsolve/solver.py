@@ -42,14 +42,12 @@ from typing import Callable, Literal, NamedTuple
 
 from .calculus import (
     _PHI0,
-    _d2_euL_d_pL2,
-    _d2_euR_d_pR2,
-    _d_euL_d_pL,
-    _d_euR_d_pR,
+    _foc_pair,
     _foc_symmetric,
     _foc_symmetric_derivative,
     _scaled_foc_L,
     _scaled_foc_R,
+    _soc_pair,
 )
 from .errors import (
     ConvergenceError,
@@ -58,15 +56,7 @@ from .errors import (
     SpanTooSmallError,
     SymmetryLocusError,
 )
-from .gaussmath import _cdf
-from .model import (
-    ModelParams,
-    PlatformPair,
-    _checked_noise_scale,
-    _finite,
-    _margin,
-    noise_scale,
-)
+from .model import ModelParams, PlatformPair, _checked_noise_scale, _finite, noise_scale
 from .oracle import grid_best_response
 
 __all__ = [
@@ -158,16 +148,14 @@ def _certificate(
     """Certificate of ``pp`` for ``params`` at weight ``w`` (noise scale ``sn``),
     on the kernels; a ``ModelParams`` at ``w`` is built only for the grid oracle."""
     at_w = _AtW(params.V, w, params.mu_i, params.mu_v)
-    f_l = _d_euL_d_pL(pp.p_L, pp.p_R, at_w, sn)
-    f_r = _d_euR_d_pR(pp.p_L, pp.p_R, at_w, sn)
-    s_l = _d2_euL_d_pL2(pp.p_L, pp.p_R, at_w, sn)
-    s_r = _d2_euR_d_pR2(pp.p_L, pp.p_R, at_w, sn)
+    f_l, f_r, pr_l = _foc_pair(pp.p_L, pp.p_R, at_w, sn)
+    s_l, s_r = _soc_pair(pp.p_L, pp.p_R, at_w, sn)
     certified = max(abs(f_l), abs(f_r)) < cfg.tol_fp and s_l < 0.0 and s_r < 0.0
     if certified and not params.single_peaked_guaranteed:
         certified = _grid_certified(pp, replace(params, w=w))
     return EquilibriumResult(
         platforms=pp,
-        pr_L=_cdf(_margin(pp.p_L, pp.p_R, at_w, sn)),
+        pr_L=pr_l,
         foc_residual_L=f_l,
         foc_residual_R=f_r,
         soc_L=s_l,
@@ -176,23 +164,6 @@ def _certificate(
         certified=certified,
         kind=kind,
     )
-
-
-def _bisect_bracket(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> tuple[float, float, int]:
-    """Final bracket of :func:`_bisect` and its number of f evaluations."""
-    iterations = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        iterations += 1
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi, iterations
 
 
 def _bisect(
@@ -205,7 +176,16 @@ def _bisect(
     adjacent doubles (the midpoint rounds to one of them), so a ``tol``
     below the float spacing still terminates.
     """
-    lo, hi, iterations = _bisect_bracket(f, lo, hi, tol)
+    iterations = 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        iterations += 1
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
     return 0.5 * (lo + hi), iterations
 
 
@@ -222,30 +202,29 @@ def _symmetric_closed_form(V: float, w: float, sn: float) -> float:
 def _sym_root(V: float, w: float, sn: float, tol: float) -> tuple[float, int]:
     """:func:`symmetric_foc_root` of plain floats, given ``sn``.
 
-    Replays the bisection of the FOC on [0, 1/2] against the closed-form
-    root r, then confirms the final bracket with two FOC signs.  A ``tol``
-    of m 2^e (1/2 <= m < 1) fixes n = max(-e, 0) halvings, which end on the
+    Computes the final bracket of bisecting the FOC on [0, 1/2] from the
+    closed-form root r, then confirms it with two FOC signs.  A ``tol`` of
+    m 2^e (1/2 <= m < 1) fixes n = max(-e, 0) halvings, which end on the
     dyadic cell of width 2^-(n+1) with lo < r <= hi (a tie r == mid moves
-    hi); only a cell finer than 2^-50, where a midpoint can round onto an
-    end, is replayed halving by halving.  The computed FOC is nonincreasing
-    in p_L, so once f(lo) > 0 >= f(hi), every halving that moved lo agreed
-    with the FOC's sign (its midpoint lies at or below lo) and so did every
-    one that moved hi: the bracket, the count and the result are those of
-    bisecting the FOC itself.  If a sign check fails, it is bisected after all.
+    hi).  The computed FOC is nonincreasing in p_L, so once
+    f(lo) > 0 >= f(hi), every halving that moved lo agreed with the FOC's
+    sign (its midpoint lies at or below lo) and so did every one that moved
+    hi: the bracket, the count and the result are those of bisecting the
+    FOC itself.  If a sign check fails, it is bisected after all; so is
+    every ``tol`` below 2^-50, where a midpoint can round onto an end.
     """
     f = lambda x: _foc_symmetric(x, V, w, sn)
-    r = _symmetric_closed_form(V, w, sn)
-    if tol >= 2.0**-50:
+    if tol < 2.0**-50:
+        p, iterations = _bisect(f, 0.0, 0.5, tol)
+    else:
         iterations = max(-math.frexp(tol)[1], 0)
         width = math.ldexp(0.5, -iterations)
-        lo = max(math.ceil(r / width) - 1, 0) * width
+        lo = max(math.ceil(_symmetric_closed_form(V, w, sn) / width) - 1, 0) * width
         hi = lo + width
-    else:
-        lo, hi, iterations = _bisect_bracket(lambda x: r - x, 0.0, 0.5, tol)
-    if f(lo) > 0.0 >= f(hi):
-        p = 0.5 * (lo + hi)
-    else:
-        p, iterations = _bisect(f, 0.0, 0.5, tol)
+        if f(lo) > 0.0 >= f(hi):
+            p = 0.5 * (lo + hi)
+        else:
+            p, iterations = _bisect(f, 0.0, 0.5, tol)
     for _ in range(2):  # Newton polish to machine-level residual
         p -= f(p) / _foc_symmetric_derivative(p, V, w, sn)
         p = min(max(p, 0.0), 0.5)
@@ -479,15 +458,13 @@ def _newton_polish(
     central differences); drives residuals from ~1e-10 to machine level."""
     h = 1e-6
     for _ in range(3):
-        g_l = _d_euL_d_pL(p_l, p_r, params, sn)
-        g_r = _d_euR_d_pR(p_l, p_r, params, sn)
-        j_ll = _d2_euL_d_pL2(p_l, p_r, params, sn)
-        j_rr = _d2_euR_d_pR2(p_l, p_r, params, sn)
+        g_l, g_r, _ = _foc_pair(p_l, p_r, params, sn)
+        j_ll, j_rr = _soc_pair(p_l, p_r, params, sn)
         j_lr = (
-            _d_euL_d_pL(p_l, p_r + h, params, sn) - _d_euL_d_pL(p_l, p_r - h, params, sn)
+            _foc_pair(p_l, p_r + h, params, sn)[0] - _foc_pair(p_l, p_r - h, params, sn)[0]
         ) / (2.0 * h)
         j_rl = (
-            _d_euR_d_pR(p_l + h, p_r, params, sn) - _d_euR_d_pR(p_l - h, p_r, params, sn)
+            _foc_pair(p_l + h, p_r, params, sn)[1] - _foc_pair(p_l - h, p_r, params, sn)[1]
         ) / (2.0 * h)
         det = j_ll * j_rr - j_lr * j_rl
         if det == 0.0 or not math.isfinite(det):
@@ -497,11 +474,8 @@ def _newton_polish(
         # a step that overflows is reported as an invalid profile
         cand_l = _finite("p_L", p_l - step_l)
         cand_r = _finite("p_R", p_r - step_r)
-        worse = max(
-            abs(_d_euL_d_pL(cand_l, cand_r, params, sn)),
-            abs(_d_euR_d_pR(cand_l, cand_r, params, sn)),
-        ) > max(abs(g_l), abs(g_r))
-        if worse:
+        f_l, f_r, _ = _foc_pair(cand_l, cand_r, params, sn)
+        if max(abs(f_l), abs(f_r)) > max(abs(g_l), abs(g_r)):  # worse: keep the iterate
             break
         p_l, p_r = cand_l, cand_r
         if max(abs(step_l), abs(step_r)) < 1e-15:

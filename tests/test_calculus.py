@@ -12,9 +12,11 @@ from polarsolve import (
     PreconditionError,
     expected_utility_L,
     expected_utility_R,
+    noise_scale,
     solve_symmetric,
 )
 from polarsolve.calculus import (
+    _soc_pair,
     d2_euL_d_pL2,
     d2_euR_d_pR2,
     d_euL_d_pL,
@@ -273,3 +275,21 @@ def test_derivatives_at_a_huge_platform_are_domain_errors(deriv, pp):
     # is squared, so no bare OverflowError escapes
     with pytest.raises(DomainError):
         deriv(pp, ModelParams(w=1.0))
+
+
+@pytest.mark.parametrize(
+    "pp, soc, foc",
+    [
+        (PlatformPair(1e154, 0.7), d2_euL_d_pL2, d_euL_d_pL),
+        (PlatformPair(0.3, 1e154), d2_euR_d_pR2, d_euR_d_pR),
+    ],
+)
+def test_second_derivative_whose_square_overflows_is_a_domain_error(pp, soc, foc):
+    # the margin is still finite near 1e154, but (1 - 2p)**2 overflows: that
+    # is a DomainError, while the first derivative there stays an exact 0.0
+    params = ModelParams(w=1.0)
+    with pytest.raises(DomainError):
+        soc(pp, params)
+    with pytest.raises(DomainError):
+        _soc_pair(pp.p_L, pp.p_R, params, noise_scale(params))
+    assert foc(pp, params) == 0.0

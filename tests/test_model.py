@@ -19,16 +19,14 @@ from polarsolve import (
     win_probability_L,
 )
 from polarsolve.calculus import (
-    _d2_euL_d_pL2,
-    _d2_euR_d_pR2,
-    _d_euL_d_pL,
-    _d_euR_d_pR,
+    _foc_pair,
+    _soc_pair,
     d2_euL_d_pL2,
     d2_euR_d_pR2,
     d_euL_d_pL,
     d_euR_d_pR,
 )
-from polarsolve.gaussmath import std_normal_cdf
+from polarsolve.gaussmath import std_normal_cdf, std_normal_pdf
 from polarsolve.model import _margin
 
 # Frozen anchor: a lopsided instance where ideology dominates.  The win
@@ -218,16 +216,9 @@ def test_expected_utility_is_bounded_by_the_rent(rng):
 
 
 def test_public_functions_equal_the_float_kernels_bit_for_bit(rng):
-    # the kernels behind the best-response search must return exactly what
-    # the validated public API returns, and the payoffs exactly what the
+    # the margin kernel must return exactly what the validated public API
+    # returns, and the payoffs and both derivative pairs exactly what the
     # documented formulas give when evaluated in the same order
-    pairs = [
-        (win_margin, _margin),
-        (d_euL_d_pL, _d_euL_d_pL),
-        (d_euR_d_pR, _d_euR_d_pR),
-        (d2_euL_d_pL2, _d2_euL_d_pL2),
-        (d2_euR_d_pR2, _d2_euR_d_pR2),
-    ]
     for _ in range(100):
         params = ModelParams(
             w=float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3)))),
@@ -239,12 +230,30 @@ def test_public_functions_equal_the_float_kernels_bit_for_bit(rng):
         )
         p_l, p_r = float(rng.uniform(-1.0, 2.0)), float(rng.uniform(-1.0, 2.0))
         pp, sn = PlatformPair(p_l, p_r), noise_scale(params)
-        for public, kernel in pairs:
-            assert public(pp, params) == kernel(p_l, p_r, params, sn), public.__name__
+        assert win_margin(pp, params) == _margin(p_l, p_r, params, sn)
         kappa = (
             p_l * (1.0 - p_l) - p_r * (1.0 - p_r) + params.w * (1.0 - 2.0 * params.mu_i)
         ) - params.mu_v
-        pr = std_normal_cdf(kappa / sn)
+        k = kappa / sn
+        pr, pdf = std_normal_cdf(k), std_normal_pdf(k)
+        a_l = p_r**2 - p_l**2 + params.V + params.w
+        a_r = (p_l - 2.0) * p_l - (p_r - 2.0) * p_r + params.V + params.w
+        b_l = (2.0 - 5.0 * p_l) * p_l + p_r**2 + params.V + params.w
+        b_r = (p_l - 2.0) * p_l + (8.0 - 5.0 * p_r) * p_r + params.V + params.w - 2.0
+        foc = (
+            (1.0 - 2.0 * p_l) * pdf * a_l / sn - 2.0 * p_l * pr,
+            -(2.0 * p_r - 1.0) * pdf * a_r / sn + 2.0 * (1.0 - p_r) * (1.0 - pr),
+        )
+        soc = (
+            (1.0 - 2.0 * p_l) ** 2 * (-k * pdf) * a_l / sn**2 - 2.0 * pdf * b_l / sn - 2.0 * pr,
+            -((2.0 * p_r - 1.0) ** 2) * (-k * pdf) * a_r / sn**2
+            - 2.0 * pdf * b_r / sn
+            - 2.0 * (1.0 - pr),
+        )
+        assert _foc_pair(p_l, p_r, params, sn) == (*foc, pr)
+        assert _soc_pair(p_l, p_r, params, sn) == soc
+        assert (d_euL_d_pL(pp, params), d_euR_d_pR(pp, params)) == foc
+        assert (d2_euL_d_pL2(pp, params), d2_euR_d_pR2(pp, params)) == soc
         assert expected_utility_L(pp, params) == pr * (params.V - p_l**2) - (1.0 - pr) * (
             params.w + p_r**2
         )

@@ -127,18 +127,18 @@ def _wide_range_params(rng, n):
 
 
 # 0.5 and 0.75 halve [0, 1/2] zero times; 2**-50 is the finest tolerance
-# whose final cell is computed directly, 2**-51 the coarsest replayed one
+# whose final cell is computed directly, 2**-51 the coarsest bisected one
 @pytest.mark.parametrize("tol_root", [1e-12, 1e-9, 1e-300, 0.5, 0.75, 2.0**-40, 2.0**-50, 2.0**-51])
 def test_symmetric_root_replays_the_bisection_bit_for_bit(tol_root):
-    # the closed-form replay must give the bisection's (p, iterations) exactly,
-    # also when tol_root is below the float spacing near the root
+    # the closed-form cell must give the bisection's (p, iterations) exactly,
+    # and tolerances below 2**-50 bisect, also below the float spacing
     cfg = SolverConfig(tol_root=tol_root)
     for params in _wide_range_params(np.random.default_rng(20261018), 2000):
         assert symmetric_foc_root(params, cfg) == _reference_symmetric_root(params, tol_root), params
 
 
 def test_symmetric_root_falls_back_when_the_closed_form_is_off(monkeypatch):
-    # a closed-form root one final-bracket width too high steers the replay
+    # a closed-form root one final-bracket width too high steers the cell
     # into the neighbouring bracket: the FOC sign check must catch it and
     # the real bisection must give the same answer
     closed_form = solver._symmetric_closed_form
@@ -173,20 +173,32 @@ def _final_cell(monkeypatch, r, tol):
     return ends[0], ends[1], iterations - 2
 
 
-@pytest.mark.parametrize("tol", [0.5, 0.75, 1e-3, 2.0**-40, 1e-12, 2.0**-50, 2.0**-51, 1e-300])
+def _bisection_bracket(r, tol):
+    """Final bracket and halving count of bisecting r - x on [0, 1/2]."""
+    lo, hi, n = 0.0, 0.5, 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        n += 1
+        if r - mid > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, n
+
+
+@pytest.mark.parametrize("tol", [0.5, 0.75, 1e-3, 2.0**-40, 1e-12, 2.0**-50])
 def test_symmetric_root_final_cell_equals_the_replayed_bisection(monkeypatch, tol):
     # the halving count n depends on tol only, and the final cell has width
     # 2**-(n+1): roots at the ends of [0, 1/2], on a cell boundary (a tie
-    # goes to hi) and inside a cell must all give the replay's bracket
-    _, _, n = solver._bisect_bracket(lambda x: 0.3 - x, 0.0, 0.5, tol)
+    # goes to hi) and inside a cell must all give the bisection's bracket
+    _, _, n = _bisection_bracket(0.3, tol)
     width = 2.0 ** -(n + 1)
     rng = np.random.default_rng(20261018)
     roots = [0.0, 0.5, width, 0.5 - width, 0.25, 5e-324]
     roots += [float(k) * width for k in rng.integers(0, 2 ** min(n, 52), size=20, endpoint=True)]
     roots += [float(x) for x in rng.uniform(0.0, 0.5, size=20)]
     for r in roots:
-        replayed = solver._bisect_bracket(lambda x: r - x, 0.0, 0.5, tol)
-        assert _final_cell(monkeypatch, r, tol) == replayed, r
+        assert _final_cell(monkeypatch, r, tol) == _bisection_bracket(r, tol), r
 
 
 def test_symmetric_root_residual_is_machine_level(baseline):
