@@ -22,6 +22,7 @@ The headline objects:
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Literal, Sequence
@@ -181,14 +182,18 @@ def sweep_w(
     cfg = cfg or SolverConfig()
     if mode not in ("symmetric", "asymmetric"):
         raise InvalidParamsError(f"mode must be 'symmetric' or 'asymmetric', got {mode!r}")
-    grid = [float(w) for w in w_grid]
+    grid = []
+    for i, w in enumerate(w_grid):
+        if isinstance(w, bool) or not isinstance(w, numbers.Real) or not 0.0 <= w < math.inf:
+            raise InvalidParamsError(
+                f"w_grid values must be finite and nonnegative reals, got w_grid[{i}]={w!r}"
+            )
+        grid.append(float(w))
     if not grid:
         raise InvalidParamsError("w_grid must be nonempty")
     for a, b in zip(grid, grid[1:]):
         if not a < b:
             raise InvalidParamsError(f"w_grid must be strictly increasing ({a} !< {b})")
-    if grid[0] < 0.0 or not all(math.isfinite(w) for w in grid):
-        raise InvalidParamsError("w_grid values must be finite and nonnegative")
     return [_sweep_row(w, params_base, cfg, mode) for w in grid]
 
 

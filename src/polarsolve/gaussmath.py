@@ -11,17 +11,15 @@ The CDF is evaluated through the complementary error function
 numerically superior to ``0.5*(1+erf(x/sqrt(2)))`` in the lower tail.
 Inputs beyond |x| = 38 clamp to exact 0/1: the true tail mass there is
 below 1e-315 and computing it would only produce denormal noise.
-The private :func:`_std_normal_cdf_array` applies the same ``math.erfc``
-and the same clamp element by element, so an array of CDF values has
-the same bits as the scalar calls.  The private :func:`_mills` is the
-ratio Phi/phi, which stays finite and accurate where both underflow.
+:mod:`polarsolve.oracle` applies the same ``math.erfc`` and the same clamp
+element by element to an array, with the same bits as the scalar calls.
+The private :func:`_mills` is the ratio Phi/phi, which stays finite and
+accurate where both underflow.  This module imports no numpy.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -32,9 +30,6 @@ _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 
 #: |x| beyond which the CDF is clamped to exact 0 or 1.
 _CDF_CLAMP = 38.0
-
-#: ``math.erfc`` as a ufunc on object arrays; numpy has no erfc of its own.
-_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _require_finite(x: float) -> float:
@@ -73,18 +68,6 @@ def _cdf(x: float) -> float:
     if x < -_CDF_CLAMP:
         return 0.0
     return 0.5 * math.erfc(-x * _INV_SQRT_2)
-
-
-def _std_normal_cdf_array(x: np.ndarray) -> np.ndarray:
-    """:func:`std_normal_cdf` of every element of a float64 array, bit for
-    bit: the same ``math.erfc`` call per element and the same clamp."""
-    finite = np.isfinite(x)
-    if not finite.all():
-        _require_finite(float(x[~finite][0]))
-    cdf = 0.5 * _erfc(-x * _INV_SQRT_2).astype(np.float64)
-    cdf[x > _CDF_CLAMP] = 1.0
-    cdf[x < -_CDF_CLAMP] = 0.0
-    return cdf
 
 
 def _mills(x: float) -> float:

@@ -8,9 +8,12 @@ against these routines, never the other way around.
 
 The grid scans evaluate the raw payoff over the whole grid in one numpy
 pass.  That pass repeats the formulas of :func:`expected_utility_L` and
-:func:`expected_utility_R` operation for operation, so every grid value
-has the same bits as the scalar call at that point; the scalar payoffs
-in :mod:`polarsolve.model` remain the reference it is tested against.
+:func:`expected_utility_R` operation for operation, and takes the normal
+CDF by the scalar ``math.erfc`` per element with the scalar clamp
+(:func:`_std_normal_cdf_array`), so every grid value has the same bits as
+the scalar call at that point; the scalar payoffs in
+:mod:`polarsolve.model` remain the reference it is tested against.  With
+:mod:`polarsolve.verify`, this is the only module that imports numpy.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import InvalidParamsError, SpanTooSmallError
-from .gaussmath import _std_normal_cdf_array
+from .gaussmath import _CDF_CLAMP, _INV_SQRT_2, _require_finite
 from .model import ModelParams, PlatformPair, _finite, noise_scale
 
 __all__ = [
@@ -43,6 +46,9 @@ DEFAULT_SPAN: tuple[float, float] = (-0.5, 1.5)
 #: seeded independently from (seed, batch index), so the reduction is a
 #: plain order-independent integer sum.
 _MC_BATCH = 250_000
+
+#: ``math.erfc`` as a ufunc on object arrays; numpy has no erfc of its own.
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,15 +87,30 @@ def _grid_columns(lo: float, hi: float, grid_step: float) -> tuple[np.ndarray, .
     return arrays
 
 
+def _std_normal_cdf_array(x: np.ndarray) -> np.ndarray:
+    """:func:`~polarsolve.gaussmath.std_normal_cdf` of every element of a
+    float64 array, bit for bit: the same ``math.erfc`` call per element and
+    the same clamp."""
+    finite = np.isfinite(x)
+    if not finite.all():
+        _require_finite(float(x[~finite][0]))
+    cdf = 0.5 * _erfc(-x * _INV_SQRT_2).astype(np.float64)
+    cdf[x > _CDF_CLAMP] = 1.0
+    cdf[x < -_CDF_CLAMP] = 0.0
+    return cdf
+
+
 def _grid(span: tuple[float, float], grid_step: float) -> tuple[np.ndarray, ...]:
-    lo, hi = span
-    if not (grid_step > 0.0 and math.isfinite(grid_step)):
+    try:
+        lo, hi = span
+    except (TypeError, ValueError):
+        raise InvalidParamsError(f"span must be a pair (lo, hi), got {span!r}") from None
+    lo, hi = _finite("span lo", lo), _finite("span hi", hi)
+    if not _finite("grid_step", grid_step) > 0.0:
         raise InvalidParamsError(f"grid_step must be positive and finite, got {grid_step}")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise InvalidParamsError(f"span ends must be finite, got {span}")
     if not lo < hi:
         raise InvalidParamsError(f"span must be a nonempty interval, got {span}")
-    return _grid_columns(float(lo), float(hi), float(grid_step))
+    return _grid_columns(lo, hi, float(grid_step))
 
 
 def _grid_payoffs(
@@ -198,7 +219,7 @@ def peak_scan(
     without attaining one.  Real peaks live well inside (0, 1), far from
     the span edges, and an argmax escaping the span is the
     :func:`grid_best_response` oracle's job to flag, not this one's."""
-    if grid_step > 1e-3:
+    if _finite("grid_step", grid_step) > 1e-3:
         raise InvalidParamsError(f"grid_step must be <= 1e-3 for a peak scan, got {grid_step}")
     _, vals = _grid_payoffs(opponent_policy, party, params, DEFAULT_SPAN, grid_step)
     inner = vals[1:-1]

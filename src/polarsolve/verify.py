@@ -455,9 +455,14 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run the named checks (all by default) and return their results.
 
-    Unknown ids raise :class:`~polarsolve.errors.InvalidParamsError`.
+    Unknown ids, a string for ``only`` and a ``seed`` that is not a
+    non-negative int raise :class:`~polarsolve.errors.InvalidParamsError`.
     Reproducible for a given seed regardless of which subset runs.
     """
+    if isinstance(only, str):
+        raise InvalidParamsError(f"only must be a sequence of check ids, got the string {only!r}")
+    if type(seed) is not int or seed < 0:
+        raise InvalidParamsError(f"seed must be a non-negative int, got {seed!r}")
     ids = list(CHECKS) if only is None else list(only)
     unknown = [i for i in ids if i not in CHECKS]
     if unknown:

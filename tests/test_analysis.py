@@ -1,6 +1,7 @@
 """Comparative statics: sweeps, shape diagnosis, thresholds, closed forms."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -94,6 +95,28 @@ def test_sweep_rows_are_complete_and_certified(baseline):
 def test_sweep_rejects_bad_grids(baseline, grid, message):
     with pytest.raises(ValueError, match=message):
         sweep_w(grid, baseline)
+
+
+@pytest.mark.parametrize(
+    "grid, entry",
+    [
+        (["a"], "w_grid[0]='a'"),
+        ([math.nan, 1.0], "w_grid[0]=nan"),
+        ([True, 2.0], "w_grid[0]=True"),
+        ([0.5, None], "w_grid[1]=None"),
+        ([1.0, -math.inf], "w_grid[1]=-inf"),
+    ],
+)
+def test_sweep_checks_each_grid_entry_before_the_order(baseline, grid, entry):
+    with pytest.raises(InvalidParamsError, match=re.escape(entry)) as info:
+        sweep_w(grid, baseline)
+    assert "increasing" not in str(info.value)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sweep_accepts_numpy_float_arrays(baseline, dtype):
+    grid = np.array([0.5, 1.0, 1.5], dtype=dtype)
+    assert sweep_w(grid, baseline) == sweep_w([float(w) for w in grid], baseline)
 
 
 def test_sweep_rejects_bad_mode(baseline):

@@ -1,10 +1,13 @@
 """Normal pdf/cdf primitives against independent quadrature oracles."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polarsolve
 from polarsolve.errors import DomainError
 from polarsolve.gaussmath import _cdf, _mills, _pdf, std_normal_cdf, std_normal_pdf
 
@@ -133,3 +136,23 @@ def test_unchecked_primitives_equal_the_public_ones_bit_for_bit():
         assert repr(_pdf(x)) == repr(std_normal_pdf(x)), x
         assert repr(_cdf(x)) == repr(std_normal_cdf(x)), x
     assert _mills(40.0) == math.inf
+
+
+def test_numpy_is_imported_only_by_the_array_modules():
+    # the scalar layers (primitives, payoffs, derivatives, solvers, sweeps,
+    # CLI) run on plain floats; numpy belongs to the grid/Monte Carlo
+    # oracles and the verify battery only
+    package = Path(polarsolve.__file__).parent
+    importers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.name)
+    assert "oracle.py" in importers  # the scan sees a real numpy import
+    assert importers <= {"oracle.py", "verify.py"}, importers

@@ -85,6 +85,14 @@ def test_grid_rejects_empty_span(baseline):
             grid_best_response(0.75, "L", baseline, span=span)
 
 
+@pytest.mark.parametrize(
+    "span", [(0.0,), None, ("a", "b"), (0.0, 1.0, 2.0), (True, 1.0), (0.0, None)]
+)
+def test_grid_rejects_a_malformed_span_by_name(baseline, span):
+    with pytest.raises(InvalidParamsError, match="span"):
+        grid_best_response(0.75, "L", baseline, span=span)
+
+
 def test_grid_rejects_unknown_party(baseline):
     with pytest.raises(ValueError):
         grid_best_response(0.75, "X", baseline)  # type: ignore[arg-type]

@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 
 from polarsolve import verify
+from polarsolve.errors import InvalidParamsError
 from polarsolve.analysis import _nan_row
 from polarsolve.verify import CHECKS, CheckResult, central_first, central_second, run_checks
 
@@ -47,6 +48,20 @@ def test_central_second_is_exact_on_quartics():
     # the 5-point stencil annihilates everything through degree 5
     got = central_second(f, 2.0, 1e-2)
     assert got == pytest.approx(54.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"only": "prop3-limit"}, "only"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+    ],
+)
+def test_run_checks_rejects_a_bad_argument_by_name(kwargs, name):
+    with pytest.raises(InvalidParamsError, match=name):
+        run_checks(**kwargs)
 
 
 def test_run_checks_rejects_unknown_ids():
