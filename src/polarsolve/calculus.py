@@ -87,20 +87,20 @@ def _soc_pair(p_L: float, p_R: float, params: ModelParams, sn: float) -> tuple[f
     """Both parties' own-platform second derivatives; :class:`DomainError`
     also where a square overflows (a platform near 1e154, finite margin)."""
     k = _require_finite(_margin(p_L, p_R, params, sn))
-    pdf, cdf = _pdf(k), _cdf(k)
     try:
-        a_l = p_R**2 - p_L**2 + params.V + params.w
-        b_l = (2.0 - 5.0 * p_L) * p_L + p_R**2 + params.V + params.w
-        a_r = (p_L - 2.0) * p_L - (p_R - 2.0) * p_R + params.V + params.w
-        b_r = (p_L - 2.0) * p_L + (8.0 - 5.0 * p_R) * p_R + params.V + params.w - 2.0
-        # (-k * pdf) is phi'(k), parenthesised to keep the product's order
-        return (
-            (1.0 - 2.0 * p_L) ** 2 * (-k * pdf) * a_l / sn**2 - 2.0 * pdf * b_l / sn - 2.0 * cdf,
-            -((2.0 * p_R - 1.0) ** 2) * (-k * pdf) * a_r / sn**2
-            - 2.0 * pdf * b_r / sn - 2.0 * (1.0 - cdf),
-        )
+        sq_l, sq_r = (1.0 - 2.0 * p_L) ** 2, (2.0 * p_R - 1.0) ** 2
     except OverflowError:
         raise DomainError(f"second derivatives overflow at p_L={p_L!r}, p_R={p_R!r}") from None
+    pdf, cdf = _pdf(k), _cdf(k)
+    a_l = p_R**2 - p_L**2 + params.V + params.w
+    b_l = (2.0 - 5.0 * p_L) * p_L + p_R**2 + params.V + params.w
+    a_r = (p_L - 2.0) * p_L - (p_R - 2.0) * p_R + params.V + params.w
+    b_r = (p_L - 2.0) * p_L + (8.0 - 5.0 * p_R) * p_R + params.V + params.w - 2.0
+    # (-k * pdf) is phi'(k), parenthesised to keep the product's order
+    return (
+        sq_l * (-k * pdf) * a_l / sn**2 - 2.0 * pdf * b_l / sn - 2.0 * cdf,
+        -sq_r * (-k * pdf) * a_r / sn**2 - 2.0 * pdf * b_r / sn - 2.0 * (1.0 - cdf),
+    )
 
 
 def _scaled_foc_L(p_L: float, p_R: float, params: ModelParams, sn: float) -> tuple[float, float]:

@@ -106,11 +106,12 @@ def _grid(span: tuple[float, float], grid_step: float) -> tuple[np.ndarray, ...]
     except (TypeError, ValueError):
         raise InvalidParamsError(f"span must be a pair (lo, hi), got {span!r}") from None
     lo, hi = _finite("span lo", lo), _finite("span hi", hi)
-    if not _finite("grid_step", grid_step) > 0.0:
+    grid_step = _finite("grid_step", grid_step)
+    if not grid_step > 0.0:
         raise InvalidParamsError(f"grid_step must be positive and finite, got {grid_step}")
     if not lo < hi:
         raise InvalidParamsError(f"span must be a nonempty interval, got {span}")
-    return _grid_columns(lo, hi, float(grid_step))
+    return _grid_columns(lo, hi, grid_step)
 
 
 def _grid_payoffs(
