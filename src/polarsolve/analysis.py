@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
@@ -182,6 +183,8 @@ def sweep_w(
     cfg = cfg or SolverConfig()
     if mode not in ("symmetric", "asymmetric"):
         raise InvalidParamsError(f"mode must be 'symmetric' or 'asymmetric', got {mode!r}")
+    if not isinstance(w_grid, Iterable):
+        raise InvalidParamsError(f"w_grid must be a sequence of reals, got {w_grid!r}")
     grid = []
     for i, w in enumerate(w_grid):
         if isinstance(w, bool) or not isinstance(w, numbers.Real) or not 0.0 <= w < math.inf:

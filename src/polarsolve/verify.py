@@ -21,6 +21,7 @@ import io
 import math
 import tempfile
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -455,12 +456,12 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run the named checks (all by default) and return their results.
 
-    Unknown ids, a string for ``only`` and a ``seed`` that is not a
-    non-negative int raise :class:`~polarsolve.errors.InvalidParamsError`.
+    Unknown ids, an ``only`` that is a string or no sequence, and a ``seed``
+    that is not a non-negative int raise :class:`~polarsolve.errors.InvalidParamsError`.
     Reproducible for a given seed regardless of which subset runs.
     """
-    if isinstance(only, str):
-        raise InvalidParamsError(f"only must be a sequence of check ids, got the string {only!r}")
+    if isinstance(only, str) or not (only is None or isinstance(only, Iterable)):
+        raise InvalidParamsError(f"only must be a sequence of check ids, got {only!r}")
     if type(seed) is not int or seed < 0:
         raise InvalidParamsError(f"seed must be a non-negative int, got {seed!r}")
     ids = list(CHECKS) if only is None else list(only)

@@ -98,17 +98,21 @@ def test_sweep_rejects_bad_grids(baseline, grid, message):
 
 
 @pytest.mark.parametrize(
-    "grid, entry",
+    "grid, message",
     [
         (["a"], "w_grid[0]='a'"),
         ([math.nan, 1.0], "w_grid[0]=nan"),
         ([True, 2.0], "w_grid[0]=True"),
         ([0.5, None], "w_grid[1]=None"),
         ([1.0, -math.inf], "w_grid[1]=-inf"),
+        (None, "w_grid must be a sequence"),
+        (5.0, "w_grid must be a sequence"),
     ],
 )
-def test_sweep_checks_each_grid_entry_before_the_order(baseline, grid, entry):
-    with pytest.raises(InvalidParamsError, match=re.escape(entry)) as info:
+def test_sweep_rejects_a_malformed_grid_by_name(baseline, grid, message):
+    # each entry's type and finiteness are checked before the grid's order,
+    # so a nan or a bool is named as such, not blamed on the order
+    with pytest.raises(InvalidParamsError, match=re.escape(message)) as info:
         sweep_w(grid, baseline)
     assert "increasing" not in str(info.value)
 

@@ -54,6 +54,7 @@ def test_central_second_is_exact_on_quartics():
     "kwargs, name",
     [
         ({"only": "prop3-limit"}, "only"),
+        ({"only": 5}, "only"),
         ({"seed": -1}, "seed"),
         ({"seed": 1.5}, "seed"),
         ({"seed": True}, "seed"),
