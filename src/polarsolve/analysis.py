@@ -24,9 +24,9 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
-from typing import Literal, Sequence
+from typing import Literal
 
 from .calculus import _PHI0, _dpL_dw_symmetric
 from .errors import (
@@ -36,10 +36,11 @@ from .errors import (
     InvalidParamsError,
     PolarsolveError,
 )
-from .model import ModelParams, _checked_noise_scale
+from .model import ModelParams, _checked_noise_scale, _instance
 from .solver import (
     SolverConfig,
     _bisect,
+    _config,
     _solve_symmetric_at,
     _sym_root,
     solve_asymmetric,
@@ -180,7 +181,8 @@ def sweep_w(
     Per-row solver failures become NaN rows with ``certified=False`` —
     the sweep itself never aborts.
     """
-    cfg = cfg or SolverConfig()
+    _instance("params_base", params_base, ModelParams)
+    cfg = _config(params_base, cfg)
     if mode not in ("symmetric", "asymmetric"):
         raise InvalidParamsError(f"mode must be 'symmetric' or 'asymmetric', got {mode!r}")
     if not isinstance(w_grid, Iterable):
@@ -226,6 +228,8 @@ def shape_report(
     :func:`w_tilde`; otherwise it is the grid location of max p_L.
     Rows must all be solved (no NaNs).
     """
+    if not isinstance(rows, Sequence) or not all(isinstance(r, SweepRow) for r in rows):
+        raise InvalidParamsError(f"rows must be a sequence of SweepRow, got {rows!r}")
     if len(rows) < 3:
         raise InvalidParamsError("need at least 3 rows to diagnose a shape")
     if any(not math.isfinite(r.delta) for r in rows):
@@ -254,6 +258,7 @@ def delta_at_zero(params: ModelParams) -> float:
 
     Always in (0, 1).
     """
+    _instance("params", params, ModelParams)
     s = params.sigma_v
     v = params.V
     root = math.sqrt(s * s + 4.0 * v * v * _PHI0 * _PHI0 + 4.0 * s * (v + 2.0) * _PHI0)
@@ -263,6 +268,7 @@ def delta_at_zero(params: ModelParams) -> float:
 def delta_limit_infinity(params: ModelParams) -> float:
     """Limit of platform polarization as w grows without bound:
     sigma_i / (sigma_i + phi(0)), in (0, 1)."""
+    _instance("params", params, ModelParams)
     return params.sigma_i / (params.sigma_i + _PHI0)
 
 
@@ -283,7 +289,7 @@ def w_tilde(params: ModelParams, cfg: SolverConfig | None = None) -> float:
     :class:`ConvergenceError` names it; a bracketed w whose noise scale
     overflows raises :class:`InvalidParamsError`.
     """
-    cfg = cfg or SolverConfig()
+    cfg = _config(params, cfg)
     V, sigma_i, sigma_v = params.V, params.sigma_i, params.sigma_v
     four_si2 = 4.0 * sigma_i**2
     c = sigma_v**2 / four_si2 if four_si2 > 0.0 else math.inf
@@ -372,6 +378,7 @@ def prop5_slope_identity(p_L_star: float, params: ModelParams) -> float:
     positive for interior p_L; a nonpositive denominator contradicts the
     theory and raises :class:`DegenerateError` rather than being masked.
     """
+    _instance("params", params, ModelParams)
     p = p_L_star
     den = 1.0 - 16.0 * p**3 + 12.0 * p**2 - 4.0 * p + params.V + params.w
     if den <= 0.0:

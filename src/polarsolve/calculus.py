@@ -10,19 +10,17 @@ against central finite differences by the verification suite (check
 ``deriv-fd``) — if a transcription question ever arises, the finite
 difference is the arbiter.
 
-The four own-platform derivatives index into two private kernels,
-``_foc_pair`` (both FOCs and Phi(kappa)) and ``_soc_pair`` (both second
-derivatives), that take checked plain floats ``(p_L, p_R, params, sn)``
-with ``sn = noise_scale(params)``, as the margin kernel in
+The four own-platform derivatives index into one private kernel,
+``_raw_pair`` (both FOCs, both second derivatives and Phi(kappa)), that
+takes checked plain floats ``(p_L, p_R, params, sn)`` with
+``sn = noise_scale(params)``, as the margin kernel in
 :mod:`polarsolve.model` does.  Validation happens where inputs enter the
-package (:class:`~polarsolve.model.ModelParams`,
-:class:`~polarsolve.model.PlatformPair` and the entry of
-:func:`polarsolve.solver.best_response`); inside, a kernel checks only
-its margin, once and before any square (so a huge platform raises
-:class:`DomainError`), then calls the unchecked ``_pdf``/``_cdf`` once.
-Two more kernels, ``_scaled_foc_L`` and ``_scaled_foc_R``, return the
-own-platform FOC divided by phi(kappa) and its closed-form slope, for
-the best response's safeguarded Newton search.  The symmetric FOC
+package; inside, a kernel checks only its margin, once and before any
+square (so a huge platform raises :class:`DomainError`), then calls the
+unchecked ``_pdf``/``_cdf`` once.  ``_scaled_foc_L`` and ``_scaled_foc_R``
+return each party's FOC divided by its own win probability, G_L and G_R
+below, and both its partials: the one kernel of the best response, the
+pair's Newton finish and the certificate.  The symmetric FOC
 (``sn = sigma_v`` or ``2 sigma_i w`` gives the polar ones) and its IFT
 slope ``_dpL_dw_symmetric`` have float kernels too; the sweeps and
 ``w_tilde`` call the slope kernel on the solver's own root, while
@@ -36,7 +34,14 @@ density/CDF:
         with A_L = p_R^2 - p_L^2 + V + w,
     dE[pi_R]/dp_R = -(2 p_R - 1) phi(kappa) A_R / sigma_n
                     + 2 (1-p_R) (1 - Phi(kappa))
-        with A_R = (p_L-2) p_L - (p_R-2) p_R + V + w.
+        with A_R = (p_L-2) p_L - (p_R-2) p_R + V + w,
+    G_L = (1-2 p_L) A_L lambda(kappa) / sigma_n - 2 p_L,
+    G_R = 2 (1-p_R) - (2 p_R - 1) A_R lambda(-kappa) / sigma_n,
+
+where lambda = phi/Phi = 1/M (``gaussmath._mills``) is finite for every
+finite kappa, so G keeps the FOC's sign where Phi and phi underflow, and
+lambda' = -lambda (kappa + lambda), dkappa/dp_L = (1-2 p_L)/sigma_n and
+dkappa/dp_R = (2 p_R-1)/sigma_n give the partials.
 """
 
 from __future__ import annotations
@@ -68,29 +73,15 @@ _ON_MANIFOLD_TOL = 1e-8
 _PHI0 = _pdf(0.0)
 
 
-def _foc_pair(
-    p_L: float, p_R: float, params: ModelParams, sn: float
-) -> tuple[float, float, float]:
-    """Both parties' own-platform FOCs and Phi(kappa), L's win probability."""
-    k = _require_finite(_margin(p_L, p_R, params, sn))
-    pdf, cdf = _pdf(k), _cdf(k)
-    a_l = p_R**2 - p_L**2 + params.V + params.w
-    a_r = (p_L - 2.0) * p_L - (p_R - 2.0) * p_R + params.V + params.w
-    return (
-        (1.0 - 2.0 * p_L) * pdf * a_l / sn - 2.0 * p_L * cdf,
-        -(2.0 * p_R - 1.0) * pdf * a_r / sn + 2.0 * (1.0 - p_R) * (1.0 - cdf),
-        cdf,
-    )
-
-
-def _soc_pair(p_L: float, p_R: float, params: ModelParams, sn: float) -> tuple[float, float]:
-    """Both parties' own-platform second derivatives; :class:`DomainError`
-    also where a square overflows (a platform near 1e154, finite margin)."""
+def _raw_pair(p_L: float, p_R: float, params: ModelParams, sn: float) -> tuple[float, ...]:
+    """Both parties' own-platform FOCs, both second derivatives and
+    Phi(kappa), L's win probability; :class:`DomainError` also where a square
+    overflows (a platform near 1e154, finite margin)."""
     k = _require_finite(_margin(p_L, p_R, params, sn))
     try:
         sq_l, sq_r = (1.0 - 2.0 * p_L) ** 2, (2.0 * p_R - 1.0) ** 2
     except OverflowError:
-        raise DomainError(f"second derivatives overflow at p_L={p_L!r}, p_R={p_R!r}") from None
+        raise DomainError(f"derivatives overflow at p_L={p_L!r}, p_R={p_R!r}") from None
     pdf, cdf = _pdf(k), _cdf(k)
     a_l = p_R**2 - p_L**2 + params.V + params.w
     b_l = (2.0 - 5.0 * p_L) * p_L + p_R**2 + params.V + params.w
@@ -98,56 +89,69 @@ def _soc_pair(p_L: float, p_R: float, params: ModelParams, sn: float) -> tuple[f
     b_r = (p_L - 2.0) * p_L + (8.0 - 5.0 * p_R) * p_R + params.V + params.w - 2.0
     # (-k * pdf) is phi'(k), parenthesised to keep the product's order
     return (
+        (1.0 - 2.0 * p_L) * pdf * a_l / sn - 2.0 * p_L * cdf,
+        -(2.0 * p_R - 1.0) * pdf * a_r / sn + 2.0 * (1.0 - p_R) * (1.0 - cdf),
         sq_l * (-k * pdf) * a_l / sn**2 - 2.0 * pdf * b_l / sn - 2.0 * cdf,
         -sq_r * (-k * pdf) * a_r / sn**2 - 2.0 * pdf * b_r / sn - 2.0 * (1.0 - cdf),
+        cdf,
     )
 
 
-def _scaled_foc_L(p_L: float, p_R: float, params: ModelParams, sn: float) -> tuple[float, float]:
-    """L's FOC (:func:`_foc_pair`) divided by phi(kappa) and its slope in p_L.
-
-    G_L = (1-2 p_L) A_L / sigma_n - 2 p_L M(kappa) with M = Phi/phi has the
-    FOC's sign, which survives where phi(kappa) underflows.  With
-    M' = 1 + kappa M and dkappa/dp_L = (1-2 p_L)/sigma_n its slope is
-    -2 (A_L + p_L (1-2 p_L)(2 + kappa M)) / sigma_n - 2 M.  The margin comes
-    first, so a huge p_R raises :class:`DomainError` before it is squared."""
+def _scaled_foc_L(p_L: float, p_R: float, params: ModelParams, sn: float) -> tuple[float, ...]:
+    """(G_L, dG_L/dp_L, dG_L/dp_R).  With t the first term of G_L and
+    c = t (kappa + lambda) / sigma_n, the partials are
+    -2 lambda (A_L + p_L (1-2 p_L)) / sigma_n - (1-2 p_L) c - 2 and
+    2 p_R (1-2 p_L) lambda / sigma_n - (2 p_R-1) c.  The margin comes first,
+    so a huge p_R raises :class:`DomainError` before it is squared."""
     k = _margin(p_L, p_R, params, sn)
-    m = _mills(k)
+    lam = 1.0 / _mills(k)
     a_l = p_R**2 - p_L**2 + params.V + params.w
-    g = (1.0 - 2.0 * p_L) * a_l / sn - 2.0 * p_L * m
-    return g, -2.0 * (a_l + p_L * (1.0 - 2.0 * p_L) * (2.0 + k * m)) / sn - 2.0 * m
+    d = 1.0 - 2.0 * p_L
+    t = d * a_l * lam / sn
+    c = t * (k + lam) / sn
+    return (
+        t - 2.0 * p_L,
+        -2.0 * lam * (a_l + p_L * d) / sn - d * c - 2.0,
+        2.0 * p_R * d * lam / sn - (2.0 * p_R - 1.0) * c,
+    )
 
 
-def _scaled_foc_R(p_L: float, p_R: float, params: ModelParams, sn: float) -> tuple[float, float]:
-    """R's FOC (:func:`_foc_pair`) divided by phi(kappa) and its slope in p_R:
-    G_R = -(2 p_R-1) A_R / sigma_n + 2 (1-p_R) M(x) with x = -kappa, and,
-    as dx/dp_R = -(2 p_R-1)/sigma_n, slope
-    -2 (A_R + (2 p_R-1)(1-p_R)(2 + x M)) / sigma_n - 2 M."""
+def _scaled_foc_R(p_L: float, p_R: float, params: ModelParams, sn: float) -> tuple[float, ...]:
+    """(G_R, dG_R/dp_R, dG_R/dp_L).  With x = -kappa, u the second term of
+    G_R and c = u (x + lambda) / sigma_n, the partials are
+    -2 lambda (A_R + (2 p_R-1)(1-p_R)) / sigma_n - (2 p_R-1) c - 2 and
+    2 (1-p_L)(2 p_R-1) lambda / sigma_n - (1-2 p_L) c."""
     x = -_margin(p_L, p_R, params, sn)
-    m = _mills(x)
+    lam = 1.0 / _mills(x)
     a_r = (p_L - 2.0) * p_L - (p_R - 2.0) * p_R + params.V + params.w
-    g = -(2.0 * p_R - 1.0) * a_r / sn + 2.0 * (1.0 - p_R) * m
-    return g, -2.0 * (a_r + (2.0 * p_R - 1.0) * (1.0 - p_R) * (2.0 + x * m)) / sn - 2.0 * m
+    e = 2.0 * p_R - 1.0
+    u = e * a_r * lam / sn
+    c = u * (x + lam) / sn
+    return (
+        2.0 * (1.0 - p_R) - u,
+        -2.0 * lam * (a_r + e * (1.0 - p_R)) / sn - e * c - 2.0,
+        2.0 * (1.0 - p_L) * e * lam / sn - (1.0 - 2.0 * p_L) * c,
+    )
 
 
 def d_euL_d_pL(pp: PlatformPair, params: ModelParams) -> float:
     """dE[pi_L]/dp_L at an arbitrary profile."""
-    return _foc_pair(pp.p_L, pp.p_R, params, noise_scale(params))[0]
+    return _raw_pair(pp.p_L, pp.p_R, params, noise_scale(params))[0]
 
 
 def d_euR_d_pR(pp: PlatformPair, params: ModelParams) -> float:
     """dE[pi_R]/dp_R at an arbitrary profile."""
-    return _foc_pair(pp.p_L, pp.p_R, params, noise_scale(params))[1]
+    return _raw_pair(pp.p_L, pp.p_R, params, noise_scale(params))[1]
 
 
 def d2_euL_d_pL2(pp: PlatformPair, params: ModelParams) -> float:
     """d^2 E[pi_L]/dp_L^2; negative at any certified equilibrium."""
-    return _soc_pair(pp.p_L, pp.p_R, params, noise_scale(params))[0]
+    return _raw_pair(pp.p_L, pp.p_R, params, noise_scale(params))[2]
 
 
 def d2_euR_d_pR2(pp: PlatformPair, params: ModelParams) -> float:
     """d^2 E[pi_R]/dp_R^2; negative at any certified equilibrium."""
-    return _soc_pair(pp.p_L, pp.p_R, params, noise_scale(params))[1]
+    return _raw_pair(pp.p_L, pp.p_R, params, noise_scale(params))[3]
 
 
 def foc_symmetric(p_L: float, params: ModelParams) -> float:

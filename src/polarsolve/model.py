@@ -55,6 +55,13 @@ def _finite(name: str, x: float) -> float:
     return float(x)
 
 
+def _instance(name: str, x: object, cls: type) -> object:
+    """``x``, or :class:`InvalidParamsError` naming ``name`` unless it is a ``cls``."""
+    if not isinstance(x, cls):
+        raise InvalidParamsError(f"{name} must be a {cls.__name__}, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True, slots=True)
 class ModelParams:
     """Full parameterization of one game instance.

@@ -1,18 +1,18 @@
 """Brute-force ground truth.
 
 Nothing in this module knows any analytic shortcut: best responses are
-grid argmaxes of the raw expected utilities, win probabilities are
+grid argmaxes of the expected utilities, win probabilities are
 Monte Carlo frequencies of the voter's literal decision rule, and
 peak counting is a direct scan.  The rest of the package is certified
 against these routines, never the other way around.
 
-The grid scans evaluate the raw payoff over the whole grid in one numpy
-pass.  That pass repeats the formulas of :func:`expected_utility_L` and
-:func:`expected_utility_R` operation for operation, and takes the normal
-CDF by the scalar ``math.erfc`` per element with the scalar clamp
-(:func:`_std_normal_cdf_array`), so every grid value has the same bits as
-the scalar call at that point; the scalar payoffs in
-:mod:`polarsolve.model` remain the reference it is tested against.  With
+The grid scans evaluate the payoff over the whole grid in one numpy pass.
+The peak scan's raw payoff repeats the formulas of
+:func:`expected_utility_L` and :func:`expected_utility_R` operation for
+operation, and takes the normal CDF by the scalar ``math.erfc`` per element
+with the scalar clamp (:func:`_std_normal_cdf_array`), so every grid value
+has the same bits as the scalar call at that point; the grid best response
+ranks the same payoff less the party's sure-loss payoff.  With
 :mod:`polarsolve.verify`, this is the only module that imports numpy.
 """
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidParamsError, SpanTooSmallError
 from .gaussmath import _CDF_CLAMP, _INV_SQRT_2, _require_finite
-from .model import ModelParams, PlatformPair, _finite, noise_scale
+from .model import ModelParams, PlatformPair, _finite, _instance, noise_scale
 
 __all__ = [
     "OracleReport",
@@ -100,7 +100,13 @@ def _std_normal_cdf_array(x: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _grid(span: tuple[float, float], grid_step: float) -> tuple[np.ndarray, ...]:
+def _grid_terms(
+    opponent_policy: float, party: Literal["L", "R"], params: ModelParams,
+    span: tuple[float, float], grid_step: float,
+) -> tuple[np.ndarray, ...]:
+    """The grid, L's margin kappa at every grid point, and there the party's
+    payoff if it wins and its cost if it loses (the sure-loss payoff is minus
+    that), each computed as :func:`win_margin` and the payoffs compute it."""
     try:
         lo, hi = span
     except (TypeError, ValueError):
@@ -111,35 +117,31 @@ def _grid(span: tuple[float, float], grid_step: float) -> tuple[np.ndarray, ...]
         raise InvalidParamsError(f"grid_step must be positive and finite, got {grid_step}")
     if not lo < hi:
         raise InvalidParamsError(f"span must be a nonempty interval, got {span}")
-    return _grid_columns(lo, hi, grid_step)
-
-
-def _grid_payoffs(
-    opponent_policy: float,
-    party: Literal["L", "R"],
-    params: ModelParams,
-    span: tuple[float, float],
-    grid_step: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The grid and the party's raw expected utility at every grid point,
-    computed as :func:`win_margin` and the payoff functions compute it,
-    in the same order, so each value has the scalar call's bits."""
-    xs, xs_sq, one_minus_xs_sq = _grid(span, grid_step)
+    xs, xs_sq, one_minus_xs_sq = _grid_columns(lo, hi, grid_step)
     if party not in ("L", "R"):
         raise InvalidParamsError(f"party must be 'L' or 'R', got {party!r}")
     opp = _finite("p_R" if party == "L" else "p_L", opponent_policy)
+    _instance("params", params, ModelParams)
     own_term = xs * (1.0 - xs)
     opp_term = opp * (1.0 - opp)
-    lead = own_term - opp_term if party == "L" else opp_term - own_term
-    num = (lead + params.w * (1.0 - 2.0 * params.mu_i)) - params.mu_v
-    pr = _std_normal_cdf_array(num / noise_scale(params))
     if party == "L":
-        vals = pr * (params.V - xs_sq) - (1.0 - pr) * (params.w + opp**2)
+        lead, win, lose = own_term - opp_term, params.V - xs_sq, params.w + opp**2
     else:
-        vals = (1.0 - pr) * (params.V - one_minus_xs_sq) - pr * (
-            params.w + (1.0 - opp) ** 2
-        )
-    return xs, vals
+        lead = opp_term - own_term
+        win, lose = params.V - one_minus_xs_sq, params.w + (1.0 - opp) ** 2
+    num = (lead + params.w * (1.0 - 2.0 * params.mu_i)) - params.mu_v
+    return xs, num / noise_scale(params), win, lose
+
+
+def _grid_payoffs(
+    opponent_policy: float, party: Literal["L", "R"], params: ModelParams,
+    span: tuple[float, float], grid_step: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The grid and the party's raw expected utility at every grid point,
+    with the scalar call's bits."""
+    xs, k, win, lose = _grid_terms(opponent_policy, party, params, span, grid_step)
+    pr = _std_normal_cdf_array(k)
+    return xs, pr * win - (1.0 - pr) * lose if party == "L" else (1.0 - pr) * win - pr * lose
 
 
 def grid_best_response(
@@ -151,17 +153,19 @@ def grid_best_response(
 ) -> float:
     """Argmax of the party's expected utility on a uniform grid.
 
-    The raw payoff is evaluated over the whole grid at once, bit-identical
-    to :func:`expected_utility_L` / :func:`expected_utility_R` at every
-    grid point; those scalar payoffs remain the reference.
-
+    It maximizes the payoff less the sure-loss payoff, a constant: the
+    party's own win probability, Phi(kappa) for L and Phi(-kappa) for R by
+    ``math.erfc`` (never as 1 - Phi), times its stake, the payoff of winning
+    less that of losing.  Where the party surely loses, the raw payoff is
+    flat to its last bit; the gap ranks the points down to Phi(-38).
     Exact value ties break toward the point nearest 1/2 (then the
     smaller point).  An argmax on the edge of ``span`` means the span
     was too small to contain the response and raises
     :class:`SpanTooSmallError` rather than returning a clipped answer.
     """
-    xs, vals = _grid_payoffs(opponent_policy, party, params, span, grid_step)
-    candidates = xs[vals == vals.max()].tolist()
+    xs, k, win, lose = _grid_terms(opponent_policy, party, params, span, grid_step)
+    gaps = _std_normal_cdf_array(k if party == "L" else -k) * (win + lose)
+    candidates = xs[gaps == gaps.max()].tolist()
     response = min(candidates, key=lambda x: (abs(x - 0.5), x))
     if response == xs[0] or response == xs[-1]:
         raise SpanTooSmallError(
@@ -183,6 +187,8 @@ def mc_win_probability(
     inequality decides measure-zero ties for R; no draw ever lands there
     in practice.  Bit-reproducible for a given seed.
     """
+    _instance("pp", pp, PlatformPair)
+    _instance("params", params, ModelParams)
     if type(n_samples) is not int or n_samples < 10_000:
         raise InvalidParamsError(f"n_samples must be an int >= 10000, got {n_samples!r}")
     if type(seed) is not int or seed < 0:

@@ -14,23 +14,24 @@ Two entry points:
   builds no ``ModelParams``.
 
 * :func:`solve_asymmetric` — damped alternating best responses for
-  general parameters, finished with a short 2-D Newton polish on the
-  analytic first-order conditions.  Each best response finds the root of
-  the party's FOC divided by phi(kappa) by Newton steps safeguarded by
-  bisection (:func:`_rtsafe`) on a constant bracket whose end signs are
-  proven, [0, 1/2] for L and [1/2, 1] for R, so it cannot fail, also
-  where the win probability underflows.  Inside the iteration each search
-  starts at the party's previous response.  Below the single-peak bound a
-  result must also pass the grid oracle; only if it does not, or the
-  iteration does not converge, is the solve rerun with a grid pre-scan in
-  every best response.
-  Convergence of the iteration is an empirical matter and non-convergence
-  is a first-class reported outcome (:class:`~polarsolve.errors.ConvergenceError`
-  with the full iterate trace), never a silent truncation.
+  general parameters, finished by 2-D Newton steps.  One kernel pair
+  serves every step: each party's FOC divided by its own win probability
+  (G_L, G_R in :mod:`polarsolve.calculus`), finite where that probability
+  underflows, with closed-form partials.  Each best response finds the
+  root of G by Newton steps safeguarded by bisection (:func:`_rtsafe`) on
+  a constant bracket whose end signs are proven, [0, 1/2] for L and
+  [1/2, 1] for R, starting inside the iteration at the party's previous
+  response; the finish steps on (G_L, G_R) with its Jacobian.  Below the
+  single-peak bound a result must also pass the grid oracle; only if it
+  does not, or the iteration does not converge, is the solve rerun with a
+  grid pre-scan in every best response.  Non-convergence is a reported
+  outcome (:class:`~polarsolve.errors.ConvergenceError` with the full
+  iterate trace), never a silent truncation.
 
-Every result carries its own certificate: FOC residuals, second-order
-condition values, and — when sigma_v sits below the unimodality bound —
-agreement with the brute-force grid oracle.
+Every result carries its own certificate: each party's Newton distance
+|G/G'| to its root below ``tol_fp`` with G' < 0, and — when sigma_v sits
+below the unimodality bound — agreement with the brute-force grid oracle.
+The raw FOC residuals and second derivatives are reported beside it.
 """
 
 from __future__ import annotations
@@ -42,12 +43,11 @@ from typing import Callable, Literal, NamedTuple
 
 from .calculus import (
     _PHI0,
-    _foc_pair,
     _foc_symmetric,
     _foc_symmetric_derivative,
+    _raw_pair,
     _scaled_foc_L,
     _scaled_foc_R,
-    _soc_pair,
 )
 from .errors import (
     ConvergenceError,
@@ -56,7 +56,7 @@ from .errors import (
     SpanTooSmallError,
     SymmetryLocusError,
 )
-from .model import ModelParams, PlatformPair, _checked_noise_scale, _finite, noise_scale
+from .model import ModelParams, PlatformPair, _checked_noise_scale, _finite, _instance, noise_scale
 from .oracle import grid_best_response
 
 __all__ = [
@@ -80,7 +80,7 @@ class SolverConfig:
     used by the verification suite."""
 
     tol_root: float = 1e-12       # root finders' stop: bisection interval / Newton step
-    tol_fp: float = 1e-10         # fixed-point platform-change tolerance
+    tol_fp: float = 1e-10         # platform change to stop; certificate's |G/G'| bound
     max_iter: int = 500           # best-response iteration budget
     damping: float = 0.5          # step fraction toward the best response
 
@@ -115,6 +115,13 @@ class EquilibriumResult:
         return self.platforms.delta
 
 
+def _config(params: ModelParams, cfg: SolverConfig | None) -> SolverConfig:
+    """Check ``params`` at a public entry and return ``cfg``, or the defaults
+    for ``None``; an argument of the wrong type is an :class:`InvalidParamsError`."""
+    _instance("params", params, ModelParams)
+    return SolverConfig() if cfg is None else _instance("cfg", cfg, SolverConfig)
+
+
 def _warn_single_peakedness(params: ModelParams, stacklevel: int = 3) -> None:
     warnings.warn(
         f"sigma_v={params.sigma_v:g} is below the unimodality bound "
@@ -137,6 +144,15 @@ def _grid_certified(pp: PlatformPair, params: ModelParams) -> bool:
     return abs(g_l - pp.p_L) <= 1e-3 and abs(g_r - pp.p_R) <= 1e-3
 
 
+def _scaled_pair(p_l: float, p_r: float, params: ModelParams, sn: float) -> tuple:
+    """The larger Newton distance |G/G'| of the scaled FOCs to their roots
+    (``inf`` unless both own slopes G' are negative) and both kernels' values."""
+    g_l, g_r = _scaled_foc_L(p_l, p_r, params, sn), _scaled_foc_R(p_l, p_r, params, sn)
+    if not (g_l[1] < 0.0 and g_r[1] < 0.0):
+        return math.inf, g_l, g_r
+    return max(abs(g_l[0] / g_l[1]), abs(g_r[0] / g_r[1])), g_l, g_r
+
+
 #: The fields the kernels read: an unchecked stand-in for ``replace(params, w=w)``.
 _AtW = NamedTuple("_AtW", [("V", float), ("w", float), ("mu_i", float), ("mu_v", float)])
 
@@ -148,9 +164,8 @@ def _certificate(
     """Certificate of ``pp`` for ``params`` at weight ``w`` (noise scale ``sn``),
     on the kernels; a ``ModelParams`` at ``w`` is built only for the grid oracle."""
     at_w = _AtW(params.V, w, params.mu_i, params.mu_v)
-    f_l, f_r, pr_l = _foc_pair(pp.p_L, pp.p_R, at_w, sn)
-    s_l, s_r = _soc_pair(pp.p_L, pp.p_R, at_w, sn)
-    certified = max(abs(f_l), abs(f_r)) < cfg.tol_fp and s_l < 0.0 and s_r < 0.0
+    f_l, f_r, s_l, s_r, pr_l = _raw_pair(pp.p_L, pp.p_R, at_w, sn)
+    certified = _scaled_pair(pp.p_L, pp.p_R, at_w, sn)[0] < cfg.tol_fp
     if certified and not params.single_peaked_guaranteed:
         certified = _grid_certified(pp, replace(params, w=w))
     return EquilibriumResult(
@@ -245,7 +260,7 @@ def symmetric_foc_root(
     valid params (the FOC does not involve mu_i or mu_v); whether the
     profile is an equilibrium is answered by :func:`solve_symmetric`.
     """
-    cfg = cfg or SolverConfig()
+    cfg = _config(params, cfg)
     return _sym_root(params.V, params.w, noise_scale(params), cfg.tol_root)
 
 
@@ -256,7 +271,7 @@ def solve_symmetric(params: ModelParams, cfg: SolverConfig | None = None) -> Equ
     ``LOCUS_TOL``); off the locus no symmetric equilibrium exists and
     :func:`solve_asymmetric` is the right call.
     """
-    return _solve_symmetric_at(params, params.w, cfg or SolverConfig(), stacklevel=4)
+    return _solve_symmetric_at(params, params.w, _config(params, cfg), stacklevel=4)
 
 
 def _solve_symmetric_at(
@@ -290,17 +305,15 @@ def best_response(
     L's maximizer lies in [0, 1/2] for any opponent: below 0 the win
     probability and the stake A_L = p_R^2 - p_L^2 + V + w are both lower
     than at 0, and above 1/2 the mirror 1 - p_L wins as often with a
-    larger stake.  L's FOC is positive at 0 and -Phi(kappa) < 0 at 1/2,
-    so the search runs safeguarded Newton steps on it, divided by
-    phi(kappa) to keep its sign where phi underflows, from the bracket's
-    midpoint to ``cfg.tol_root``.  R's bracket is the mirror [1/2, 1].
-    Below the single-peak bound a 1e-4-grid pre-scan first narrows the
-    bracket to its argmax +- 1e-4 and starts there.  ``party`` and
-    ``opponent_policy`` are checked once here; the search
-    (:func:`_best_response`, with no guess) runs on plain floats with the
-    noise scale computed once.
+    larger stake.  L's FOC divided by its win probability, G_L, is
+    positive at 0 and -1 at 1/2; the search runs safeguarded Newton steps
+    on it from the bracket's midpoint to ``cfg.tol_root``.  R's bracket is
+    the mirror [1/2, 1].  Below the single-peak bound a 1e-4-grid pre-scan
+    first narrows the bracket to its argmax +- 1e-4 and starts there.
+    The arguments are checked once here; the search (:func:`_best_response`)
+    runs on plain floats with the noise scale computed once.
     """
-    cfg = cfg or SolverConfig()
+    cfg = _config(params, cfg)
     if party not in ("L", "R"):
         raise InvalidParamsError(f"party must be 'L' or 'R', got {party!r}")
     opp = _finite("p_R" if party == "L" else "p_L", opponent_policy)
@@ -309,7 +322,7 @@ def best_response(
 
 
 def _rtsafe(
-    fdf: Callable[[float], tuple[float, float]], lo: float, hi: float, x: float, tol: float
+    fdf: Callable[[float], tuple[float, ...]], lo: float, hi: float, x: float, tol: float
 ) -> float:
     """Sign change of f on [lo, hi], with f(lo) > 0 > f(hi), by Newton from
     ``x`` in [lo, hi] safeguarded by bisection ("rtsafe", Press et al.,
@@ -323,7 +336,7 @@ def _rtsafe(
     """
     step = hi - lo
     while True:
-        f, df = fdf(x)
+        f, df, _ = fdf(x)
         if f > 0.0:
             lo = x
         elif f < 0.0:
@@ -342,13 +355,8 @@ def _rtsafe(
 
 
 def _best_response(
-    opp: float,
-    party: Literal["L", "R"],
-    params: ModelParams,
-    sn: float,
-    cfg: SolverConfig,
-    guess: float | None = None,
-    prescan: bool = False,
+    opp: float, party: Literal["L", "R"], params: ModelParams, sn: float, cfg: SolverConfig,
+    guess: float | None = None, prescan: bool = False,
 ) -> float:
     """:func:`best_response` of a checked opponent, given ``sn``: the root
     of the party's scaled FOC by :func:`_rtsafe` to ``cfg.tol_root``.
@@ -397,7 +405,7 @@ def solve_asymmetric(
     a lower damping; so does an exhausted iteration budget.  The raised
     error carries the iterate trace.
     """
-    cfg = cfg or SolverConfig()
+    cfg = _config(params, cfg)
     try:
         p_l, p_r = start
     except (TypeError, ValueError):
@@ -451,33 +459,24 @@ def _iterate(
     return _certificate(PlatformPair(p_l, p_r), params, params.w, sn, cfg, converged, "asymmetric")
 
 
-def _newton_polish(
-    p_l: float, p_r: float, params: ModelParams, sn: float
-) -> tuple[float, float]:
-    """A few 2-D Newton steps on the pair of FOCs (cross-partials by
-    central differences); drives residuals from ~1e-10 to machine level."""
-    h = 1e-6
+def _newton_polish(p_l: float, p_r: float, params: ModelParams, sn: float) -> tuple[float, float]:
+    """At most three 2-D Newton steps on the scaled FOC pair (G_L, G_R)
+    with its closed-form Jacobian, one kernel pair per iterate; a step is
+    kept only if the larger distance to the roots, |G/G'|, does not grow."""
+    dist, scaled_l, scaled_r = _scaled_pair(p_l, p_r, params, sn)
     for _ in range(3):
-        g_l, g_r, _ = _foc_pair(p_l, p_r, params, sn)
-        j_ll, j_rr = _soc_pair(p_l, p_r, params, sn)
-        j_lr = (
-            _foc_pair(p_l, p_r + h, params, sn)[0] - _foc_pair(p_l, p_r - h, params, sn)[0]
-        ) / (2.0 * h)
-        j_rl = (
-            _foc_pair(p_l + h, p_r, params, sn)[1] - _foc_pair(p_l - h, p_r, params, sn)[1]
-        ) / (2.0 * h)
+        (g_l, j_ll, j_lr), (g_r, j_rr, j_rl) = scaled_l, scaled_r
         det = j_ll * j_rr - j_lr * j_rl
         if det == 0.0 or not math.isfinite(det):
             break
         step_l = (j_rr * g_l - j_lr * g_r) / det
         step_r = (j_ll * g_r - j_rl * g_l) / det
         # a step that overflows is reported as an invalid profile
-        cand_l = _finite("p_L", p_l - step_l)
-        cand_r = _finite("p_R", p_r - step_r)
-        f_l, f_r, _ = _foc_pair(cand_l, cand_r, params, sn)
-        if max(abs(f_l), abs(f_r)) > max(abs(g_l), abs(g_r)):  # worse: keep the iterate
+        cand_l, cand_r = _finite("p_L", p_l - step_l), _finite("p_R", p_r - step_r)
+        cand, scaled_l, scaled_r = _scaled_pair(cand_l, cand_r, params, sn)
+        if not cand <= dist:  # farther from the roots: keep the iterate
             break
-        p_l, p_r = cand_l, cand_r
+        p_l, p_r, dist = cand_l, cand_r, cand
         if max(abs(step_l), abs(step_r)) < 1e-15:
             break
     return p_l, p_r

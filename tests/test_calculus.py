@@ -16,7 +16,7 @@ from polarsolve import (
     solve_symmetric,
 )
 from polarsolve.calculus import (
-    _soc_pair,
+    _raw_pair,
     d2_euL_d_pL2,
     d2_euR_d_pR2,
     d_euL_d_pL,
@@ -286,10 +286,12 @@ def test_derivatives_at_a_huge_platform_are_domain_errors(deriv, pp):
 )
 def test_second_derivative_whose_square_overflows_is_a_domain_error(pp, soc, foc):
     # the margin is still finite near 1e154, but (1 - 2p)**2 overflows: that
-    # is a DomainError, while the first derivative there stays an exact 0.0
+    # is a DomainError, also for the first derivative, which the same kernel
+    # computes
     params = ModelParams(w=1.0)
     with pytest.raises(DomainError):
         soc(pp, params)
     with pytest.raises(DomainError):
-        _soc_pair(pp.p_L, pp.p_R, params, noise_scale(params))
-    assert foc(pp, params) == 0.0
+        _raw_pair(pp.p_L, pp.p_R, params, noise_scale(params))
+    with pytest.raises(DomainError):
+        foc(pp, params)

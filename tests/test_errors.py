@@ -15,12 +15,17 @@ from polarsolve import (
     PlatformPair,
     PolarsolveError,
     best_response,
+    classify_moderate,
+    find_equilibria,
     grid_best_response,
     mc_win_probability,
     peak_scan,
     run_checks,
     shape_report,
+    solve_asymmetric,
+    solve_symmetric,
     sweep_w,
+    w_tilde,
 )
 from polarsolve.calculus import dpL_dw_polar
 
@@ -56,3 +61,26 @@ def test_bad_argument_raises_a_typed_error(call):
         call()
     assert isinstance(info.value, InvalidParamsError)
     assert isinstance(info.value, ValueError)
+
+
+# an argument of the wrong type once reached an attribute or len() and
+# escaped as a bare AttributeError or TypeError
+WRONG_TYPES = {
+    "solve-symmetric-cfg": ("cfg", lambda: solve_symmetric(BASE, 1)),
+    "solve-asymmetric-cfg": ("cfg", lambda: solve_asymmetric(BASE, "x")),
+    "sweep-cfg": ("cfg", lambda: sweep_w([0.5, 1.0], BASE, 1)),
+    "find-equilibria-cfg": ("cfg", lambda: find_equilibria(BASE, "x")),
+    "solve-asymmetric-params": ("params", lambda: solve_asymmetric(None)),
+    "best-response-params": ("params", lambda: best_response(0.5, "L", None)),
+    "sweep-params": ("params_base", lambda: sweep_w([0.5, 1.0], None)),
+    "w-tilde-params": ("params", lambda: w_tilde(None)),
+    "classify-params": ("params", lambda: classify_moderate(None)),
+    "mc-pp": ("pp", lambda: mc_win_probability(None, BASE, 10_000, 0)),
+    "shape-rows": ("rows", lambda: shape_report(None)),
+}
+
+
+@pytest.mark.parametrize("name, call", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
+def test_an_argument_of_the_wrong_type_is_named(name, call):
+    with pytest.raises(InvalidParamsError, match=rf"^{name} must be a"):
+        call()

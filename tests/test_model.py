@@ -19,8 +19,7 @@ from polarsolve import (
     win_probability_L,
 )
 from polarsolve.calculus import (
-    _foc_pair,
-    _soc_pair,
+    _raw_pair,
     d2_euL_d_pL2,
     d2_euR_d_pR2,
     d_euL_d_pL,
@@ -250,8 +249,7 @@ def test_public_functions_equal_the_float_kernels_bit_for_bit(rng):
             - 2.0 * pdf * b_r / sn
             - 2.0 * (1.0 - pr),
         )
-        assert _foc_pair(p_l, p_r, params, sn) == (*foc, pr)
-        assert _soc_pair(p_l, p_r, params, sn) == soc
+        assert _raw_pair(p_l, p_r, params, sn) == (*foc, *soc, pr)
         assert (d_euL_d_pL(pp, params), d_euR_d_pR(pp, params)) == foc
         assert (d2_euL_d_pL2(pp, params), d2_euR_d_pR2(pp, params)) == soc
         assert expected_utility_L(pp, params) == pr * (params.V - p_l**2) - (1.0 - pr) * (

@@ -1,10 +1,15 @@
 """The brute-force oracles: grid argmax, Monte Carlo votes, peak scans."""
 
+import importlib.util
 import math
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polarsolve
 from polarsolve import (
     DomainError,
     InvalidParamsError,
@@ -16,10 +21,13 @@ from polarsolve import (
     grid_best_response,
     mc_win_probability,
     peak_scan,
+    run_checks,
+    solve_asymmetric,
     solve_symmetric,
     win_margin,
     win_probability_L,
 )
+from polarsolve import solver, verify
 from polarsolve.oracle import DEFAULT_SPAN, _grid_payoffs
 
 # A genuinely bimodal instance found by random search below the
@@ -137,6 +145,80 @@ def test_grid_tie_breaks_toward_one_half_on_a_flat_payoff():
     # mu_v=100 clamps Pr(L wins) to exactly 0 on the whole span, so L's
     # payoff is the same sure-loss value at every grid point
     assert grid_best_response(0.75, "L", ModelParams(w=0.0, mu_v=100.0)) == 0.5
+
+
+def _recorded_grid_calls(monkeypatch, module, run):
+    """(opponent, party, params, response) of every default-grid best
+    response that ``run()`` makes through ``module``."""
+    calls = []
+    grid = module.grid_best_response
+
+    def record(opponent, party, params, grid_step=1e-4, span=DEFAULT_SPAN):
+        response = grid(opponent, party, params, grid_step, span)
+        if (grid_step, span) == (1e-4, DEFAULT_SPAN):
+            calls.append((opponent, party, params, response))
+        return response
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "grid_best_response", record)
+        run()
+    return calls
+
+
+def _rugged_solves():
+    # the benchmark's below-bound solves at seeds 1-30; each certificate
+    # runs one grid best response per party
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", polarsolve.SinglePeakednessWarning)
+        for seed in range(1, 31):
+            for params in workloads.Rugged().inputs(polarsolve, seed):
+                solve_asymmetric(params)
+
+
+def test_the_gap_form_keeps_every_clear_argmax_of_the_raw_payoff(monkeypatch):
+    # where the raw payoff's maximum beats every other grid point by more
+    # than 64 ulps, the grid best response is that point: the gap form
+    # changes only the rounding of the same function.  Configs: seeded
+    # draws on both sides of the single-peak bound, the oracle-br check's
+    # 50 and the certificates of the rugged solves
+    cases = []
+    for seed in range(100):
+        for lo, hi in ((0.102, 10.0), (0.01, 0.1)):
+            params, opponent = seeded_draw(seed, lo, hi)
+            party = "L" if seed % 2 == 0 else "R"
+            cases.append((opponent, party, params, grid_best_response(opponent, party, params)))
+    cases += _recorded_grid_calls(monkeypatch, verify, lambda: run_checks(only=["oracle-br"]))
+    cases += _recorded_grid_calls(monkeypatch, solver, _rugged_solves)
+    clear = 0
+    for opponent, party, params, response in cases:
+        xs, vals = _grid_payoffs(opponent, party, params, DEFAULT_SPAN, 1e-4)
+        i = int(np.argmax(vals))
+        if vals[i] - np.delete(vals, i).max() > 64 * math.ulp(abs(vals[i])):
+            clear += 1
+            assert response == xs[i], (params, opponent, party)
+    assert clear >= 480
+
+
+def test_the_gap_form_ranks_a_race_the_party_surely_loses():
+    # offlocus-sweep seed 1, base 9 at w=1: L leads by kappa ~ 8.7, so R's
+    # raw payoff is -2.0 at every grid point near its best response and a
+    # raw argmax falls to the tie-break at 1/2; the gap ranks Phi(-kappa)
+    params = ModelParams(
+        w=1.0,
+        V=0.11079471346757126,
+        sigma_i=0.03906858079438248,
+        sigma_v=0.34271095974641524,
+        mu_i=-0.07386764934875423,
+        mu_v=-2.1752004872624813,
+    )
+    opponent = 1.9593e-17
+    _, vals = _grid_payoffs(opponent, "R", params, DEFAULT_SPAN, 1e-4)
+    assert (vals == vals.max()).sum() > 1
+    assert abs(grid_best_response(opponent, "R", params) - 0.5104) <= 1e-4
 
 
 def test_grid_finds_the_symmetric_best_response(baseline):

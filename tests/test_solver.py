@@ -21,8 +21,14 @@ from polarsolve import (
     sweep_w,
     symmetric_foc_root,
 )
-from polarsolve.calculus import _scaled_foc_L, d_euL_d_pL, d_euR_d_pR, foc_symmetric
-from polarsolve.model import PlatformPair, noise_scale
+from polarsolve.calculus import (
+    _scaled_foc_L,
+    _scaled_foc_R,
+    d_euL_d_pL,
+    d_euR_d_pR,
+    foc_symmetric,
+)
+from polarsolve.model import PlatformPair, noise_scale, win_margin
 from polarsolve.oracle import grid_best_response
 from polarsolve import solver
 from polarsolve.solver import _bisect
@@ -261,7 +267,7 @@ def test_solve_asymmetric_below_the_bound_frozen_value():
     # pre-scan route, where every best response starts at the grid argmax
     with pytest.warns(SinglePeakednessWarning):
         res = solve_asymmetric(ModelParams(w=1.0, sigma_v=0.08, mu_v=0.3))
-    assert (res.platforms.p_L, res.platforms.p_R) == (0.2641356252348499, 0.7657555661173803)
+    assert (res.platforms.p_L, res.platforms.p_R) == (0.2641356252348499, 0.7657555661173802)
     assert res.iterations == 29
     assert res.certified
 
@@ -291,7 +297,7 @@ def test_best_response_frozen_values():
     # exactly, FOC Newton steps included
     p = ModelParams(w=1.0, mu_i=0.3, mu_v=0.1)
     assert best_response(0.75, "L", p) == 0.223319170101579
-    assert best_response(0.25, "R", p) == 0.7512376301124425
+    assert best_response(0.25, "R", p) == 0.7512376301124426
 
 
 def test_solve_asymmetric_frozen_value():
@@ -320,8 +326,10 @@ def test_lopsided_race_certifies_the_root_of_the_scaled_foc(w, p_L):
     res = solve_asymmetric(params)
     assert res.certified
     assert res.platforms.p_L == pytest.approx(p_L, abs=1e-12)
-    scaled, _ = _scaled_foc_L(res.platforms.p_L, res.platforms.p_R, params, noise_scale(params))
-    assert abs(scaled) < 1e-12
+    scaled, slope, _ = _scaled_foc_L(
+        res.platforms.p_L, res.platforms.p_R, params, noise_scale(params)
+    )
+    assert slope < 0.0 and abs(scaled / slope) < 1e-12
 
 
 def test_solve_asymmetric_where_r_sits_at_its_bliss_point():
@@ -383,7 +391,7 @@ def test_rtsafe_steps_on_straight_lines():
 
     def line(root, slope_at=lambda x: -1.0):
         evals.clear()
-        return lambda x: evals.append(x) or (root - x, slope_at(x))
+        return lambda x: evals.append(x) or (root - x, slope_at(x), math.nan)
 
     # a Newton step that lands on the bracket's end is taken
     assert solver._rtsafe(line(1.0), 0.0, 1.0, 0.5, 1e-12) == 1.0
@@ -416,6 +424,120 @@ _BASE_0 = dict(
 
 
 _SWEEP_GRID = [float(w) for w in np.geomspace(1e-3, 1e3, 13)]
+# offlocus-sweep seed 1, bases 5 and 23: at the top of the w grid L loses
+# so surely that kappa < -38, where Phi(kappa) and phi(kappa) underflow
+_BASE_5 = dict(
+    V=8.793781137087384,
+    sigma_i=0.01871349761835721,
+    sigma_v=1.1408572533995445,
+    mu_i=1.6881074624225043,
+    mu_v=-2.932530032441475,
+)
+_BASE_23 = dict(
+    V=2.4872583078330246,
+    sigma_i=0.016243588430897,
+    sigma_v=4.942721424852895,
+    mu_i=1.259219459451833,
+    mu_v=0.47545292086399726,
+)
+
+
+def test_wide_fuzz_certifies_only_mutual_best_responses():
+    # a Newton finish on FOCs scaled by phi(kappa) ~ 1e-17 once certified
+    # 207 of these draws at a profile up to 0.0202 from a mutual best
+    # response, 156 of them with a platform at exactly 0.5
+    n_certified = 0
+    for _, params, _ in _wide_draws(20261020, 3000):
+        res = solve_asymmetric(params)
+        if res.certified:
+            n_certified += 1
+            p_l, p_r = res.platforms.p_L, res.platforms.p_R
+            assert abs(best_response(p_r, "L", params) - p_l) <= 1e-8, params
+            assert abs(best_response(p_l, "R", params) - p_r) <= 1e-8, params
+    assert n_certified == 3000
+
+
+def test_base_9_is_certified_at_rs_best_response_not_at_one_half():
+    # L leads by kappa ~ 8.7, so R's raw payoff is flat to rounding; the
+    # raw Newton finish left p_R at exactly 0.5 and the raw certificate passed
+    params = ModelParams(w=1.0, **_BASE_9)
+    res = solve_asymmetric(params)
+    assert res.certified
+    want = best_response(res.platforms.p_L, "R", params)
+    assert want == pytest.approx(0.51038840918836, abs=1e-13)
+    assert abs(res.platforms.p_R - want) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "base, w",
+    [(_BASE_5, w) for w in _SWEEP_GRID[9:]] + [(_BASE_23, w) for w in _SWEEP_GRID[11:]],
+    ids=[f"base5-w{w:.4g}" for w in _SWEEP_GRID[9:]]
+    + [f"base23-w{w:.4g}" for w in _SWEEP_GRID[11:]],
+)
+def test_a_race_l_surely_loses_certifies(base, w):
+    # the raw SOC_L is exactly 0 here and R's FOC divided by phi(kappa) is
+    # not finite: neither the raw certificate nor its Newton finish could pass
+    params = ModelParams(w=w, **base)
+    res = solve_asymmetric(params)
+    assert win_margin(res.platforms, params) < -38.0
+    assert res.certified
+    p_l, p_r = res.platforms.p_L, res.platforms.p_R
+    assert abs(best_response(p_r, "L", params) - p_l) <= 1e-8
+    assert abs(best_response(p_l, "R", params) - p_r) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "base, w",
+    [(_BASE_0, _SWEEP_GRID[8]), (_BASE_0, _SWEEP_GRID[9]), (_BASE_23, _SWEEP_GRID[10])],
+    ids=["base0-w10", "base0-w31.6", "base23-w100"],
+)
+def test_where_l_trails_far_the_solve_does_not_depend_on_its_start(base, w):
+    # kappa between -27 and -25: the FD re-solve at w + 1e-4 starts warm at
+    # the row's solution; a raw Newton finish left p_L start-dependent by
+    # up to 9.4e-11 on these rows
+    row = solve_asymmetric(ModelParams(w=w, **base))
+    assert -27.0 < win_margin(row.platforms, ModelParams(w=w, **base)) < -25.0
+    params = ModelParams(w=w + 1e-4, **base)
+    warm = solve_asymmetric(params, start=(row.platforms.p_L, row.platforms.p_R))
+    cold = solve_asymmetric(params)
+    assert warm.certified and cold.certified
+    assert abs(warm.platforms.p_L - cold.platforms.p_L) <= 1e-12
+    assert abs(warm.platforms.p_R - cold.platforms.p_R) <= 1e-12
+
+
+def test_the_certificate_refuses_a_root_where_a_payoff_has_a_minimum():
+    # L's payoff falls from its peak and climbs back toward its sure-loss
+    # asymptote, so its FOC has a second root, a minimum, at p_L ~ -1.885;
+    # R sits at its best response to it.  Both scaled FOCs are at their
+    # roots, but L's slope there is positive
+    params = ModelParams(w=1.0)
+    pp = PlatformPair(-1.8851217732319294, 0.9578142525705995)
+    sn = noise_scale(params)
+    g_l, slope_l, _ = _scaled_foc_L(pp.p_L, pp.p_R, params, sn)
+    g_r, slope_r, _ = _scaled_foc_R(pp.p_L, pp.p_R, params, sn)
+    assert slope_l > 0.0 > slope_r
+    assert abs(g_l / slope_l) < 1e-15 and abs(g_r / slope_r) < 1e-15
+    res = solver._certificate(pp, params, params.w, sn, SolverConfig(), 0, "asymmetric")
+    assert res.soc_L > 0.0
+    assert not res.certified
+
+
+def test_scaled_foc_slopes_agree_with_central_differences():
+    # each kernel's two closed-form partials, against central differences
+    # of its value, relative to the larger of the two
+    h = 1e-7
+    for rng, params, _ in _wide_draws(20261021, 400):
+        sn = noise_scale(params)
+        p_l, p_r = (float(x) for x in rng.uniform([0.0, 0.5], [0.5, 1.0]))
+        for party, kernel in (("L", _scaled_foc_L), ("R", _scaled_foc_R)):
+            f = lambda a, b: kernel(a, b, params, sn)[0]
+            _, d_own, d_opp = kernel(p_l, p_r, params, sn)
+            fd_l = (f(p_l + h, p_r) - f(p_l - h, p_r)) / (2.0 * h)
+            fd_r = (f(p_l, p_r + h) - f(p_l, p_r - h)) / (2.0 * h)
+            fd_own, fd_opp = (fd_l, fd_r) if party == "L" else (fd_r, fd_l)
+            tol = 1e-6 * max(abs(d_own), abs(d_opp))
+            assert abs(d_own - fd_own) <= tol, (party, params, p_l, p_r)
+            assert abs(d_opp - fd_opp) <= tol, (party, params, p_l, p_r)
 
 
 def _same_certified_rows(rows, ref):
