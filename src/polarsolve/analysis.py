@@ -36,11 +36,11 @@ from .errors import (
     InvalidParamsError,
     PolarsolveError,
 )
-from .model import ModelParams, _checked_noise_scale, _instance
+from .model import ModelParams, _checked_noise_scale, _finite, _instance
 from .solver import (
     SolverConfig,
-    _bisect,
     _config,
+    _rtsafe,
     _solve_symmetric_at,
     _sym_root,
     solve_asymmetric,
@@ -275,16 +275,17 @@ def delta_limit_infinity(params: ModelParams) -> float:
 def w_tilde(params: ModelParams, cfg: SolverConfig | None = None) -> float:
     """The interior peak of w -> p_L*(w) (trough of delta(w)).
 
-    The slope of p_L* has the sign of c - w (1 + V - 2 p_L*), with
-    c = sigma_v^2 / (4 sigma_i^2).  As p_L* lies in (0, 1/2), that is
+    The slope of p_L* has the sign of N(w) = c - w (1 + V - 2 p_L*), with
+    c = sigma_v^2 / (4 sigma_i^2).  As p_L* lies in (0, 1/2), N is
     2 p_L* c / (1 + V) > 0 at w = c / (1 + V) and c (2 p_L* - 1) / V < 0
-    at w = c / V, so one bisection of the analytic slope (on the float
-    root and slope kernels) over that bracket finds the peak without
-    evaluating its ends.  The tolerance is 1e-12 times the lower end:
-    1e-12 relative however small or large the peak, well within the
-    1e-6 self-consistency contract with the sign-flip boundary; a
-    bracket already that narrow (V above about 1e12) is returned as its
-    midpoint.  There is no search cap.  When rounding leaves no bracket
+    at w = c / V.  :func:`~polarsolve.solver._rtsafe` finds the root of N
+    on that bracket from its midpoint, without evaluating its ends, with
+    N' = 2 w dp_L*/dw - (1 + V - 2 p_L*) from the float root and slope
+    kernels; each step solves one symmetric root.  The tolerance is 1e-12
+    times the lower end: 1e-12 relative however small or large the peak,
+    well within the 1e-6 self-consistency contract with the sign-flip
+    boundary; a bracket already that narrow (V above about 1e12) ends
+    after one step.  There is no search cap.  When rounding leaves no bracket
     of positive finite w (c underflows to 0 or overflows),
     :class:`ConvergenceError` names it; a bracketed w whose noise scale
     overflows raises :class:`InvalidParamsError`.
@@ -300,11 +301,12 @@ def w_tilde(params: ModelParams, cfg: SolverConfig | None = None) -> float:
             f"for the peak of p_L*(w); params={params}"
         )
 
-    def slope(w: float) -> float:
-        sn = _checked_noise_scale(w, sigma_i, sigma_v)
-        return _dpL_dw_symmetric(_sym_root(V, w, sn, cfg.tol_root)[0], V, w, sigma_i, sigma_v)
+    def gap_and_slope(w: float) -> tuple[float, float, None]:
+        p = _sym_root(V, w, _checked_noise_scale(w, sigma_i, sigma_v), cfg.tol_root)[0]
+        spread = 1.0 + V - 2.0 * p
+        return c - w * spread, 2.0 * w * _dpL_dw_symmetric(p, V, w, sigma_i, sigma_v) - spread, None
 
-    return _bisect(slope, w_lo, w_hi, 1e-12 * w_lo)[0]
+    return _rtsafe(gap_and_slope, w_lo, w_hi, 0.5 * (w_lo + w_hi), 1e-12 * w_lo)[0]
 
 
 def symmetry_locus_mu_v(w: float, mu_i: float) -> float:
@@ -379,7 +381,7 @@ def prop5_slope_identity(p_L_star: float, params: ModelParams) -> float:
     theory and raises :class:`DegenerateError` rather than being masked.
     """
     _instance("params", params, ModelParams)
-    p = p_L_star
+    p = _finite("p_L_star", p_L_star)
     den = 1.0 - 16.0 * p**3 + 12.0 * p**2 - 4.0 * p + params.V + params.w
     if den <= 0.0:
         raise DegenerateError(

@@ -51,7 +51,7 @@ from typing import Literal
 
 from .errors import DomainError, InvalidParamsError, PreconditionError
 from .gaussmath import _cdf, _mills, _pdf, _require_finite
-from .model import ModelParams, PlatformPair, _margin, noise_scale
+from .model import ModelParams, PlatformPair, _instance, _margin, _platforms, noise_scale
 
 __all__ = [
     "d_euL_d_pL",
@@ -136,22 +136,22 @@ def _scaled_foc_R(p_L: float, p_R: float, params: ModelParams, sn: float) -> tup
 
 def d_euL_d_pL(pp: PlatformPair, params: ModelParams) -> float:
     """dE[pi_L]/dp_L at an arbitrary profile."""
-    return _raw_pair(pp.p_L, pp.p_R, params, noise_scale(params))[0]
+    return _raw_pair(*_platforms(pp), params, noise_scale(params))[0]
 
 
 def d_euR_d_pR(pp: PlatformPair, params: ModelParams) -> float:
     """dE[pi_R]/dp_R at an arbitrary profile."""
-    return _raw_pair(pp.p_L, pp.p_R, params, noise_scale(params))[1]
+    return _raw_pair(*_platforms(pp), params, noise_scale(params))[1]
 
 
 def d2_euL_d_pL2(pp: PlatformPair, params: ModelParams) -> float:
     """d^2 E[pi_L]/dp_L^2; negative at any certified equilibrium."""
-    return _raw_pair(pp.p_L, pp.p_R, params, noise_scale(params))[2]
+    return _raw_pair(*_platforms(pp), params, noise_scale(params))[2]
 
 
 def d2_euR_d_pR2(pp: PlatformPair, params: ModelParams) -> float:
     """d^2 E[pi_R]/dp_R^2; negative at any certified equilibrium."""
-    return _raw_pair(pp.p_L, pp.p_R, params, noise_scale(params))[3]
+    return _raw_pair(*_platforms(pp), params, noise_scale(params))[3]
 
 
 def foc_symmetric(p_L: float, params: ModelParams) -> float:
@@ -164,12 +164,14 @@ def foc_symmetric(p_L: float, params: ModelParams) -> float:
     guarantees a unique bracketed root.  Independent of mu_i/mu_v: on
     the symmetry locus the win margin is identically zero.
     """
-    return _foc_symmetric(p_L, params.V, params.w, noise_scale(params))
+    sn = noise_scale(params)  # checks params before its fields are read
+    return _foc_symmetric(p_L, params.V, params.w, sn)
 
 
 def foc_symmetric_derivative(p_L: float, params: ModelParams) -> float:
     """d/dp_L of :func:`foc_symmetric`; strictly negative on [0, 1/2]."""
-    return _foc_symmetric_derivative(p_L, params.V, params.w, noise_scale(params))
+    sn = noise_scale(params)  # checks params before its fields are read
+    return _foc_symmetric_derivative(p_L, params.V, params.w, sn)
 
 
 def _foc_symmetric(p_L: float, V: float, w: float, sn: float) -> float:
@@ -188,6 +190,7 @@ def _foc_symmetric_derivative(p_L: float, V: float, w: float, sn: float) -> floa
 def foc_symmetric_valence_only(p_L: float, params: ModelParams) -> float:
     """Symmetric FOC in the valence-uncertainty-only limit sigma_i -> 0
     (the noise scale collapses to sigma_v)."""
+    _instance("params", params, ModelParams)
     return _foc_symmetric(p_L, params.V, params.w, params.sigma_v)
 
 
@@ -199,7 +202,7 @@ def foc_symmetric_ideology_only(p_L: float, params: ModelParams) -> float:
     match the voter's policy bliss 1/2, so there is no FOC to evaluate —
     callers special-case w = 0.
     """
-    if params.w == 0.0:
+    if _instance("params", params, ModelParams).w == 0.0:
         raise DomainError(
             "ideology-only FOC is singular at w=0 (limit policy is 1/2); "
             "w must be positive"
@@ -208,7 +211,7 @@ def foc_symmetric_ideology_only(p_L: float, params: ModelParams) -> float:
 
 
 def _require_root(foc: float, label: str) -> None:
-    if abs(foc) > _ON_MANIFOLD_TOL:
+    if not abs(foc) <= _ON_MANIFOLD_TOL:  # NaN too
         raise PreconditionError(
             f"implicit derivative evaluated off the solution manifold: "
             f"|{label}| = {abs(foc):.3e} > {_ON_MANIFOLD_TOL:.0e}"

@@ -131,6 +131,7 @@ class PlatformPair:
 def voter_utility(i: float, p: float, i_hat: float, params: ModelParams) -> float:
     """Voter's utility -w*(i_hat - i)^2 - (p_hat_V - p)^2 from a party at
     ideological anchor ``i`` offering platform ``p``.  Never positive."""
+    _instance("params", params, ModelParams)
     di = i_hat - i
     dp = params.p_hat_V - p
     return -params.w * di * di - dp * dp
@@ -158,6 +159,7 @@ def _checked_noise_scale(w: float, sigma_i: float, sigma_v: float) -> float:
 
 def noise_scale(params: ModelParams) -> float:
     """Standard deviation of the combined shock 2*w*i_hat + v."""
+    _instance("params", params, ModelParams)
     return _noise_scale(params.w, params.sigma_i, params.sigma_v)
 
 
@@ -172,6 +174,12 @@ def _margin(p_L: float, p_R: float, params: ModelParams, sn: float) -> float:
     return num / sn
 
 
+def _platforms(pp: PlatformPair) -> tuple[float, float]:
+    """``(p_L, p_R)`` of a public entry's ``pp``, type-checked."""
+    _instance("pp", pp, PlatformPair)
+    return pp.p_L, pp.p_R
+
+
 def win_margin(pp: PlatformPair, params: ModelParams) -> float:
     """Standardized margin kappa such that Pr(L wins) = Phi(kappa).
 
@@ -179,12 +187,12 @@ def win_margin(pp: PlatformPair, params: ModelParams) -> float:
     Positive numerator terms favour L; at a symmetric profile with
     mu_v = w(1-2*mu_i) the margin is exactly zero.
     """
-    return _margin(pp.p_L, pp.p_R, params, noise_scale(params))
+    return _margin(*_platforms(pp), params, noise_scale(params))
 
 
 def win_probability_L(pp: PlatformPair, params: ModelParams) -> float:
     """Probability that party L wins the election (R's is the complement)."""
-    return std_normal_cdf(_margin(pp.p_L, pp.p_R, params, noise_scale(params)))
+    return std_normal_cdf(_margin(*_platforms(pp), params, noise_scale(params)))
 
 
 def expected_utility_L(pp: PlatformPair, params: ModelParams) -> float:
@@ -197,11 +205,11 @@ def expected_utility_L(pp: PlatformPair, params: ModelParams) -> float:
     :class:`~polarsolve.errors.DomainError` before a huge platform can
     overflow ``**``.
     """
-    pr = std_normal_cdf(_margin(pp.p_L, pp.p_R, params, noise_scale(params)))
+    pr = std_normal_cdf(_margin(*_platforms(pp), params, noise_scale(params)))
     return pr * (params.V - pp.p_L**2) - (1.0 - pr) * (params.w + pp.p_R**2)
 
 
 def expected_utility_R(pp: PlatformPair, params: ModelParams) -> float:
     """E[pi_R] = (1-Pr)*(V - (1-p_R)^2) - Pr*(w + (1-p_L)^2)."""
-    pr = std_normal_cdf(_margin(pp.p_L, pp.p_R, params, noise_scale(params)))
+    pr = std_normal_cdf(_margin(*_platforms(pp), params, noise_scale(params)))
     return (1.0 - pr) * (params.V - (1.0 - pp.p_R) ** 2) - pr * (params.w + (1.0 - pp.p_L) ** 2)

@@ -3,15 +3,10 @@
 Two entry points:
 
 * :func:`solve_symmetric` — the 1-D problem on the symmetry locus
-  mu_v = w(1-2*mu_i).  The symmetric first-order condition is strictly
-  decreasing on [0, 1/2] with a guaranteed sign change (positive at 0,
-  exactly -1/2 at 1/2), so plain bisection cannot fail; two Newton
-  polish steps push the residual to machine level.  The FOC is a
-  quadratic in 1 - 2 p_L, so the bisection's final bracket is the dyadic
-  cell around its closed-form root, confirmed by two FOC signs: the same
-  bits as bisecting the FOC, with four FOC evaluations and no loop.  A
-  symmetric sweep row solves through :func:`_solve_symmetric_at`, which
-  builds no ``ModelParams``.
+  mu_v = w(1-2*mu_i).  Its FOC is strictly decreasing on [0, 1/2] with a
+  proven sign change, and a quadratic in 1 - 2 p_L: :func:`_rtsafe` starts
+  at the closed-form root, and one Newton step usually ends the search.
+  A sweep row solves through :func:`_solve_symmetric_at` (no ``ModelParams``).
 
 * :func:`solve_asymmetric` — damped alternating best responses for
   general parameters, finished by 2-D Newton steps.  One kernel pair
@@ -79,7 +74,7 @@ class SolverConfig:
     """Tunables for both solvers; the defaults satisfy every tolerance
     used by the verification suite."""
 
-    tol_root: float = 1e-12       # root finders' stop: bisection interval / Newton step
+    tol_root: float = 1e-12       # _rtsafe's stop: a step shorter than this
     tol_fp: float = 1e-10         # platform change to stop; certificate's |G/G'| bound
     max_iter: int = 500           # best-response iteration budget
     damping: float = 0.5          # step fraction toward the best response
@@ -181,84 +176,35 @@ def _certificate(
     )
 
 
-def _bisect(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> tuple[float, int]:
-    """Sign change of f on [lo, hi], with f(lo) > 0 >= f(hi): the
-    midpoint of the final bracket and the number of f evaluations.
-
-    Stops once hi - lo <= tol, or when the bracket's endpoints are
-    adjacent doubles (the midpoint rounds to one of them), so a ``tol``
-    below the float spacing still terminates.
-    """
-    iterations = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        iterations += 1
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), iterations
-
-
 def _symmetric_closed_form(V: float, w: float, sn: float) -> float:
     """Root of the symmetric FOC from its quadratic in x = 1 - 2 p_L,
     a x^2 + b x - 1/2 = 0 with a = phi(0)/sn and b = phi(0)(V+w)/sn + 1/2,
-    in the stable form x = 1/(b + sqrt(b^2 + 2a)).  Within a few ulps of
-    the bisection's answer but not always equal to it."""
+    in the stable form x = 1/(b + sqrt(b^2 + 2a)): the start of
+    :func:`_sym_root`'s search, a few ulps from the computed FOC's sign
+    change, so one Newton step from it usually ends the search."""
     a = _PHI0 / sn
     b = _PHI0 * (V + w) / sn + 0.5
     return 0.5 * (1.0 - 1.0 / (b + math.sqrt(b * b + 2.0 * a)))
 
 
 def _sym_root(V: float, w: float, sn: float, tol: float) -> tuple[float, int]:
-    """:func:`symmetric_foc_root` of plain floats, given ``sn``.
-
-    Computes the final bracket of bisecting the FOC on [0, 1/2] from the
-    closed-form root r, then confirms it with two FOC signs.  A ``tol`` of
-    m 2^e (1/2 <= m < 1) fixes n = max(-e, 0) halvings, which end on the
-    dyadic cell of width 2^-(n+1) with lo < r <= hi (a tie r == mid moves
-    hi).  The computed FOC is nonincreasing in p_L, so once
-    f(lo) > 0 >= f(hi), every halving that moved lo agreed with the FOC's
-    sign (its midpoint lies at or below lo) and so did every one that moved
-    hi: the bracket, the count and the result are those of bisecting the
-    FOC itself.  If a sign check fails, it is bisected after all; so is
-    every ``tol`` below 2^-50, where a midpoint can round onto an end.
-    """
-    f = lambda x: _foc_symmetric(x, V, w, sn)
-    if tol < 2.0**-50:
-        p, iterations = _bisect(f, 0.0, 0.5, tol)
-    else:
-        iterations = max(-math.frexp(tol)[1], 0)
-        width = math.ldexp(0.5, -iterations)
-        lo = max(math.ceil(_symmetric_closed_form(V, w, sn) / width) - 1, 0) * width
-        hi = lo + width
-        if f(lo) > 0.0 >= f(hi):
-            p = 0.5 * (lo + hi)
-        else:
-            p, iterations = _bisect(f, 0.0, 0.5, tol)
-    for _ in range(2):  # Newton polish to machine-level residual
-        p -= f(p) / _foc_symmetric_derivative(p, V, w, sn)
-        p = min(max(p, 0.0), 0.5)
-        iterations += 1
-    return p, iterations
+    """:func:`symmetric_foc_root` of plain floats, given ``sn``."""
+    fdf = lambda x: (_foc_symmetric(x, V, w, sn), _foc_symmetric_derivative(x, V, w, sn), None)
+    return _rtsafe(fdf, 0.0, 0.5, _symmetric_closed_form(V, w, sn), tol)
 
 
 def symmetric_foc_root(
     params: ModelParams, cfg: SolverConfig | None = None
 ) -> tuple[float, int]:
-    """Unique root of the symmetric FOC on [0, 1/2] and the iteration count.
+    """Unique root of the symmetric FOC on [0, 1/2] and the number of FOC
+    evaluations it took.
 
     The FOC is strictly decreasing with foc(0) > 0 > foc(1/2) = -1/2, so
-    bisection to ``cfg.tol_root`` cannot fail; two Newton steps then push
-    the residual to machine level.  The bisection's final bracket comes
-    from the FOC's closed-form root, confirmed by two FOC signs (see
-    :func:`_sym_root`), with the bisection's bits.  Meaningful for any
-    valid params (the FOC does not involve mu_i or mu_v); whether the
-    profile is an equilibrium is answered by :func:`solve_symmetric`.
+    :func:`_rtsafe` on that bracket cannot fail; started at the FOC's
+    closed-form root, it usually ends after one Newton step shorter than
+    ``cfg.tol_root``, at the correctly rounded root or a few ulps from it.
+    Meaningful for any valid params (the FOC does not involve mu_i or mu_v);
+    whether the profile is an equilibrium is answered by :func:`solve_symmetric`.
     """
     cfg = _config(params, cfg)
     return _sym_root(params.V, params.w, noise_scale(params), cfg.tol_root)
@@ -267,9 +213,10 @@ def symmetric_foc_root(
 def solve_symmetric(params: ModelParams, cfg: SolverConfig | None = None) -> EquilibriumResult:
     """Unique symmetric equilibrium p_R* = 1 - p_L* on the symmetry locus.
 
-    Raises :class:`SymmetryLocusError` when mu_v != w(1-2*mu_i) (within
-    ``LOCUS_TOL``); off the locus no symmetric equilibrium exists and
-    :func:`solve_asymmetric` is the right call.
+    The root is :func:`symmetric_foc_root`'s, and ``iterations`` counts its
+    FOC evaluations.  Raises :class:`SymmetryLocusError` when
+    mu_v != w(1-2*mu_i) (within ``LOCUS_TOL``); off the locus no symmetric
+    equilibrium exists and :func:`solve_asymmetric` is the right call.
     """
     return _solve_symmetric_at(params, params.w, _config(params, cfg), stacklevel=4)
 
@@ -323,10 +270,12 @@ def best_response(
 
 def _rtsafe(
     fdf: Callable[[float], tuple[float, ...]], lo: float, hi: float, x: float, tol: float
-) -> float:
+) -> tuple[float, int]:
     """Sign change of f on [lo, hi], with f(lo) > 0 > f(hi), by Newton from
     ``x`` in [lo, hi] safeguarded by bisection ("rtsafe", Press et al.,
-    *Numerical Recipes*, 9.4); ``fdf(x)`` returns f(x) and f'(x).
+    *Numerical Recipes*, 9.4): the root and the number of ``fdf`` calls.
+    ``fdf(x)`` returns f(x), f'(x) and a third value that is ignored (the
+    scaled FOCs' cross partial): unpacking a triple costs less than a slice.
 
     Each value moves the bracket's end of its sign.  A Newton step is taken
     when it lands in [lo, hi], ends included, and is shorter than ``tol`` or
@@ -335,8 +284,10 @@ def _rtsafe(
     the iterate stops moving, so any ``tol > 0`` terminates.
     """
     step = hi - lo
+    evaluations = 0
     while True:
         f, df, _ = fdf(x)
+        evaluations += 1
         if f > 0.0:
             lo = x
         elif f < 0.0:
@@ -348,9 +299,9 @@ def _rtsafe(
             x_new = 0.5 * (lo + hi)
             dx = hi - x_new
             if x_new == lo or x_new == hi:
-                return x_new
+                return x_new, evaluations
         if abs(dx) < tol or x_new == x:
-            return x_new
+            return x_new, evaluations
         step, x = abs(dx), x_new
 
 
@@ -381,7 +332,7 @@ def _best_response(
         lo, hi = max(lo, guess - 1e-4), min(hi, guess + 1e-4)
     elif guess is None or not lo <= guess <= hi:
         guess = 0.5 * (lo + hi)
-    return _rtsafe(fdf, lo, hi, guess, cfg.tol_root)
+    return _rtsafe(fdf, lo, hi, guess, cfg.tol_root)[0]
 
 
 def solve_asymmetric(

@@ -42,8 +42,6 @@ from .calculus import (
     d_euL_d_pL,
     d_euR_d_pR,
     dpL_dw_polar,
-    foc_symmetric_ideology_only,
-    foc_symmetric_valence_only,
 )
 from .errors import InvalidParamsError
 from .model import (
@@ -55,7 +53,7 @@ from .model import (
 )
 from .oracle import OracleReport, grid_best_response, mc_win_probability, peak_scan
 from .solver import (
-    _bisect,
+    _sym_root,
     best_response,
     solve_asymmetric,
     solve_symmetric,
@@ -158,7 +156,7 @@ def _check_prop1_polar(rng: np.random.Generator) -> tuple[bool, str]:
     signs_ok = True
     for w in ws_b:
         params_i = ModelParams(w=w)
-        r = _bisect(lambda p: foc_symmetric_ideology_only(p, params_i), 0.0, 0.5, 1e-13)[0]
+        r = _sym_root(params_i.V, w, 2.0 * params_i.sigma_i * w, 1e-13)[0]
         roots_i.append(r)
         signs_ok = signs_ok and dpL_dw_polar(r, params_i, "ideology_only") < 0.0
     dec_ideology = _strictly_decreasing(roots_i)
@@ -166,7 +164,7 @@ def _check_prop1_polar(rng: np.random.Generator) -> tuple[bool, str]:
     # valence-only polar FOC: derivative positive at every grid root
     for w in ws_a:
         params_v = ModelParams(w=w)
-        r = _bisect(lambda p: foc_symmetric_valence_only(p, params_v), 0.0, 0.5, 1e-13)[0]
+        r = _sym_root(params_v.V, w, params_v.sigma_v, 1e-13)[0]
         signs_ok = signs_ok and dpL_dw_polar(r, params_v, "valence_only") > 0.0
 
     passed = dec_valence and dec_ideology and signs_ok

@@ -162,8 +162,8 @@ def test_symmetric_sweep_frozen_fd_column():
     assert [(r.p_L, r.dpL_dw_fd) for r in rows] == [
         (0.29586695700132315, 0.10505052410819671),
         (0.2958722017875133, 0.10474092808326896),
-        (0.15152963332791064, -0.051008385428125136),
-        (0.08314971294794139, -1.3877787807814457e-13),
+        (0.15152963332791067, -0.05100838542798636),
+        (0.08314971294794139, -6.938893903907228e-14),
     ]
     assert all(r.certified for r in rows)
 
@@ -278,11 +278,11 @@ def test_w_tilde_self_consistency(baseline):
     assert wt == pytest.approx(boundary, abs=1e-9)
 
 
-def test_w_tilde_is_a_slope_sign_change(baseline):
-    # the baseline, a trough far out at w~ ~ 25962, seeded log-uniform
-    # draws over V in [1e-2, 1e2], sigma_i in [1e-2, 10], sigma_v in [0.102, 10]
-    # and a tiny trough
-    cases = [baseline, ModelParams(w=0.0, V=1.0, sigma_i=0.03, sigma_v=10.0)]
+def _w_tilde_cases():
+    """The baseline, a trough far out at w~ ~ 25962, seeded log-uniform
+    draws over V in [1e-2, 1e2], sigma_i in [1e-2, 10], sigma_v in [0.102, 10]
+    and a tiny trough."""
+    cases = [ModelParams(w=1.0), ModelParams(w=0.0, V=1.0, sigma_i=0.03, sigma_v=10.0)]
     rng = np.random.default_rng(20261018)
     for _ in range(12):
         v, s_i, s_v = np.exp(rng.uniform(np.log([1e-2, 1e-2, 0.102]), np.log([1e2, 10.0, 10.0])))
@@ -294,8 +294,24 @@ def test_w_tilde_is_a_slope_sign_change(baseline):
     # the solved root's FOC residual scales with V: an absolute re-check of
     # the root inside each slope evaluation failed here
     cases.append(ModelParams(w=0.0, V=1e12))
-    for params in cases:
+    return cases
+
+
+def test_w_tilde_is_a_slope_sign_change():
+    for params in _w_tilde_cases():
         _assert_slope_changes_sign(params, w_tilde(params))
+
+
+def test_w_tilde_takes_few_symmetric_roots(monkeypatch):
+    # Newton on c - w (1 + V - 2 p*) from the bracket's midpoint: each step
+    # solves one symmetric root, where the slope's bisection took 34-47
+    calls = []
+    sym_root = analysis._sym_root
+    monkeypatch.setattr(analysis, "_sym_root", lambda *args: calls.append(1) or sym_root(*args))
+    for params in _w_tilde_cases():
+        calls.clear()
+        w_tilde(params)
+        assert 1 <= len(calls) <= 8, (params, len(calls))
 
 
 def _w_tilde_bracket(params):

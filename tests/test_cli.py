@@ -480,15 +480,15 @@ GOLDEN_STDOUT = {
     "solve-locus": (
         ["solve"],
         "kind: symmetric\n"
-        "p_L: 0.23702503069772771\n"
+        "p_L: 0.23702503069772773\n"
         "p_R: 0.76297496930227227\n"
         "delta: 0.52594993860454453\n"
         "pr_L: 0.5\n"
-        "foc_residual_L: 0\n"
+        "foc_residual_L: -2.7755575615628914e-17\n"
         "foc_residual_R: 2.7755575615628914e-17\n"
         "soc_L: -1.9902875605484027\n"
         "soc_R: -1.9902875605484032\n"
-        "iterations: 41\n"
+        "iterations: 1\n"
         "symmetric: true\n"
         "certified: true\n",
     ),

@@ -14,22 +14,42 @@ from polarsolve import (
     ModelParams,
     PlatformPair,
     PolarsolveError,
+    PreconditionError,
     best_response,
     classify_moderate,
+    expected_utility_L,
+    expected_utility_R,
     find_equilibria,
     grid_best_response,
     mc_win_probability,
+    noise_scale,
     peak_scan,
+    prop5_slope_identity,
     run_checks,
     shape_report,
     solve_asymmetric,
     solve_symmetric,
     sweep_w,
+    voter_utility,
     w_tilde,
+    win_margin,
+    win_probability_L,
 )
-from polarsolve.calculus import dpL_dw_polar
+from polarsolve.calculus import (
+    d2_euL_d_pL2,
+    d2_euR_d_pR2,
+    d_euL_d_pL,
+    d_euR_d_pR,
+    dpL_dw_polar,
+    dpL_dw_symmetric,
+    foc_symmetric,
+    foc_symmetric_derivative,
+    foc_symmetric_ideology_only,
+    foc_symmetric_valence_only,
+)
 
 BASE = ModelParams(w=1.0)
+PP = PlatformPair(0.3, 0.7)
 
 
 def _nan_rows():
@@ -77,10 +97,48 @@ WRONG_TYPES = {
     "classify-params": ("params", lambda: classify_moderate(None)),
     "mc-pp": ("pp", lambda: mc_win_probability(None, BASE, 10_000, 0)),
     "shape-rows": ("rows", lambda: shape_report(None)),
+    "noise-scale-params": ("params", lambda: noise_scale(None)),
+    "win-margin-pp": ("pp", lambda: win_margin(None, BASE)),
+    "win-margin-params": ("params", lambda: win_margin(PP, None)),
+    "win-probability-params": ("params", lambda: win_probability_L(PP, "x")),
+    "utility-L-pp": ("pp", lambda: expected_utility_L(None, BASE)),
+    "utility-R-params": ("params", lambda: expected_utility_R(PP, None)),
+    "voter-utility-params": ("params", lambda: voter_utility(0.0, 0.5, 0.5, None)),
+    "d-euL-params": ("params", lambda: d_euL_d_pL(PP, None)),
+    "d-euR-pp": ("pp", lambda: d_euR_d_pR((0.3, 0.7), BASE)),
+    "d2-euL-pp": ("pp", lambda: d2_euL_d_pL2(None, BASE)),
+    "d2-euR-params": ("params", lambda: d2_euR_d_pR2(PP, 1.0)),
+    "foc-symmetric-params": ("params", lambda: foc_symmetric(0.25, None)),
+    "foc-derivative-params": ("params", lambda: foc_symmetric_derivative(0.25, None)),
+    "foc-valence-params": ("params", lambda: foc_symmetric_valence_only(0.25, None)),
+    "foc-ideology-params": ("params", lambda: foc_symmetric_ideology_only(0.25, None)),
+    "slope-symmetric-params": ("params", lambda: dpL_dw_symmetric(0.25, None)),
+    "slope-polar-params": ("params", lambda: dpL_dw_polar(0.25, None, "valence_only")),
 }
 
 
 @pytest.mark.parametrize("name, call", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
 def test_an_argument_of_the_wrong_type_is_named(name, call):
     with pytest.raises(InvalidParamsError, match=rf"^{name} must be a"):
+        call()
+
+
+# a NaN root made |foc| > tol and den <= 0 both false, so these returned NaN
+NOT_FINITE = {
+    "slope-symmetric-nan": (PreconditionError, lambda: dpL_dw_symmetric(math.nan, BASE)),
+    "slope-symmetric-inf": (PreconditionError, lambda: dpL_dw_symmetric(math.inf, BASE)),
+    "slope-valence-nan": (
+        PreconditionError, lambda: dpL_dw_polar(math.nan, BASE, "valence_only")
+    ),
+    "slope-ideology-nan": (
+        PreconditionError, lambda: dpL_dw_polar(math.nan, BASE, "ideology_only")
+    ),
+    "prop5-nan": (InvalidParamsError, lambda: prop5_slope_identity(math.nan, BASE)),
+    "prop5-inf": (InvalidParamsError, lambda: prop5_slope_identity(math.inf, BASE)),
+}
+
+
+@pytest.mark.parametrize("error, call", NOT_FINITE.values(), ids=NOT_FINITE.keys())
+def test_a_root_that_is_not_finite_raises(error, call):
+    with pytest.raises(error):
         call()

@@ -31,7 +31,6 @@ from polarsolve.calculus import (
 from polarsolve.model import PlatformPair, noise_scale, win_margin
 from polarsolve.oracle import grid_best_response
 from polarsolve import solver
-from polarsolve.solver import _bisect
 
 # Frozen solver anchors, cross-checked against the 1e-4 grid oracle and
 # (for w=0) the closed-form polarization at zero ideological weight.
@@ -74,39 +73,9 @@ def test_symmetric_root_frozen_anchors(baseline):
 
 
 def test_symmetric_root_frozen_value_and_iterations():
-    # 39 bisection halvings of [0, 1/2] to 1e-12 plus 2 Newton steps
-    assert symmetric_foc_root(ModelParams(w=1.0)) == (0.2370250306977277, 41)
-
-
-def test_bisect_stops_at_adjacent_doubles():
-    # tol=0 is below any float spacing: only the endpoint guard can end the loop
-    x, iterations = _bisect(lambda t: 25962.0 - t, 0.0, 65536.0, 0.0)
-    assert x == 25962.0
-    assert iterations < 100
-
-
-def test_bisect_keeps_lo_where_f_is_positive():
-    # f(0.25) == 0 moves hi there, and lo then closes in from below:
-    # the final bracket is [0.25 - 2**-10, 0.25]
-    x, iterations = _bisect(lambda t: 0.25 - t, 0.0, 1.0, 1e-3)
-    assert x == 0.25 - 2.0**-11
-    assert iterations == 10
-
-
-def _reference_symmetric_root(params, tol):
-    """Bisection of the symmetric FOC itself, then two Newton steps, with
-    the FOC, its derivative and the noise scale written out as documented."""
-    sn = math.sqrt(params.sigma_v**2 + 4.0 * params.w**2 * params.sigma_i**2)
-    phi0 = 1.0 / math.sqrt(2.0 * math.pi)
-    v_w = params.V + params.w
-    foc = lambda p: (1.0 - 2.0 * p) * phi0 * (v_w + 1.0 - 2.0 * p) / sn - p
-    dfoc = lambda p: -2.0 * phi0 * (v_w + 2.0 * (1.0 - 2.0 * p)) / sn - 1.0
-    p, iterations = _bisect(foc, 0.0, 0.5, tol)
-    for _ in range(2):
-        p -= foc(p) / dfoc(p)
-        p = min(max(p, 0.0), 0.5)
-        iterations += 1
-    return p, iterations
+    # one Newton step from the closed form: the correctly rounded root
+    # 0.237025030697727722403... (50-digit reference), with one FOC evaluation
+    assert symmetric_foc_root(ModelParams(w=1.0)) == (0.23702503069772773, 1)
 
 
 def _wide_range_params(rng, n):
@@ -132,79 +101,55 @@ def _wide_range_params(rng, n):
     return out
 
 
-# 0.5 and 0.75 halve [0, 1/2] zero times; 2**-50 is the finest tolerance
-# whose final cell is computed directly, 2**-51 the coarsest bisected one
+def _within_ulps_of_a_sign_change(p, foc, n):
+    """Whether the nonincreasing ``foc`` changes sign (or vanishes) between
+    ``n`` doubles below ``p`` and ``n`` above it, clamped to [0, 1/2]."""
+    lo = hi = p
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return foc(max(lo, 0.0)) >= 0.0 >= foc(min(hi, 0.5))
+
+
 @pytest.mark.parametrize("tol_root", [1e-12, 1e-9, 1e-300, 0.5, 0.75, 2.0**-40, 2.0**-50, 2.0**-51])
-def test_symmetric_root_replays_the_bisection_bit_for_bit(tol_root):
-    # the closed-form cell must give the bisection's (p, iterations) exactly,
-    # and tolerances below 2**-50 bisect, also below the float spacing
+def test_symmetric_root_lies_within_ulps_of_a_foc_sign_change(tol_root):
+    # the Newton step from the closed form lands on the computed FOC's sign
+    # change to a few ulps at every tolerance, also one coarser than the
+    # bracket, and takes one or two FOC evaluations unless tol_root is
+    # below the float spacing
     cfg = SolverConfig(tol_root=tol_root)
     for params in _wide_range_params(np.random.default_rng(20261018), 2000):
-        assert symmetric_foc_root(params, cfg) == _reference_symmetric_root(params, tol_root), params
+        p, evaluations = symmetric_foc_root(params, cfg)
+        assert 0.0 <= p <= 0.5, params
+        assert _within_ulps_of_a_sign_change(p, lambda x: foc_symmetric(x, params), 4), params
+        assert tol_root <= 1e-300 or evaluations <= 2, (params, evaluations)
 
 
 def test_symmetric_root_falls_back_when_the_closed_form_is_off(monkeypatch):
-    # a closed-form root one final-bracket width too high steers the cell
-    # into the neighbouring bracket: the FOC sign check must catch it and
-    # the real bisection must give the same answer
+    # a start at either end of [0, 1/2] or 1e-3 off the root makes the
+    # safeguarded Newton search halve its bracket or take longer steps;
+    # it must reach the same root within a few evaluations
     closed_form = solver._symmetric_closed_form
-    fallbacks = []
-
-    def off_by_one_bracket(V, w, sn):
-        return closed_form(V, w, sn) + 0.5 * 2.0**-39
-
-    def counting_bisect(f, lo, hi, tol):
-        fallbacks.append(lo)
-        return _bisect(f, lo, hi, tol)
-
     cases = [ModelParams(w=w, V=v) for w in (0.0, 0.3, 1.0, 50.0) for v in (0.1, 1.0, 10.0)]
-    expected = [symmetric_foc_root(params) for params in cases]
-    monkeypatch.setattr(solver, "_symmetric_closed_form", off_by_one_bracket)
-    monkeypatch.setattr(solver, "_bisect", counting_bisect)
-    assert [symmetric_foc_root(params) for params in cases] == expected
-    assert len(fallbacks) == len(cases)
-    assert expected[cases.index(ModelParams(w=1.0))] == (0.2370250306977277, 41)
+    expected = [symmetric_foc_root(params)[0] for params in cases]
+    for start in (lambda r: 0.0, lambda r: 0.5, lambda r: r + 1e-3, lambda r: r - 1e-3):
+        monkeypatch.setattr(
+            solver, "_symmetric_closed_form",
+            lambda V, w, sn: min(max(start(closed_form(V, w, sn)), 0.0), 0.5),
+        )
+        for params, p_ref in zip(cases, expected):
+            p, evaluations = symmetric_foc_root(params)
+            assert abs(p - p_ref) <= math.ulp(p_ref) and evaluations <= 8, (params, p, evaluations)
 
 
-def _final_cell(monkeypatch, r, tol):
-    """(lo, hi, halvings) that the symmetric root solver takes for the
-    closed-form root ``r``: the FOC is replaced by one that records its
-    first two arguments, the bracket's ends, and passes the sign check."""
-    ends = []
-    monkeypatch.setattr(solver, "_symmetric_closed_form", lambda V, w, sn: r)
-    monkeypatch.setattr(
-        solver, "_foc_symmetric", lambda x, V, w, sn: ends.append(x) or (-1.0 if ends[1:] else 1.0)
-    )
-    _, iterations = solver._sym_root(1.0, 1.0, 1.0, tol)
-    return ends[0], ends[1], iterations - 2
-
-
-def _bisection_bracket(r, tol):
-    """Final bracket and halving count of bisecting r - x on [0, 1/2]."""
-    lo, hi, n = 0.0, 0.5, 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        n += 1
-        if r - mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi, n
-
-
-@pytest.mark.parametrize("tol", [0.5, 0.75, 1e-3, 2.0**-40, 1e-12, 2.0**-50])
-def test_symmetric_root_final_cell_equals_the_replayed_bisection(monkeypatch, tol):
-    # the halving count n depends on tol only, and the final cell has width
-    # 2**-(n+1): roots at the ends of [0, 1/2], on a cell boundary (a tie
-    # goes to hi) and inside a cell must all give the bisection's bracket
-    _, _, n = _bisection_bracket(0.3, tol)
-    width = 2.0 ** -(n + 1)
-    rng = np.random.default_rng(20261018)
-    roots = [0.0, 0.5, width, 0.5 - width, 0.25, 5e-324]
-    roots += [float(k) * width for k in rng.integers(0, 2 ** min(n, 52), size=20, endpoint=True)]
-    roots += [float(x) for x in rng.uniform(0.0, 0.5, size=20)]
-    for r in roots:
-        assert _final_cell(monkeypatch, r, tol) == _bisection_bracket(r, tol), r
+def test_a_coarse_root_tolerance_still_certifies():
+    # one Newton step from the closed form ends within tol_root of a root
+    # that is already machine-accurate: tol_root bounds the step, not the error
+    cfg = SolverConfig(tol_root=0.1)
+    res = solve_symmetric(ModelParams(w=1.0), cfg)
+    assert res.certified
+    assert abs(res.platforms.p_L - symmetric_foc_root(ModelParams(w=1.0))[0]) <= 1e-16
+    rows = sweep_w([0.0, 0.5, 1.0, 2.0, 5.0], ModelParams(w=0.0), cfg)
+    assert all(r.certified for r in rows)
 
 
 def test_symmetric_root_residual_is_machine_level(baseline):
@@ -394,14 +339,18 @@ def test_rtsafe_steps_on_straight_lines():
         return lambda x: evals.append(x) or (root - x, slope_at(x), math.nan)
 
     # a Newton step that lands on the bracket's end is taken
-    assert solver._rtsafe(line(1.0), 0.0, 1.0, 0.5, 1e-12) == 1.0
+    assert solver._rtsafe(line(1.0), 0.0, 1.0, 0.5, 1e-12) == (1.0, 2)
     assert evals == [0.5, 1.0]
     # a step shorter than tol is taken although it is not half the last one
-    assert solver._rtsafe(line(0.7), 0.0, 1.0, 0.0, 0.8) == 0.7
+    assert solver._rtsafe(line(0.7), 0.0, 1.0, 0.0, 0.8) == (0.7, 1)
     # an infinite slope makes a bisection step, not a zero Newton step
     steep_at_0 = line(0.3, lambda x: -math.inf if x == 0.0 else -1.0)
-    assert solver._rtsafe(steep_at_0, 0.0, 0.5, 0.0, 1e-12) == 0.3
+    assert solver._rtsafe(steep_at_0, 0.0, 0.5, 0.0, 1e-12) == (0.3, 3)
     assert evals == [0.0, 0.25, 0.3]
+    # tol=0 is below any float spacing: with no usable slope, only the
+    # bisection step's guard at adjacent doubles can end the search
+    x, evaluations = solver._rtsafe(line(0.1, lambda x: math.nan), 0.0, 1.0, 0.5, 0.0)
+    assert abs(x - 0.1) <= math.ulp(0.1) and evaluations < 100
 
 
 # offlocus-sweep seed 1, base 9: R's best response sits near 0.5104 in a
