@@ -8,7 +8,8 @@ Five subcommands::
     polarsolve verify     run the named verification checks
     polarsolve empirical  per-year polarization from legislator scores
 
-Parameter precedence is flags > ``--config`` JSON > documented defaults.
+Each setting in ``_SETTINGS`` takes its flag if given, else its ``--config``
+JSON value, which must be of the setting's JSON kind, else its default.
 Every error path exits nonzero after a single machine-parsable line of
 the form ``error: <slug>: <reason>`` on stderr (slugs: ``invalid-args``,
 ``invalid-params``, ``invalid-config``, ``invalid-input``,
@@ -30,52 +31,99 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from statistics import fmean
 from typing import Callable, NoReturn, Sequence
 
 from .analysis import sweep_w, symmetry_locus_mu_v
-from .errors import DomainError, InvalidParamsError, PolarsolveError, SolverError
+from .errors import InvalidParamsError, PolarsolveError, SolverError
 from .model import ModelParams
 from .solver import LOCUS_TOL, SolverConfig, solve_asymmetric, solve_symmetric
 from .verify import DEFAULT_SEED, run_checks
 
 __all__ = ["RunConfig", "PolarizationRecord", "main", "entrypoint"]
 
-_COMMANDS = ("solve", "sweep", "locus", "verify", "empirical")
-
 _SWEEP_COLUMNS = (
     "w", "p_L", "p_R", "delta", "pr_L",
     "dpL_dw_analytic", "dpL_dw_fd", "soc_L", "soc_R", "certified",
 )
 
-_TOP_KEYS = frozenset(
-    {"params", "solver", "out", "seed", "w_min", "w_max", "w_steps", "mode",
-     "w_list", "mu_i_steps", "only"}
-)
-_PARAM_KEYS = frozenset({"w", "V", "sigma_i", "sigma_v", "mu_i", "mu_v"})
-_SOLVER_KEYS = frozenset({"tol_root", "tol_fp", "max_iter", "damping"})
+#: The model parameters, with the default that applies where neither a flag
+#: nor the config file sets one (ModelParams has no default for w) and the
+#: flag's help.
+_PARAMS = {
+    "w": (1.0, "policy-motivation weight"),
+    "V": (1.0, "office rent"),
+    "sigma_i": (1.0, "ideological-bliss std dev"),
+    "sigma_v": (1.0, "valence-shock std dev"),
+    "mu_i": (0.5, "mean ideological bliss"),
+    "mu_v": (0.0, "mean valence shock"),
+}
+
+
+def _number(value: object) -> bool:
+    """A JSON number that converts to a double; a bool or a string is none."""
+    return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
+
+
+def _string(value: object) -> bool:
+    return isinstance(value, str)
+
+
+#: The JSON kinds of config values: what a value must be, the test it must
+#: pass, and the conversion that a config value and a flag's value go through.
+_KINDS: dict[str, tuple[str, Callable[[object], bool], Callable]] = {
+    "number": ("a number", _number, float),
+    "integer": (
+        "an integer", lambda v: type(v) is int or type(v) is float and v.is_integer(), int
+    ),
+    "string": ("a string", _string, str),
+    "path": ("a string", _string, Path),
+    "numbers": (
+        "a list of numbers",
+        lambda v: type(v) is list and all(map(_number, v)),
+        lambda v: tuple(map(float, v)),
+    ),
+    "strings": (
+        "a string or a list of strings",
+        lambda v: _string(v) or type(v) is list and all(map(_string, v)),
+        lambda v: (v,) if _string(v) else tuple(v),
+    ),
+}
+
+#: Every setting, by name, with its config section (None for the top level)
+#: and JSON kind.  The flag of the same name (``--w-list`` for ``w_list``)
+#: overrides the config file.
+_SETTINGS: dict[str, tuple[str | None, str]] = {
+    **{key: ("params", "number") for key in _PARAMS},
+    **{
+        f.name: ("solver", "integer" if type(f.default) is int else "number")
+        for f in fields(SolverConfig)
+    },
+    "out": (None, "path"),
+    "seed": (None, "integer"),
+    "w_min": (None, "number"),
+    "w_max": (None, "number"),
+    "w_steps": (None, "integer"),
+    "mode": (None, "string"),
+    "w_list": (None, "numbers"),
+    "mu_i_steps": (None, "integer"),
+    "only": (None, "strings"),
+}
 
 
 class _CliError(Exception):
-    """Config/input problem surfaced as an error line + exit code."""
-
-    def __init__(self, slug: str, message: str, code: int = 2) -> None:
-        super().__init__(message)
-        self.slug = slug
-        self.code = code
+    """Bad input, raised as ``_CliError(slug, reason)``; :func:`main` prints
+    ``error: <slug>: <reason>`` and returns 2."""
 
 
 @dataclass(frozen=True, slots=True)
 class RunConfig:
     """One fully resolved invocation: model + solver + command fields.
 
-    Defaults (used when neither a flag nor a config value is given):
-    params w=1, V=1, sigma_i=1, sigma_v=1, mu_i=0.5, mu_v=0; solver as
-    in :class:`SolverConfig`; sweep grid w in [0, 3] with 121 steps,
-    symmetric mode; locus w_list (0.5, 1, 2) with 101 mu_i points;
-    seed 1729; output to stdout.
+    A field that neither a flag nor the config file sets keeps its default
+    below (``out`` None writes to stdout).
     """
 
     command: str
@@ -93,7 +141,7 @@ class RunConfig:
     input_path: Path | None = None
 
     def __post_init__(self) -> None:
-        if self.command not in _COMMANDS:
+        if self.command not in _HANDLERS:
             raise InvalidParamsError(f"unknown command {self.command!r}")
         if not 0 <= self.seed < 2**64:
             raise InvalidParamsError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
@@ -136,16 +184,14 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _build_parser() -> _ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     grp = shared.add_argument_group("model parameters")
-    grp.add_argument("--w", type=float, help="policy-motivation weight (default 1)")
-    grp.add_argument("--V", type=float, help="office rent (default 1)")
-    grp.add_argument("--sigma-i", type=float, help="ideological-bliss std dev (default 1)")
-    grp.add_argument("--sigma-v", type=float, help="valence-shock std dev (default 1)")
-    grp.add_argument("--mu-i", type=float, help="mean ideological bliss (default 0.5)")
-    grp.add_argument("--mu-v", type=float, help="mean valence shock (default 0)")
+    for key, (default, text) in _PARAMS.items():
+        flag = "--" + key.replace("_", "-")
+        grp.add_argument(flag, type=float, help=f"{text} (default {default:g})")
     grp = shared.add_argument_group("run control")
     grp.add_argument("--config", type=Path, metavar="PATH", help="JSON config (flags override it)")
     grp.add_argument("--out", type=Path, metavar="PATH", help="output file (default: stdout)")
     grp.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
+    run = {f.name: f.default for f in fields(RunConfig)}
 
     parser = _ArgumentParser(
         prog="polarsolve",
@@ -160,24 +206,30 @@ def _build_parser() -> _ArgumentParser:
     )
 
     p = sub.add_parser("sweep", parents=[shared], help="equilibria along a w grid (CSV)")
-    p.add_argument("--w-min", type=float, help="grid start (default 0)")
-    p.add_argument("--w-max", type=float, help="grid end (default 3)")
-    p.add_argument("--w-steps", type=int, help="number of grid points (default 121)")
+    p.add_argument("--w-min", type=float, help=f"grid start (default {run['w_min']:g})")
+    p.add_argument("--w-max", type=float, help=f"grid end (default {run['w_max']:g})")
+    p.add_argument("--w-steps", type=int, help=f"number of grid points (default {run['w_steps']})")
     p.add_argument(
         "--mode", choices=("symmetric", "asymmetric"),
-        help="solver per row (default symmetric)",
+        help=f"solver per row (default {run['mode']})",
     )
 
     p = sub.add_parser(
         "locus", parents=[shared],
         help="symmetry locus mu_v = w(1-2*mu_i) over a mu_i grid (CSV)",
     )
-    p.add_argument("--w-list", metavar="W1,W2,...", help="w values (default 0.5,1,2)")
-    p.add_argument("--mu-i-steps", type=int, help="mu_i grid points on [0, 1] (default 101)")
+    w_list = ",".join(f"{w:g}" for w in run["w_list"])
+    p.add_argument(
+        "--w-list", type=_w_list_flag, metavar="W1,W2,...", help=f"w values (default {w_list})"
+    )
+    p.add_argument(
+        "--mu-i-steps", type=int, help=f"mu_i grid points on [0, 1] (default {run['mu_i_steps']})"
+    )
 
     p = sub.add_parser("verify", parents=[shared], help="run the named verification checks")
     p.add_argument(
-        "--only", action="append", metavar="CHECK",
+        "--only", action="extend", metavar="CHECK",
+        type=lambda text: [tok for tok in text.split(",") if tok],
         help="check id to run (repeatable or comma-separated; default all)",
     )
 
@@ -189,7 +241,11 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _read_config_file(path: Path) -> dict:
+def _read_config_file(path: Path | None) -> dict[str | None, dict]:
+    """The config file's top level (key None) and its sections, each checked
+    for unknown keys; empty tables when there is no file."""
+    if path is None:
+        return {None: {}, "params": {}, "solver": {}}
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -202,141 +258,79 @@ def _read_config_file(path: Path) -> dict:
         raise _CliError(
             "invalid-config", f"config root must be a JSON object, got {type(doc).__name__}"
         )
-    unknown = sorted(set(doc) - _TOP_KEYS)
-    if unknown:
-        raise _CliError("invalid-config", f"unknown config key(s): {', '.join(unknown)}")
-    for section, allowed in (("params", _PARAM_KEYS), ("solver", _SOLVER_KEYS)):
-        sub = doc.get(section, {})
-        if not isinstance(sub, dict):
+    tables = {None: doc, "params": doc.get("params", {}), "solver": doc.get("solver", {})}
+    for section, table in tables.items():
+        if not isinstance(table, dict):
             raise _CliError("invalid-config", f"'{section}' must be a JSON object")
-        unknown = sorted(set(sub) - allowed)
+        allowed = {key for key, (where, _) in _SETTINGS.items() if where == section}
+        if section is None:
+            allowed |= {"params", "solver"}
+        unknown = sorted(set(table) - allowed)
         if unknown:
             raise _CliError(
-                "invalid-config", f"unknown {section} key(s): {', '.join(unknown)}"
+                "invalid-config", f"unknown {section or 'config'} key(s): {', '.join(unknown)}"
             )
-    return doc
+    return tables
 
 
-def _config_number(key: str, value, integral: bool = False) -> float | int:
-    """A numeric setting as float (or int where ``integral``).  JSON
-    booleans, and fractional values where an integer is required, are
-    rejected instead of coerced."""
-    if isinstance(value, bool):
-        raise _CliError(
-            "invalid-config", f"bad config value: {key} must be a number, got {value!r}"
-        )
-    if not integral:
-        return float(value)
-    if isinstance(value, float) and not value.is_integer():
-        raise _CliError(
-            "invalid-config", f"bad config value: {key} must be an integer, got {value!r}"
-        )
-    return int(value)
-
-
-def _config_string(key: str, value) -> str:
-    """A text setting, rejected unless it is a JSON string."""
-    if not isinstance(value, str):
-        raise _CliError(
-            "invalid-config", f"bad config value: {key} must be a string, got {value!r}"
-        )
-    return value
+def _w_list_flag(text: str) -> list[float]:
+    """``--w-list``'s values; a bad token raises :class:`_CliError`, which argparse
+    passes through (it rewords only ArgumentTypeError, TypeError and ValueError)."""
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise _CliError("invalid-args", f"--w-list: {exc}") from exc
 
 
 def _make_config(args: argparse.Namespace) -> RunConfig:
-    doc = _read_config_file(args.config) if args.config is not None else {}
-    pdoc = doc.get("params", {})
-    sdoc = doc.get("solver", {})
-
-    def pick(flag, table: dict, key: str, default, integral: bool = False):
-        value = flag if flag is not None else table.get(key, default)
-        return _config_number(key, value, integral)
-
-    try:
-        params = ModelParams(
-            w=pick(args.w, pdoc, "w", 1.0),
-            V=pick(args.V, pdoc, "V", 1.0),
-            sigma_i=pick(args.sigma_i, pdoc, "sigma_i", 1.0),
-            sigma_v=pick(args.sigma_v, pdoc, "sigma_v", 1.0),
-            mu_i=pick(args.mu_i, pdoc, "mu_i", 0.5),
-            mu_v=pick(args.mu_v, pdoc, "mu_v", 0.0),
-        )
-        solver = SolverConfig(
-            **{key: _config_number(key, v, key == "max_iter") for key, v in sdoc.items()}
-        )
-        seed = pick(args.seed, doc, "seed", DEFAULT_SEED, integral=True)
-    except PolarsolveError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise _CliError("invalid-config", f"bad config value: {exc}") from exc
-
-    out = args.out
-    if out is None and "out" in doc:
-        out = Path(_config_string("out", doc["out"]))
-
-    extra: dict = {}
-    if args.command == "sweep":
-        try:
-            extra = {
-                "w_min": pick(args.w_min, doc, "w_min", 0.0),
-                "w_max": pick(args.w_max, doc, "w_max", 3.0),
-                "w_steps": pick(args.w_steps, doc, "w_steps", 121, integral=True),
-                "mode": args.mode or _config_string("mode", doc.get("mode", "symmetric")),
-            }
-        except (TypeError, ValueError) as exc:
-            raise _CliError("invalid-config", f"bad sweep value: {exc}") from exc
-    elif args.command == "locus":
-        if args.w_list is not None:
-            try:
-                w_list = tuple(float(tok) for tok in args.w_list.split(",") if tok.strip())
-            except ValueError as exc:
-                raise _CliError("invalid-args", f"--w-list: {exc}") from exc
-        elif "w_list" in doc:
-            try:
-                w_list = tuple(_config_number("w_list", x) for x in doc["w_list"])
-            except (TypeError, ValueError) as exc:
-                raise _CliError("invalid-config", f"bad w_list: {exc}") from exc
-        else:
-            w_list = (0.5, 1.0, 2.0)
-        try:
-            extra = {
-                "w_list": w_list,
-                "mu_i_steps": pick(args.mu_i_steps, doc, "mu_i_steps", 101, integral=True),
-            }
-        except (TypeError, ValueError) as exc:
-            raise _CliError("invalid-config", f"bad mu_i_steps: {exc}") from exc
-    elif args.command == "verify":
-        if args.only is not None:
-            only = tuple(tok for item in args.only for tok in item.split(",") if tok)
-        elif "only" in doc:
-            raw = doc["only"]
-            items = raw if isinstance(raw, list) else [raw]
-            only = tuple(_config_string("only", x) for x in items)
-        else:
-            only = None
-        extra = {"only": only}
-    elif args.command == "empirical":
-        extra = {"input_path": args.input}
-
+    tables = _read_config_file(args.config)
+    chosen: dict[str | None, dict] = {section: {} for section in tables}
+    for key, (section, kind) in _SETTINGS.items():
+        what, valid, convert = _KINDS[kind]
+        value = getattr(args, key, None)
+        if value is None:
+            if key not in tables[section]:
+                continue
+            value = tables[section][key]
+            if not valid(value):
+                raise _CliError(
+                    "invalid-config", f"bad config value: {key} must be {what}, got {value!r}"
+                )
+        chosen[section][key] = convert(value)
+    params = {key: chosen["params"].get(key, default) for key, (default, _) in _PARAMS.items()}
     return RunConfig(
-        command=args.command, params=params, solver=solver, out=out, seed=seed, **extra
+        command=args.command,
+        params=ModelParams(**params),
+        solver=SolverConfig(**chosen["solver"]),
+        input_path=getattr(args, "input", None),
+        **chosen[None],
     )
 
 
-def _fmt(x: float) -> str:
-    """A double with all 17 significant digits (parses back bit-exactly)."""
-    return format(x, ".17g")
-
-
-def _fmt_bool(b: bool) -> str:
-    return "true" if b else "false"
+def _fmt(x: object) -> str:
+    """A value as the output shows it: a float with all 17 significant digits
+    (it parses back bit-exactly), a bool as ``true``/``false``."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return format(x, ".17g") if isinstance(x, float) else str(x)
 
 
 def _emit(text: str, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         out.write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise _CliError("invalid-args", f"cannot write {out}: {exc}") from exc
+
+
+def _emit_csv(header: Sequence[str], rows: list[Sequence[object]], out: Path | None) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(x) for x in row] for row in rows)
+    _emit(buf.getvalue(), out)
 
 
 def _cmd_solve(config: RunConfig) -> int:
@@ -360,8 +354,8 @@ def _cmd_solve(config: RunConfig) -> int:
         f"soc_L: {_fmt(result.soc_L)}",
         f"soc_R: {_fmt(result.soc_R)}",
         f"iterations: {result.iterations}",
-        f"symmetric: {_fmt_bool(abs(pp.p_L + pp.p_R - 1.0) < 1e-6)}",
-        f"certified: {_fmt_bool(result.certified)}",
+        f"symmetric: {_fmt(abs(pp.p_L + pp.p_R - 1.0) < 1e-6)}",
+        f"certified: {_fmt(result.certified)}",
     ]
     _emit("\n".join(lines) + "\n", config.out)
     return 0 if result.certified else 1
@@ -371,14 +365,7 @@ def _cmd_sweep(config: RunConfig) -> int:
     step = (config.w_max - config.w_min) / (config.w_steps - 1)
     grid = [config.w_min + i * step for i in range(config.w_steps)]
     rows = sweep_w(grid, config.params, config.solver, mode=config.mode)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_SWEEP_COLUMNS)
-    for r in rows:
-        writer.writerow(
-            [_fmt(getattr(r, c)) for c in _SWEEP_COLUMNS[:-1]] + [_fmt_bool(r.certified)]
-        )
-    _emit(buf.getvalue(), config.out)
+    _emit_csv(_SWEEP_COLUMNS, [[getattr(r, c) for c in _SWEEP_COLUMNS] for r in rows], config.out)
     n_certified = sum(1 for r in rows if r.certified)
     print(f"certified {n_certified}/{len(rows)} rows", file=sys.stderr)
     return 0 if n_certified >= 0.95 * len(rows) else 1
@@ -392,22 +379,14 @@ def _cmd_locus(config: RunConfig) -> int:
         for w in config.w_list
         for mu_i in mu_grid
     ]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["w", "mu_i", "mu_v"])
-    for w, mu_i, mu_v in records:
-        writer.writerow([_fmt(w), _fmt(mu_i), _fmt(mu_v)])
-    _emit(buf.getvalue(), config.out)
+    _emit_csv(("w", "mu_i", "mu_v"), records, config.out)
 
     # spot-check the locus is what it claims: a symmetric profile solves
     picks = sorted({round(k * (len(records) - 1) / 9) for k in range(10)})
     worst = 0.0
     for k in picks:
         w, mu_i, mu_v = records[k]
-        probe = ModelParams(
-            w=w, V=config.params.V, sigma_i=config.params.sigma_i,
-            sigma_v=config.params.sigma_v, mu_i=mu_i, mu_v=mu_v,
-        )
+        probe = replace(config.params, w=w, mu_i=mu_i, mu_v=mu_v)
         res = solve_asymmetric(probe, config.solver)
         worst = max(worst, abs(res.platforms.p_L + res.platforms.p_R - 1.0))
     print(
@@ -473,12 +452,7 @@ def _cmd_empirical(config: RunConfig) -> int:
             continue
         records.append(PolarizationRecord(year, fmean(scores["R"]) - fmean(scores["L"])))
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["year", "polarization"])
-    for rec_out in records:
-        writer.writerow([str(rec_out.year), _fmt(rec_out.polarization)])
-    _emit(buf.getvalue(), config.out)
+    _emit_csv(("year", "polarization"), [astuple(rec) for rec in records], config.out)
     return 0
 
 
@@ -493,20 +467,13 @@ _HANDLERS: dict[str, Callable[[RunConfig], int]] = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run the CLI; returns the process exit status instead of raising."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse printed its own reason (or help)
-        code = exc.code
-        return code if isinstance(code, int) else 0
-    try:
-        config = _make_config(args)
+        config = _make_config(_build_parser().parse_args(argv))
         return _HANDLERS[config.command](config)
+    except SystemExit as exc:  # argparse printed its own reason (or help)
+        return exc.code if isinstance(exc.code, int) else 0
     except _CliError as exc:
-        print(f"error: {exc.slug}: {exc}", file=sys.stderr)
-        return exc.code
-    except (InvalidParamsError, DomainError) as exc:
-        print(f"error: invalid-params: {exc}", file=sys.stderr)
+        print("error: %s: %s" % exc.args, file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"error: no-convergence: {exc}", file=sys.stderr)

@@ -117,6 +117,9 @@ def _grid_terms(
         raise InvalidParamsError(f"grid_step must be positive and finite, got {grid_step}")
     if not lo < hi:
         raise InvalidParamsError(f"span must be a nonempty interval, got {span}")
+    # round((hi - lo) / grid_step) + 1 points, at most 10^6; an inf or NaN ratio fails
+    if not (hi - lo) / grid_step < 1e6 - 0.5:
+        raise InvalidParamsError(f"span={span} at grid_step={grid_step} has over 10^6 grid points")
     xs, xs_sq, one_minus_xs_sq = _grid_columns(lo, hi, grid_step)
     if party not in ("L", "R"):
         raise InvalidParamsError(f"party must be 'L' or 'R', got {party!r}")

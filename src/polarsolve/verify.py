@@ -403,10 +403,7 @@ def _check_cli_roundtrip(rng: np.random.Generator) -> tuple[bool, str]:
             return False, f"wrote {len(rows)} rows, parsed {len(parsed)}"
         lossless = True
         for row, rec in zip(rows, parsed):
-            for field in (
-                "w", "p_L", "p_R", "delta", "pr_L",
-                "dpL_dw_analytic", "dpL_dw_fd", "soc_L", "soc_R",
-            ):
+            for field in cli._SWEEP_COLUMNS[:-1]:
                 mem = getattr(row, field)
                 got = float(rec[field])
                 same = (mem == got) or (math.isnan(mem) and math.isnan(got))
@@ -454,7 +451,7 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run the named checks (all by default) and return their results.
 
-    Unknown ids, an ``only`` that is a string or no sequence, and a ``seed``
+    Unknown ids, an ``only`` that is empty, a string or no sequence, and a ``seed``
     that is not a non-negative int raise :class:`~polarsolve.errors.InvalidParamsError`.
     Reproducible for a given seed regardless of which subset runs.
     """
@@ -463,6 +460,8 @@ def run_checks(
     if type(seed) is not int or seed < 0:
         raise InvalidParamsError(f"seed must be a non-negative int, got {seed!r}")
     ids = list(CHECKS) if only is None else list(only)
+    if not ids:
+        raise InvalidParamsError("only must name at least one check id")
     unknown = [i for i in ids if i not in CHECKS]
     if unknown:
         raise InvalidParamsError(

@@ -229,6 +229,13 @@ def test_verify_unknown_check_id(capsys):
     assert "unknown check id" in err
 
 
+def test_verify_an_empty_selection_is_an_args_error(capsys):
+    code, out, err = run_cli(["verify", "--only", ","], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid-args:")
+
+
 def test_verify_is_seed_reproducible(capsys):
     argv = ["verify", "--only", "prop4-locus", "--seed", "5"]
     _, first, _ = run_cli(argv, capsys)
@@ -437,6 +444,26 @@ def test_config_rejects_non_string_text_values(tmp_path, capsys, monkeypatch, co
     assert not (tmp_path / "5").exists()
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("locus", {"w_list": "12"}),
+        ("locus", {"w_list": {"1": 0, "2": 0}}),
+        ("solve", {"params": {"w": "2"}}),
+        ("solve", {"seed": "7"}),
+        ("solve", {"w_list": "12"}),
+    ],
+)
+def test_config_rejects_a_value_of_the_wrong_json_kind(tmp_path, capsys, command, doc):
+    # each was once coerced ("12" to w = 1, 2, a dict to its keys, "2" to 2.0),
+    # or, for a key that only another command uses, never read
+    cfg = write_config(tmp_path, doc)
+    code, out, err = run_cli([command, "--config", cfg], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid-config:")
+
+
 def test_config_accepts_integral_floats_for_counts(tmp_path, capsys):
     cfg = write_config(tmp_path, {"w_steps": 3.0, "seed": 7.0})
     code, out, _ = run_cli(["sweep", "--config", cfg], capsys)
@@ -460,6 +487,20 @@ def test_config_out_is_overridden_by_flag(tmp_path, capsys):
     assert code == 0
     assert flag_target.exists()
     assert not config_target.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("target", ["a directory", "a missing parent"])
+def test_an_unwritable_out_is_an_args_error(tmp_path, capsys, source, target):
+    out = str(tmp_path if target == "a directory" else tmp_path / "ghost" / "out.txt")
+    argv = ["solve", "--out", out]
+    if source == "config":
+        argv = ["solve", "--config", write_config(tmp_path, {"out": out})]
+    code, stdout, err = run_cli(argv, capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"error: invalid-args: cannot write {out}: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_config_solver_section_can_break_convergence(tmp_path, capsys):

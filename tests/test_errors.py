@@ -68,10 +68,15 @@ CASES = {
     "grid-step": lambda: grid_best_response(0.5, "L", BASE, grid_step=0.0),
     "grid-span-infinite": lambda: grid_best_response(0.5, "L", BASE, span=(-math.inf, 1.0)),
     "grid-span-empty": lambda: grid_best_response(0.5, "L", BASE, span=(1.0, 1.0)),
+    # more than 10^6 grid points; neither grid is built
+    "grid-step-subnormal": lambda: grid_best_response(0.75, "L", BASE, grid_step=5e-324),
+    "grid-span-huge": lambda: grid_best_response(0.75, "L", BASE, span=(-1e308, 1e308)),
     "grid-party": lambda: grid_best_response(0.5, "X", BASE),
     "mc-samples": lambda: mc_win_probability(PlatformPair(0.3, 0.7), BASE, 10, 0),
     "peak-scan-step": lambda: peak_scan(0.5, "L", BASE, grid_step=1e-2),
+    "peak-scan-step-subnormal": lambda: peak_scan(0.75, "L", BASE, grid_step=5e-324),
     "verify-check-id": lambda: run_checks(only=["bogus"]),
+    "verify-no-check": lambda: run_checks(only=[]),
 }
 
 

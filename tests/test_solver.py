@@ -801,6 +801,20 @@ def test_exhausted_budget_raises_with_trace(baseline):
     )
 
 
+def test_a_two_cycle_raises_a_period_2_error_with_its_trace(baseline, monkeypatch):
+    # L plays 0.1 against a far R and 0.3 otherwise; R plays 0.6 against a
+    # far L and 0.9 otherwise: undamped, the pair cycles with period 2
+    def two_cycle(opp, party, *args):
+        if party == "L":
+            return 0.1 if opp > 0.7 else 0.3
+        return 0.6 if opp < 0.2 else 0.9
+
+    monkeypatch.setattr(solver, "_best_response", two_cycle)
+    with pytest.raises(ConvergenceError, match=r"^period-2 oscillation after 3 iterations ") as err:
+        solve_asymmetric(baseline, SolverConfig(damping=1.0))
+    assert err.value.trace == [(0.25, 0.75), (0.1, 0.6), (0.3, 0.9), (0.1, 0.6)]
+
+
 def test_find_equilibria_dedupes_to_one(baseline):
     found = find_equilibria(baseline)
     assert len(found) == 1
