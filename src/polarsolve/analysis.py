@@ -25,7 +25,7 @@ import math
 import numbers
 import warnings
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal
 
 from .calculus import _PHI0, _dpL_dw_symmetric
@@ -38,9 +38,11 @@ from .errors import (
 )
 from .model import ModelParams, _checked_noise_scale, _finite, _instance
 from .solver import (
+    _START,
     SolverConfig,
     _config,
     _rtsafe,
+    _solve_asymmetric_at,
     _solve_symmetric_at,
     _sym_root,
     solve_asymmetric,
@@ -144,13 +146,13 @@ def _sweep_row(
                 cfg.tol_root,
             )[0]
         else:
-            res = solve_asymmetric(replace(params, w=w), cfg)
+            res = _solve_asymmetric_at(params, w, cfg, *_START)
             analytic = math.nan  # defined only on the symmetric manifold
             # warm-started from the row's own solution, so each re-solve
             # stays on the row's equilibrium branch
-            start = (res.platforms.p_L, res.platforms.p_R)
-            solve_pl = lambda wp: solve_asymmetric(
-                replace(params, w=wp), cfg, start=start
+            start = res.platforms
+            solve_pl = lambda wp: _solve_asymmetric_at(
+                params, wp, cfg, start.p_L, start.p_R
             ).platforms.p_L
         fd = _fd_slope(solve_pl, w, res.platforms.p_L)
     except PolarsolveError:

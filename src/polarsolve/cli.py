@@ -436,6 +436,10 @@ def _cmd_empirical(config: RunConfig) -> int:
                 score = float(rec["score"])
             except (TypeError, ValueError) as exc:
                 raise _CliError("invalid-input", f"{path}:{lineno}: bad row: {exc}") from exc
+            if not math.isfinite(score):
+                raise _CliError(
+                    "invalid-input", f"{path}:{lineno}: score must be finite, got {rec['score']!r}"
+                )
             if party not in ("L", "R"):
                 raise _CliError(
                     "invalid-input",

@@ -8,20 +8,24 @@ Two entry points:
   at the closed-form root, and one Newton step usually ends the search.
   A sweep row solves through :func:`_solve_symmetric_at` (no ``ModelParams``).
 
-* :func:`solve_asymmetric` — damped alternating best responses for
-  general parameters, finished by 2-D Newton steps.  One kernel pair
-  serves every step: each party's FOC divided by its own win probability
-  (G_L, G_R in :mod:`polarsolve.calculus`), finite where that probability
-  underflows, with closed-form partials.  Each best response finds the
-  root of G by Newton steps safeguarded by bisection (:func:`_rtsafe`) on
-  a constant bracket whose end signs are proven, [0, 1/2] for L and
-  [1/2, 1] for R, starting inside the iteration at the party's previous
-  response; the finish steps on (G_L, G_R) with its Jacobian.  Below the
+* :func:`solve_asymmetric` — general parameters.  One kernel pair serves
+  every step: each party's FOC divided by its own win probability (G_L,
+  G_R in :mod:`polarsolve.calculus`), finite where that probability
+  underflows, with closed-form partials.  Above the single-peak bound the
+  solve runs 2-D Newton steps on (G_L, G_R) from a cold start, clamped to
+  the proven brackets [0, 1/2] for L and [1/2, 1] for R, and keeps the
+  point once one best response per party confirms it and it certifies.
+  Otherwise, and always below the bound, it runs damped alternating best
+  responses: each finds the root of G by Newton steps safeguarded by
+  bisection (:func:`_rtsafe`) on the party's bracket, starting at the
+  party's previous response.  Both routes end with the same finish, and
+  both step with one 2x2 Newton solve (:func:`_pair_step`).  Below the
   single-peak bound a result must also pass the grid oracle; only if it
   does not, or the iteration does not converge, is the solve rerun with a
-  grid pre-scan in every best response.  Non-convergence is a reported
-  outcome (:class:`~polarsolve.errors.ConvergenceError` with the full
-  iterate trace), never a silent truncation.
+  grid pre-scan in every best response.  Non-convergence of the damped
+  loop is a reported outcome (:class:`~polarsolve.errors.ConvergenceError`
+  with the full iterate trace), never a silent truncation.
+  A sweep row solves through :func:`_solve_asymmetric_at`.
 
 Every result carries its own certificate: each party's Newton distance
 |G/G'| to its root below ``tol_fp`` with G' < 0, and — when sigma_v sits
@@ -68,6 +72,9 @@ __all__ = [
 #: How exactly mu_v must equal w(1-2*mu_i) for the symmetric solver.
 LOCUS_TOL = 1e-12
 
+#: :func:`solve_asymmetric`'s default start, (p_L, p_R).
+_START = (0.25, 0.75)
+
 
 @dataclass(frozen=True, slots=True)
 class SolverConfig:
@@ -76,8 +83,8 @@ class SolverConfig:
 
     tol_root: float = 1e-12       # _rtsafe's stop: a step shorter than this
     tol_fp: float = 1e-10         # platform change to stop; certificate's |G/G'| bound
-    max_iter: int = 500           # best-response iteration budget
-    damping: float = 0.5          # step fraction toward the best response
+    max_iter: int = 500           # budget of the pair Newton steps and of the damped rounds
+    damping: float = 0.5          # damped fallback's step fraction toward the best response
 
     def __post_init__(self) -> None:
         for name in ("tol_root", "tol_fp", "damping"):
@@ -92,7 +99,9 @@ class SolverConfig:
 
 @dataclass(frozen=True, slots=True)
 class EquilibriumResult:
-    """A solved profile plus its certificate."""
+    """A solved profile plus its certificate.  ``iterations`` counts the
+    symmetric root's FOC evaluations, the pair Newton's steps, or the
+    damped fallback's rounds."""
 
     platforms: PlatformPair
     pr_L: float
@@ -338,23 +347,29 @@ def _best_response(
 def solve_asymmetric(
     params: ModelParams,
     cfg: SolverConfig | None = None,
-    start: tuple[float, float] = (0.25, 0.75),
+    start: tuple[float, float] = _START,
 ) -> EquilibriumResult:
-    """Fixed point of damped alternating best responses, Newton-polished.
+    """Equilibrium by 2-D Newton on the scaled FOC pair, with damped
+    alternating best responses as the fallback.
 
-    Updates are Gauss-Seidel with step ``cfg.damping`` toward the
-    current best response.  Each best response starts its search at the
-    party's previous response (the ``start`` entry in round 1, or the
-    bracket's midpoint if that lies outside the party's bracket).
-    Below the single-peak bound that search may stop on a local maximum: if
-    the result fails the grid oracle or the iteration does not converge,
-    the solve reruns from ``start`` with a grid pre-scan in every best
-    response.
-    ``start`` must be a pair of finite reals; it is checked once here, as
-    every later iterate is a convex combination of it and responses.  A
-    persistent period-2 cycle raises :class:`ConvergenceError` suggesting
-    a lower damping; so does an exhausted iteration budget.  The raised
-    error carries the iterate trace.
+    Above the single-peak bound the solve first runs Newton steps on
+    (G_L, G_R) from ``start`` (:func:`_pair_newton`), each iterate clamped
+    to the proven brackets [0, 1/2] x [1/2, 1], and accepts the point only
+    if one warm best response per party confirms it to 1e-9 and it passes
+    the finish and the certificate; ``iterations`` then counts Newton
+    steps.  Otherwise, and always below the bound, the solve runs the
+    damped loop (:func:`_iterate`): Gauss-Seidel updates with step
+    ``cfg.damping`` toward the current best response, each search starting
+    at the party's previous response (the ``start`` entry in round 1, or
+    the bracket's midpoint if that lies outside the party's bracket), then
+    the Newton finish; ``iterations`` counts damped rounds.
+    Below the bound that search may stop on a local maximum: if the result
+    fails the grid oracle or the iteration does not converge, the solve
+    reruns from ``start`` with a grid pre-scan in every best response.
+    ``start`` must be a pair of finite reals; it is checked once here.
+    In the damped loop a persistent period-2 cycle raises
+    :class:`ConvergenceError` suggesting a lower damping; so does an
+    exhausted iteration budget.  The raised error carries the iterate trace.
     """
     cfg = _config(params, cfg)
     try:
@@ -362,29 +377,82 @@ def solve_asymmetric(
     except (TypeError, ValueError):
         raise InvalidParamsError(f"start must be a pair (p_L, p_R), got {start!r}") from None
     p_l, p_r = _finite("p_L", p_l), _finite("p_R", p_r)
-    sn = noise_scale(params)
+    return _solve_asymmetric_at(params, params.w, cfg, p_l, p_r, stacklevel=4)
+
+
+def _solve_asymmetric_at(
+    params: ModelParams, w: float, cfg: SolverConfig, p_l: float, p_r: float,
+    stacklevel: int = 3,
+) -> EquilibriumResult:
+    """:func:`solve_asymmetric` of ``replace(params, w=w)`` from a checked
+    start: above the single-peak bound it builds no ``ModelParams``, as the
+    noise scale is checked once here and the kernels read only (V, w, mu_i,
+    mu_v).  An asymmetric sweep row and its re-solves call this directly."""
+    sn = _checked_noise_scale(w, params.sigma_i, params.sigma_v)
     if params.single_peaked_guaranteed:
-        return _iterate(p_l, p_r, params, sn, cfg, prescan=False)
-    _warn_single_peakedness(params)
+        return _pair_newton(p_l, p_r, params, w, sn, cfg) or _iterate(
+            p_l, p_r, params, w, sn, cfg, prescan=False
+        )
+    # the grid oracle needs a ModelParams at w
+    params = params if w == params.w else replace(params, w=w)
+    _warn_single_peakedness(params, stacklevel)
     try:
-        res = _iterate(p_l, p_r, params, sn, cfg, prescan=False)
+        res = _iterate(p_l, p_r, params, w, sn, cfg, prescan=False)
     except ConvergenceError:
         res = None
-    return res if res and res.certified else _iterate(p_l, p_r, params, sn, cfg, prescan=True)
+    return res if res and res.certified else _iterate(p_l, p_r, params, w, sn, cfg, prescan=True)
+
+
+def _pair_newton(
+    p_l: float, p_r: float, params: ModelParams, w: float, sn: float, cfg: SolverConfig
+) -> EquilibriumResult | None:
+    """Cold 2-D Newton on (G_L, G_R) from (p_l, p_r), or ``None`` to decline.
+
+    Every iterate is clamped to [0, 1/2] x [1/2, 1]; the loop stops after a
+    step shorter than ``cfg.tol_fp``, within ``cfg.max_iter`` steps.  The
+    point is kept only if one warm best response per party lands within
+    1e-9 of it and, after the Newton finish, the certificate passes, which
+    requires both own slopes G' < 0: a root of the pair where a payoff has
+    a minimum is declined.  Above the single-peak bound only."""
+    at_w = _AtW(params.V, w, params.mu_i, params.mu_v)
+    p_l, p_r = min(max(p_l, 0.0), 0.5), min(max(p_r, 0.5), 1.0)
+    for steps in range(1, cfg.max_iter + 1):
+        step = _pair_step(_scaled_foc_L(p_l, p_r, at_w, sn), _scaled_foc_R(p_l, p_r, at_w, sn))
+        if step is None or not (math.isfinite(step[0]) and math.isfinite(step[1])):
+            return None
+        new_l, new_r = min(max(p_l - step[0], 0.0), 0.5), min(max(p_r - step[1], 0.5), 1.0)
+        moved = max(abs(new_l - p_l), abs(new_r - p_r))
+        p_l, p_r = new_l, new_r
+        if moved < cfg.tol_fp:
+            break
+    else:
+        return None
+    p_l, p_r = _newton_polish(p_l, p_r, at_w, sn)
+    if not (
+        abs(_best_response(p_r, "L", at_w, sn, cfg, p_l) - p_l) <= 1e-9
+        and abs(_best_response(p_l, "R", at_w, sn, cfg, p_r) - p_r) <= 1e-9
+    ):
+        return None
+    res = _certificate(PlatformPair(p_l, p_r), params, w, sn, cfg, steps, "asymmetric")
+    return res if res.certified else None
 
 
 def _iterate(
-    p_l: float, p_r: float, params: ModelParams, sn: float, cfg: SolverConfig, prescan: bool
+    p_l: float, p_r: float, params: ModelParams, w: float, sn: float, cfg: SolverConfig,
+    prescan: bool,
 ) -> EquilibriumResult:
-    """:func:`solve_asymmetric`'s damped loop from (p_l, p_r), polish and certificate."""
+    """:func:`solve_asymmetric`'s damped loop from (p_l, p_r) at weight
+    ``w``, Newton finish and certificate; with ``prescan``, ``params.w``
+    must be ``w``, as the grid oracle reads ``params``."""
+    at_w = params if prescan else _AtW(params.V, w, params.mu_i, params.mu_v)
     br_l, br_r = p_l, p_r
     trace: list[tuple[float, float]] = [(p_l, p_r)]
     lam = cfg.damping
     converged = 0
     for iteration in range(1, cfg.max_iter + 1):
-        br_l = _best_response(p_r, "L", params, sn, cfg, br_l, prescan)
+        br_l = _best_response(p_r, "L", at_w, sn, cfg, br_l, prescan)
         p_l_new = (1.0 - lam) * p_l + lam * br_l
-        br_r = _best_response(p_l_new, "R", params, sn, cfg, br_r, prescan)
+        br_r = _best_response(p_l_new, "R", at_w, sn, cfg, br_r, prescan)
         p_r_new = (1.0 - lam) * p_r + lam * br_r
         change = max(abs(p_l_new - p_l), abs(p_r_new - p_r))
         p_l, p_r = p_l_new, p_r_new
@@ -406,22 +474,31 @@ def _iterate(
             f"(last change {change:.3e})",
             trace,
         )
-    p_l, p_r = _newton_polish(p_l, p_r, params, sn)
-    return _certificate(PlatformPair(p_l, p_r), params, params.w, sn, cfg, converged, "asymmetric")
+    p_l, p_r = _newton_polish(p_l, p_r, at_w, sn)
+    return _certificate(PlatformPair(p_l, p_r), params, w, sn, cfg, converged, "asymmetric")
+
+
+def _pair_step(scaled_l: tuple, scaled_r: tuple) -> tuple[float, float] | None:
+    """The 2-D Newton step on (G_L, G_R) from both kernels' values and its
+    closed-form Jacobian, or ``None`` where the Jacobian is singular or
+    not finite."""
+    (g_l, j_ll, j_lr), (g_r, j_rr, j_rl) = scaled_l, scaled_r
+    det = j_ll * j_rr - j_lr * j_rl
+    if det == 0.0 or not math.isfinite(det):
+        return None
+    return (j_rr * g_l - j_lr * g_r) / det, (j_ll * g_r - j_rl * g_l) / det
 
 
 def _newton_polish(p_l: float, p_r: float, params: ModelParams, sn: float) -> tuple[float, float]:
-    """At most three 2-D Newton steps on the scaled FOC pair (G_L, G_R)
-    with its closed-form Jacobian, one kernel pair per iterate; a step is
-    kept only if the larger distance to the roots, |G/G'|, does not grow."""
+    """The finish: at most three :func:`_pair_step` steps, one kernel pair
+    per iterate; a step is kept only if the larger distance to the roots,
+    |G/G'|, does not grow."""
     dist, scaled_l, scaled_r = _scaled_pair(p_l, p_r, params, sn)
     for _ in range(3):
-        (g_l, j_ll, j_lr), (g_r, j_rr, j_rl) = scaled_l, scaled_r
-        det = j_ll * j_rr - j_lr * j_rl
-        if det == 0.0 or not math.isfinite(det):
+        step = _pair_step(scaled_l, scaled_r)
+        if step is None:
             break
-        step_l = (j_rr * g_l - j_lr * g_r) / det
-        step_r = (j_ll * g_r - j_rl * g_l) / det
+        step_l, step_r = step
         # a step that overflows is reported as an invalid profile
         cand_l, cand_r = _finite("p_L", p_l - step_l), _finite("p_R", p_r - step_r)
         cand, scaled_l, scaled_r = _scaled_pair(cand_l, cand_r, params, sn)

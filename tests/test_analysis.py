@@ -28,7 +28,7 @@ from polarsolve import (
     w_hat,
     w_tilde,
 )
-from polarsolve import analysis
+from polarsolve import analysis, solver
 from polarsolve.analysis import SweepRow
 from polarsolve.calculus import _dpL_dw_symmetric
 from polarsolve.errors import PolarsolveError
@@ -226,10 +226,19 @@ def test_symmetric_sweep_below_the_bound_grid_certifies_and_warns_once_per_row()
     assert {w.filename for w in caught} == {analysis.__file__}
 
 
-def test_asymmetric_sweep_frozen_rows():
+def test_asymmetric_sweep_frozen_rows(monkeypatch):
     # bit-identity anchors for the asymmetric sweep, FD column included
-    # (its re-solves start from the row's own solution)
+    # (its re-solves start from the row's own solution), on the pair Newton
+    # and on the damped fallback, forced
     params = ModelParams(w=1.0, V=0.5, sigma_i=2.0, sigma_v=0.5, mu_i=0.8, mu_v=-1.0)
+    rows = sweep_w([0.01, 1.0, 100.0], params, mode="asymmetric")
+    assert [(r.p_L, r.p_R, r.dpL_dw_fd) for r in rows] == [
+        (0.07786370093181222, 0.5850649348264017, 0.2461565624844314),
+        (0.1428095449175483, 0.8398201148680681, -0.02750855051109058),
+        (0.09234438109729072, 0.9241109199066427, -8.555141733923577e-06),
+    ]
+    assert all(r.certified for r in rows)
+    monkeypatch.setattr(solver, "_pair_newton", lambda *args: None)
     rows = sweep_w([0.01, 1.0, 100.0], params, mode="asymmetric")
     assert [(r.p_L, r.p_R, r.dpL_dw_fd) for r in rows] == [
         (0.0778637009318122, 0.5850649348264017, 0.2461565624845008),
@@ -237,6 +246,42 @@ def test_asymmetric_sweep_frozen_rows():
         (0.09234438109729072, 0.9241109199066427, -8.555141733923577e-06),
     ]
     assert all(r.certified for r in rows)
+
+
+def _asymmetric_row_from_public_solves(w, params):
+    """An asymmetric sweep row built from the public ``solve_asymmetric``
+    at ``replace(params, w=...)``, its re-solves started at the row."""
+    try:
+        res = solve_asymmetric(replace(params, w=w))
+        start = (res.platforms.p_L, res.platforms.p_R)
+        solve_pl = lambda wp: solve_asymmetric(replace(params, w=wp), start=start).platforms.p_L
+        fd = analysis._fd_slope(solve_pl, w, res.platforms.p_L)
+    except PolarsolveError:
+        return analysis._nan_row(w)
+    return SweepRow(
+        w, res.platforms.p_L, res.platforms.p_R, res.delta, res.pr_L, math.nan, fd,
+        res.soc_L, res.soc_R, res.certified,
+    )
+
+
+@pytest.mark.parametrize(
+    "params, grid",
+    [
+        (ModelParams(w=1.0, mu_i=0.3, mu_v=0.1), [0.0, 5e-5, 1.0, 100.0]),
+        (ModelParams(w=1.0, V=13.95926091518241, sigma_i=0.081564335882881,
+                     sigma_v=0.1029496035374516, mu_i=1.1641572388799872,
+                     mu_v=-1.4178709420834927), [1.0, 100.0, 1000.0]),
+        # below the single-peak bound: the grid oracle reads a ModelParams at w
+        (ModelParams(w=1.0, sigma_v=0.08, mu_v=0.3), [0.5, 1.0]),
+        # 4 w^2 sigma_i^2 overflows at the last w, so its row is NaN
+        (ModelParams(w=0.0, sigma_i=1e150, mu_v=0.3), [0.0, 1e-151, 1e10]),
+    ],
+)
+def test_asymmetric_sweep_rows_equal_rows_from_the_public_solver(params, grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SinglePeakednessWarning)
+        expected = [_asymmetric_row_from_public_solves(w, params) for w in grid]
+        assert repr(sweep_w(grid, params, mode="asymmetric")) == repr(expected)
 
 
 def test_shape_report_baseline_u_shape(baseline):

@@ -320,6 +320,16 @@ def test_empirical_rejects_unparsable_score(tmp_path, capsys):
     assert err.startswith("error: invalid-input:") and ":2:" in err
 
 
+@pytest.mark.parametrize("score, line", [("nan", 3), ("inf", 4), ("-inf", 5)])
+def test_empirical_rejects_a_non_finite_score(tmp_path, capsys, score, line):
+    rows = ["2000,L,-0.5", "2000,R,0.5", "2004,L,-0.25", "2004,R,0.25"]
+    rows.insert(line - 2, f"2004,R,{score}")
+    path = write_scores(tmp_path, "year,party,score\n" + "\n".join(rows) + "\n")
+    code, out, err = run_cli(["empirical", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: invalid-input: {path}:{line}: score must be finite, got {score!r}\n"
+
+
 def test_empirical_missing_file(tmp_path, capsys):
     code, _, err = run_cli(["empirical", str(tmp_path / "nope.csv")], capsys)
     assert code == 2
@@ -544,7 +554,7 @@ GOLDEN_STDOUT = {
         "foc_residual_R: -2.7755575615628914e-17\n"
         "soc_L: -2.0861909871611264\n"
         "soc_R: -1.8795264591761522\n"
-        "iterations: 29\n"
+        "iterations: 4\n"
         "symmetric: false\n"
         "certified: true\n",
     ),
@@ -554,9 +564,9 @@ GOLDEN_STDOUT = {
         "0,0.27878217818000511,0.7407902988598295,0.46200812067982439,"
         "0.4637632374971295,nan,0.034073949476409737,-2.2820187435373125,"
         "-2.4375418185504802,true\n"
-        "1.5,0.20198273104159886,0.76669773580324219,0.56471500476164338,"
+        "1.5,0.20198273104159889,0.76669773580324219,0.56471500476164327,"
         "0.56061194064633846,nan,-0.033897560782480962,-1.9476983033897901,"
-        "-1.7043095780001223,true\n"
+        "-1.7043095780001218,true\n"
         "3,0.17124729393332996,0.79446901930316927,0.62322172536983933,"
         "0.57037394592655977,nan,-0.012274083743962771,-1.7677858980567422,"
         "-1.4872134390568705,true\n",
@@ -568,6 +578,30 @@ GOLDEN_STDOUT = {
 def test_stdout_is_byte_identical_to_the_golden_output(capsys, name):
     argv, expected = GOLDEN_STDOUT[name]
     code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == expected
+
+
+# the asymmetric cases on the damped fallback, forced: the bytes before the
+# pair Newton came first (it reaches the solve's platforms in 4 steps, not 29
+# rounds, and moves the middle sweep row's last digits)
+GOLDEN_DAMPED_STDOUT = {
+    "solve-asymmetric": GOLDEN_STDOUT["solve-asymmetric"][1].replace(
+        "iterations: 4\n", "iterations: 29\n"
+    ),
+    "sweep-asymmetric": GOLDEN_STDOUT["sweep-asymmetric"][1].replace(
+        "1.5,0.20198273104159889,0.76669773580324219,0.56471500476164327,",
+        "1.5,0.20198273104159886,0.76669773580324219,0.56471500476164338,",
+    ).replace("-1.7043095780001218,true", "-1.7043095780001223,true"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DAMPED_STDOUT))
+def test_damped_fallback_stdout_is_byte_identical_to_its_golden_output(capsys, monkeypatch, name):
+    monkeypatch.setattr(polarsolve.solver, "_pair_newton", lambda *args: None)
+    expected = GOLDEN_DAMPED_STDOUT[name]
+    assert expected != GOLDEN_STDOUT[name][1]
+    code, out, _ = run_cli(GOLDEN_STDOUT[name][0], capsys)
     assert code == 0
     assert out == expected
 

@@ -245,11 +245,24 @@ def test_best_response_frozen_values():
     assert best_response(0.25, "R", p) == 0.7512376301124426
 
 
-def test_solve_asymmetric_frozen_value():
-    res = solve_asymmetric(ModelParams(w=1.0, mu_i=0.3, mu_v=0.1))
-    assert (res.platforms.p_L, res.platforms.p_R) == (0.22331295107760948, 0.7498706867408111)
-    assert res.iterations == 29
-    assert res.certified
+def _damped_solve(monkeypatch, params, cfg=None):
+    # solve_asymmetric forced onto the damped fallback: the pair Newton declines
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_pair_newton", lambda *args: None)
+        return solve_asymmetric(params, cfg)
+
+
+def test_solve_asymmetric_frozen_value(monkeypatch):
+    # 4 Newton steps; the damped fallback, forced, reaches the same bits
+    # in 29 rounds
+    params = ModelParams(w=1.0, mu_i=0.3, mu_v=0.1)
+    newton, damped = solve_asymmetric(params), _damped_solve(monkeypatch, params)
+    for res, iterations in ((newton, 4), (damped, 29)):
+        assert (res.platforms.p_L, res.platforms.p_R) == (
+            0.22331295107760948, 0.7498706867408111
+        )
+        assert res.iterations == iterations
+        assert res.certified
 
 
 # offlocus-sweep seed 1, base 13: L trails so far that phi(kappa) ~ 1e-15
@@ -391,10 +404,12 @@ _BASE_23 = dict(
 )
 
 
-def test_wide_fuzz_certifies_only_mutual_best_responses():
+def test_wide_fuzz_certifies_only_mutual_best_responses(monkeypatch):
     # a Newton finish on FOCs scaled by phi(kappa) ~ 1e-17 once certified
     # 207 of these draws at a profile up to 0.0202 from a mutual best
-    # response, 156 of them with a platform at exactly 0.5
+    # response, 156 of them with a platform at exactly 0.5; the pair Newton
+    # is accepted on every draw, in 3 to 8 steps
+    fallbacks = _count_damped_fallbacks(monkeypatch)
     n_certified = 0
     for _, params, _ in _wide_draws(20261020, 3000):
         res = solve_asymmetric(params)
@@ -404,6 +419,7 @@ def test_wide_fuzz_certifies_only_mutual_best_responses():
             assert abs(best_response(p_r, "L", params) - p_l) <= 1e-8, params
             assert abs(best_response(p_l, "R", params) - p_r) <= 1e-8, params
     assert n_certified == 3000
+    assert not fallbacks
 
 
 def test_base_9_is_certified_at_rs_best_response_not_at_one_half():
@@ -487,6 +503,64 @@ def test_scaled_foc_slopes_agree_with_central_differences():
             tol = 1e-6 * max(abs(d_own), abs(d_opp))
             assert abs(d_own - fd_own) <= tol, (party, params, p_l, p_r)
             assert abs(d_opp - fd_opp) <= tol, (party, params, p_l, p_r)
+
+
+def _count_damped_fallbacks(monkeypatch):
+    calls = []
+    iterate = solver._iterate
+
+    def counted(*args, prescan):
+        calls.append(1)
+        return iterate(*args, prescan=prescan)
+
+    monkeypatch.setattr(solver, "_iterate", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "base", [_BASE_0, _BASE_5, _BASE_9, _BASE_23], ids=["base0", "base5", "base9", "base23"]
+)
+def test_sweep_rows_need_no_damped_fallback_and_equal_its_rows(base, monkeypatch):
+    # kappa < -38 at the top of the grid on bases 5 and 23, R at its bliss
+    # point on base 0, R flat to rounding on base 9: the pair Newton is
+    # accepted on every row and FD re-solve
+    base = ModelParams(w=1.0, **base)
+    fallbacks = _count_damped_fallbacks(monkeypatch)
+    rows = sweep_w(_SWEEP_GRID, base, mode="asymmetric")
+    assert not fallbacks
+    monkeypatch.setattr(solver, "_pair_newton", lambda *args: None)
+    damped = sweep_w(_SWEEP_GRID, base, mode="asymmetric")
+    assert len(fallbacks) == 3 * len(_SWEEP_GRID)
+    assert all(r.certified for r in rows)
+    _same_certified_rows(rows, damped)
+    for row, want in zip(rows, damped):
+        assert row.dpL_dw_fd == pytest.approx(want.dpL_dw_fd, abs=1e-10), row
+
+
+def test_a_failed_best_response_confirmation_falls_back_to_the_damped_loop(monkeypatch):
+    params = ModelParams(w=1.0, mu_i=0.3, mu_v=0.1)
+    forced = _damped_solve(monkeypatch, params)
+    best = solver._best_response
+
+    def refuse_once(*args):
+        monkeypatch.setattr(solver, "_best_response", best)
+        return best(*args) + 1e-8  # L's response misses the Newton point
+
+    monkeypatch.setattr(solver, "_best_response", refuse_once)
+    assert repr(solve_asymmetric(params)) == repr(forced)
+    assert forced.iterations == 29
+
+
+def test_a_pair_newton_over_budget_raises_the_damped_loops_error(monkeypatch):
+    # two Newton steps do not reach the root from (0.25, 0.75), so the
+    # damped loop runs and exhausts the same budget
+    params, cfg = ModelParams(w=1.0, mu_i=0.3, mu_v=0.1), SolverConfig(max_iter=2)
+    with pytest.raises(ConvergenceError) as forced:
+        _damped_solve(monkeypatch, params, cfg)
+    with pytest.raises(ConvergenceError, match="^no best-response fixed point within 2 ") as err:
+        solve_asymmetric(params, cfg)
+    assert str(err.value) == str(forced.value)
+    assert err.value.trace == forced.value.trace and len(err.value.trace) == 3
 
 
 def _same_certified_rows(rows, ref):
@@ -706,11 +780,20 @@ def test_below_the_bound_fuzz_matches_the_pre_scan_route(monkeypatch):
 
 
 def test_warm_started_solve_makes_fewer_scaled_foc_calls(monkeypatch):
-    # about two safeguarded Newton steps per best response: 125 calls here
-    # (811 scaled plus 198 raw FOC and SOC calls with the bisection)
+    # the damped fallback, forced: about two safeguarded Newton steps per
+    # best response, 125 calls here (811 scaled plus 198 raw FOC and SOC
+    # calls with the bisection)
+    params = ModelParams(w=1.0, mu_i=0.3, mu_v=0.1)
     calls = _cap_scaled_foc_calls(monkeypatch, 200)
-    res = solve_asymmetric(ModelParams(w=1.0, mu_i=0.3, mu_v=0.1))
-    assert res.iterations == 29
+    assert _damped_solve(monkeypatch, params).iterations == 29
+    assert calls
+
+
+def test_the_pair_newton_solve_makes_few_scaled_foc_calls(monkeypatch):
+    # 4 Newton steps, the finish, one confirming best response per party
+    # and the certificate: 16 calls here
+    calls = _cap_scaled_foc_calls(monkeypatch, 30)
+    assert solve_asymmetric(ModelParams(w=1.0, mu_i=0.3, mu_v=0.1)).iterations == 4
     assert calls
 
 
