@@ -3,17 +3,23 @@
 Two office- and policy-motivated parties at fixed ideological anchors
 commit to policy platforms; a representative voter with Gaussian
 ideological and valence uncertainty picks a winner.  The package solves
-the resulting Bayesian game (symmetric closed-route and general damped
-best-response routes), certifies every solution against its own
-first/second-order conditions and brute-force oracles, and exposes the
-comparative statics of platform polarization in the ideological
-weight w.
+the resulting Bayesian game (a safeguarded Newton root on the symmetry
+locus; off it, 2-D Newton on the pair of first-order conditions, with
+damped alternating best responses as the fallback), certifies every
+solution against its own first/second-order conditions and brute-force
+oracles, and exposes the comparative statics of platform polarization in
+the ideological weight w.
 
 The usual entry points are :func:`solve_symmetric`,
 :func:`solve_asymmetric`, :func:`sweep_w` and the ``polarsolve`` CLI.
+
+The oracle and verify names load :mod:`polarsolve.oracle` and
+:mod:`polarsolve.verify`, and with them numpy, on first use (PEP 562).
 """
 
 from __future__ import annotations
+
+import importlib
 
 from .analysis import (
     ShapeReport,
@@ -52,13 +58,6 @@ from .model import (
     win_margin,
     win_probability_L,
 )
-from .oracle import (
-    OracleReport,
-    ShapeVerdict,
-    grid_best_response,
-    mc_win_probability,
-    peak_scan,
-)
 from .solver import (
     LOCUS_TOL,
     EquilibriumResult,
@@ -69,9 +68,19 @@ from .solver import (
     solve_symmetric,
     symmetric_foc_root,
 )
-from .verify import CheckResult, run_checks
 
 __version__ = "0.1.0"
+
+#: The names whose modules import numpy, by module; see :func:`__getattr__`.
+_LAZY = {
+    "OracleReport": "oracle",
+    "ShapeVerdict": "oracle",
+    "grid_best_response": "oracle",
+    "mc_win_probability": "oracle",
+    "peak_scan": "oracle",
+    "CheckResult": "verify",
+    "run_checks": "verify",
+}
 
 __all__ = [
     "__version__",
@@ -127,3 +136,15 @@ __all__ = [
     "DegenerateError",
     "SinglePeakednessWarning",
 ]
+
+
+def __getattr__(name: str) -> object:
+    """Resolve a name of ``_LAZY`` from its module on every access, without
+    binding it here, so that it is always the module's current attribute."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

@@ -47,6 +47,7 @@ dkappa/dp_R = (2 p_R-1)/sigma_n give the partials.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Literal
 
 from .errors import DomainError, InvalidParamsError, PreconditionError
@@ -239,6 +240,15 @@ def _dpL_dw_symmetric(p_L: float, V: float, w: float, sigma_i: float, sigma_v: f
     s2 = sigma_v**2 + 4.0 * sigma_i**2 * w**2
     num = (1.0 - 2.0 * p_L) * _PHI0 * (4.0 * sigma_i**2 * w * (2.0 * p_L - V - 1.0) + sigma_v**2)
     den = s2 * (2.0 * _PHI0 * (V + w + 2.0 * (1.0 - 2.0 * p_L)) + math.sqrt(s2))
+    if den < sys.float_info.min:
+        # den underflows (s2 is subnormal, so its few bits are all den has):
+        # divide both by s2 = sn^2, taking each part as a ratio to sn
+        sn = math.hypot(sigma_v, 2.0 * sigma_i * w)
+        k = 2.0 * sigma_i / sn
+        num = (1.0 - 2.0 * p_L) * _PHI0 * (
+            k * w * k * (2.0 * p_L - V - 1.0) + (sigma_v / sn) ** 2
+        )
+        den = 2.0 * _PHI0 * (V + w + 2.0 * (1.0 - 2.0 * p_L)) + sn
     return num / den
 
 

@@ -8,6 +8,9 @@ Five subcommands::
     polarsolve verify     run the named verification checks
     polarsolve empirical  per-year polarization from legislator scores
 
+Each takes ``--config``, ``--out`` and only the flags it reads (``--seed``
+is ``verify``'s); an unused or abbreviated flag is ``invalid-args``.
+
 Each setting in ``_SETTINGS`` takes its flag if given, else its ``--config``
 JSON value, which must be of the setting's JSON kind, else its default.
 Every error path exits nonzero after a single machine-parsable line of
@@ -40,9 +43,12 @@ from .analysis import sweep_w, symmetry_locus_mu_v
 from .errors import InvalidParamsError, PolarsolveError, SolverError
 from .model import ModelParams
 from .solver import LOCUS_TOL, SolverConfig, solve_asymmetric, solve_symmetric
-from .verify import DEFAULT_SEED, run_checks
 
 __all__ = ["RunConfig", "PolarizationRecord", "main", "entrypoint"]
+
+#: The verify battery's default seed; :mod:`polarsolve.verify` re-exports it.
+#: It lives here because the CLI loads that module, and numpy, only for ``verify``.
+DEFAULT_SEED = 1729
 
 _SWEEP_COLUMNS = (
     "w", "p_L", "p_R", "delta", "pr_L",
@@ -182,17 +188,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    grp = shared.add_argument_group("model parameters")
-    for key, (default, text) in _PARAMS.items():
-        flag = "--" + key.replace("_", "-")
-        grp.add_argument(flag, type=float, help=f"{text} (default {default:g})")
-    grp = shared.add_argument_group("run control")
-    grp.add_argument("--config", type=Path, metavar="PATH", help="JSON config (flags override it)")
-    grp.add_argument("--out", type=Path, metavar="PATH", help="output file (default: stdout)")
-    grp.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
     run = {f.name: f.default for f in fields(RunConfig)}
-
     parser = _ArgumentParser(
         prog="polarsolve",
         description="Equilibrium platforms for two-party spatial competition "
@@ -200,12 +196,29 @@ def _build_parser() -> _ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    sub.add_parser(
-        "solve", parents=[shared],
-        help="solve one instance and print the certified equilibrium",
-    )
+    def command(name: str, model: Sequence[str], summary: str) -> _ArgumentParser:
+        """A subcommand's parser with the model flags it reads (the config
+        file's ``params`` stay shared) and ``--config`` and ``--out``.
+        Abbreviations are off: ``locus --w`` must not read as ``--w-list``."""
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        grp = p.add_argument_group("model parameters")
+        for key in model:
+            default, text = _PARAMS[key]
+            flag = "--" + key.replace("_", "-")
+            grp.add_argument(flag, type=float, help=f"{text} (default {default:g})")
+        grp = p.add_argument_group("run control")
+        grp.add_argument(
+            "--config", type=Path, metavar="PATH", help="JSON config (flags override it)"
+        )
+        grp.add_argument("--out", type=Path, metavar="PATH", help="output file (default: stdout)")
+        return p
 
-    p = sub.add_parser("sweep", parents=[shared], help="equilibria along a w grid (CSV)")
+    command("solve", list(_PARAMS), "solve one instance and print the certified equilibrium")
+
+    # the grid sets w
+    p = command(
+        "sweep", ["V", "sigma_i", "sigma_v", "mu_i", "mu_v"], "equilibria along a w grid (CSV)"
+    )
     p.add_argument("--w-min", type=float, help=f"grid start (default {run['w_min']:g})")
     p.add_argument("--w-max", type=float, help=f"grid end (default {run['w_max']:g})")
     p.add_argument("--w-steps", type=int, help=f"number of grid points (default {run['w_steps']})")
@@ -214,9 +227,10 @@ def _build_parser() -> _ArgumentParser:
         help=f"solver per row (default {run['mode']})",
     )
 
-    p = sub.add_parser(
-        "locus", parents=[shared],
-        help="symmetry locus mu_v = w(1-2*mu_i) over a mu_i grid (CSV)",
+    # each row sets w, mu_i and mu_v
+    p = command(
+        "locus", ["V", "sigma_i", "sigma_v"],
+        "symmetry locus mu_v = w(1-2*mu_i) over a mu_i grid (CSV)",
     )
     w_list = ",".join(f"{w:g}" for w in run["w_list"])
     p.add_argument(
@@ -226,16 +240,17 @@ def _build_parser() -> _ArgumentParser:
         "--mu-i-steps", type=int, help=f"mu_i grid points on [0, 1] (default {run['mu_i_steps']})"
     )
 
-    p = sub.add_parser("verify", parents=[shared], help="run the named verification checks")
+    p = command("verify", [], "run the named verification checks")
+    p.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
     p.add_argument(
         "--only", action="extend", metavar="CHECK",
         type=lambda text: [tok for tok in text.split(",") if tok],
         help="check id to run (repeatable or comma-separated; default all)",
     )
 
-    p = sub.add_parser(
-        "empirical", parents=[shared],
-        help="per-year polarization (mean R - mean L) from a year,party,score CSV",
+    p = command(
+        "empirical", [],
+        "per-year polarization (mean R - mean L) from a year,party,score CSV",
     )
     p.add_argument("input", type=Path, help="CSV with header year,party,score; party in {L, R}")
     return parser
@@ -398,6 +413,8 @@ def _cmd_locus(config: RunConfig) -> int:
 
 
 def _cmd_verify(config: RunConfig) -> int:
+    from .verify import run_checks
+
     try:
         results = run_checks(only=config.only, seed=config.seed)
     except ValueError as exc:

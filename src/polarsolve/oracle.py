@@ -168,8 +168,9 @@ def grid_best_response(
     """
     xs, k, win, lose = _grid_terms(opponent_policy, party, params, span, grid_step)
     gaps = _std_normal_cdf_array(k if party == "L" else -k) * (win + lose)
-    candidates = xs[gaps == gaps.max()].tolist()
-    response = min(candidates, key=lambda x: (abs(x - 0.5), x))
+    candidates = xs[gaps == gaps.max()]
+    # the first, so the smaller, of the points nearest 1/2
+    response = float(candidates[np.argmin(np.abs(candidates - 0.5))])
     if response == xs[0] or response == xs[-1]:
         raise SpanTooSmallError(
             f"grid argmax for party {party} sits on the span edge at {response}; "

@@ -56,7 +56,6 @@ from .errors import (
     SymmetryLocusError,
 )
 from .model import ModelParams, PlatformPair, _checked_noise_scale, _finite, _instance, noise_scale
-from .oracle import grid_best_response
 
 __all__ = [
     "SolverConfig",
@@ -140,6 +139,8 @@ def _warn_single_peakedness(params: ModelParams, stacklevel: int = 3) -> None:
 def _grid_certified(pp: PlatformPair, params: ModelParams) -> bool:
     """Below the unimodality bound: confirm each platform is the global
     argmax on the 1e-4 oracle grid (to one grid-cell slack each side)."""
+    from .oracle import grid_best_response  # numpy loads only below the bound
+
     try:
         g_l = grid_best_response(pp.p_R, "L", params, grid_step=1e-4)
         g_r = grid_best_response(pp.p_L, "R", params, grid_step=1e-4)
@@ -336,6 +337,8 @@ def _best_response(
         lo, hi = 0.5, 1.0
         fdf = lambda x: _scaled_foc_R(opp, x, params, sn)
     if prescan:
+        from .oracle import grid_best_response  # numpy loads only below the bound
+
         # the default span contains the bracket, so the argmax is interior
         guess = grid_best_response(opp, party, params, grid_step=1e-4)
         lo, hi = max(lo, guess - 1e-4), min(hi, guess + 1e-4)

@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import cli
 from .analysis import (
     delta_at_zero,
     delta_limit_infinity,
@@ -43,6 +44,7 @@ from .calculus import (
     d_euR_d_pR,
     dpL_dw_polar,
 )
+from .cli import DEFAULT_SEED
 from .errors import InvalidParamsError
 from .model import (
     ModelParams,
@@ -68,8 +70,6 @@ __all__ = [
     "central_first",
     "central_second",
 ]
-
-DEFAULT_SEED = 1729
 
 
 @dataclass(frozen=True, slots=True)
@@ -378,8 +378,6 @@ def _check_deriv_fd(rng: np.random.Generator) -> tuple[bool, str]:
 def _check_cli_roundtrip(rng: np.random.Generator) -> tuple[bool, str]:
     """Sweep CSV parses back to the exact in-memory doubles; the empirical
     command reproduces a hand-computed fixture exactly."""
-    from . import cli  # deferred: cli imports this module
-
     def run_cli(argv: list[str]) -> str | None:
         """Run a CLI command with its stderr captured (the sweep's row
         tally is not this check's output); None on success, else why not."""

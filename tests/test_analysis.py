@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 import warnings
 from dataclasses import replace
 
@@ -30,7 +31,7 @@ from polarsolve import (
 )
 from polarsolve import analysis, solver
 from polarsolve.analysis import SweepRow
-from polarsolve.calculus import _dpL_dw_symmetric
+from polarsolve.calculus import _PHI0, _dpL_dw_symmetric
 from polarsolve.errors import PolarsolveError
 
 # Frozen baseline anchors (V = sigma_i = sigma_v = 1, balanced means).
@@ -425,6 +426,26 @@ def test_w_tilde_names_a_bracketed_w_with_no_noise_scale():
     # c ~ 2.5e299 is finite, but 4 w^2 sigma_i^2 overflows inside the bracket
     with pytest.raises(InvalidParamsError, match="noise scale"):
         w_tilde(ModelParams(w=0.0, sigma_i=1e-150))
+
+
+def test_w_tilde_where_the_slope_denominator_underflows():
+    # the bracket is w ~ 7.5e-314..1.5e-308: s2 = sigma_v^2 ~ 2.4e-321 is
+    # subnormal and the slope's plain denominator underflows to 0, which
+    # raised ZeroDivisionError; the rescaled form keeps the slope finite
+    params = ModelParams(
+        w=1.18e-49, V=4.89e-6, sigma_i=8.97e-5, sigma_v=4.92e-161, mu_i=0.166, mu_v=1.27
+    )
+    lo, hi = _w_tilde_bracket(params)
+    assert lo <= w_tilde(params) <= hi
+    # the slope at w = 1e-308 against the plain form in exact arithmetic
+    V, w, s_i, s_v = (Fraction(x) for x in (params.V, 1e-308, params.sigma_i, params.sigma_v))
+    p, phi0 = Fraction(1, 4), Fraction(_PHI0)
+    s2 = s_v**2 + 4 * s_i**2 * w**2
+    exact = (1 - 2 * p) * phi0 * (4 * s_i**2 * w * (2 * p - V - 1) + s_v**2) / (
+        s2 * (2 * phi0 * (V + w + 2 * (1 - 2 * p)) + Fraction(math.sqrt(float(s2))))
+    )
+    slope = _dpL_dw_symmetric(0.25, params.V, 1e-308, params.sigma_i, params.sigma_v)
+    assert slope == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_w_tilde_moves_with_sigma_v(baseline):

@@ -481,6 +481,50 @@ def test_config_accepts_integral_floats_for_counts(tmp_path, capsys):
     assert len(out.splitlines()) == 4
 
 
+# each command takes only the model flags it reads: the sweep's grid sets w,
+# and each locus row sets w, mu_i and mu_v; verify and empirical read none,
+# and only verify reads --seed.  No flag may be abbreviated, so that
+# `locus --w` is not read as `--w-list`
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--w-steps", "3", "--w", "7"],
+        ["locus", "--w-list", "1", "--w", "7"],
+        ["locus", "--mu-i", "0.9"],
+        ["locus", "--mu-v", "3"],
+        ["locus", "--w", "7"],
+        ["verify", "--only", "prop3-delta0", "--V", "3"],
+        ["empirical", "scores.csv", "--sigma-v", "2"],
+        ["solve", "--seed", "3"],
+        ["sweep", "--w-st", "3"],
+    ],
+    ids=" ".join,
+)
+def test_a_flag_the_command_does_not_read_is_an_args_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid-args: unrecognized arguments: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_the_config_params_stay_shared_by_every_command(tmp_path, capsys):
+    # the file's params section is read by the commands that use it and
+    # accepted by the ones that do not
+    cfg = write_config(tmp_path, {"params": {"w": 7.0, "V": 2.0, "mu_i": 0.9, "mu_v": 3.0}})
+    scores = write_scores(tmp_path, "year,party,score\n2000,L,-0.5\n2000,R,0.5\n")
+    for argv in (
+        ["solve"],
+        ["sweep", "--w-steps", "3", "--mode", "asymmetric"],
+        ["locus", "--w-list", "1", "--mu-i-steps", "2"],
+        ["verify", "--only", "prop3-limit"],
+        ["empirical", str(scores)],
+    ):
+        code, out, err = run_cli([*argv, "--config", cfg], capsys)
+        assert code == 0, (argv, err)
+        assert out
+
+
 def test_config_missing_file(tmp_path, capsys):
     code, _, err = run_cli(["solve", "--config", str(tmp_path / "ghost.json")], capsys)
     assert code == 2

@@ -5,7 +5,14 @@ an :class:`InvalidParamsError`, which is both a ``PolarsolveError`` and a
 ``ValueError``.
 """
 
+import collections
+import contextlib
+import io
+import json
 import math
+import random
+import re
+import warnings
 
 import pytest
 
@@ -15,6 +22,8 @@ from polarsolve import (
     PlatformPair,
     PolarsolveError,
     PreconditionError,
+    SinglePeakednessWarning,
+    SolverConfig,
     best_response,
     classify_moderate,
     expected_utility_L,
@@ -30,6 +39,7 @@ from polarsolve import (
     solve_asymmetric,
     solve_symmetric,
     sweep_w,
+    symmetry_locus_mu_v,
     voter_utility,
     w_tilde,
     win_margin,
@@ -47,6 +57,7 @@ from polarsolve.calculus import (
     foc_symmetric_ideology_only,
     foc_symmetric_valence_only,
 )
+from polarsolve.cli import main as cli_main
 
 BASE = ModelParams(w=1.0)
 PP = PlatformPair(0.3, 0.7)
@@ -147,3 +158,73 @@ NOT_FINITE = {
 def test_a_root_that_is_not_finite_raises(error, call):
     with pytest.raises(error):
         call()
+
+
+def _float_limit_draws(n):
+    # w, V, sigma_i and sigma_v log-uniform over 1e-300..1e300 or 1e-8..1e8
+    # (w also 0, sigma_v also 1e-3..1e-1); mu_i and mu_v reach +-1e3
+    rng = random.Random(20261019)
+
+    def scale():
+        e = rng.choice((300.0, 8.0))
+        return 10.0 ** rng.uniform(-e, e)
+
+    for _ in range(n):
+        w = 0.0 if rng.random() < 0.1 else scale()
+        v, s_i = scale(), scale()
+        s_v = 10.0 ** rng.uniform(-3.0, -1.0) if rng.random() < 0.2 else scale()
+        mu_i = rng.uniform(-1e3, 1e3) if rng.random() < 0.3 else rng.uniform(0.0, 1.0)
+        mu_v = rng.uniform(-1e3, 1e3) if rng.random() < 0.3 else rng.uniform(-2.0, 2.0)
+        yield {"w": w, "V": v, "sigma_i": s_i, "sigma_v": s_v, "mu_i": mu_i, "mu_v": mu_v}
+
+
+def _flags(**values):
+    return [f"--{key.replace('_', '-')}={value!r}" for key, value in values.items()]
+
+
+def test_float_limit_fuzz_ends_in_a_result_or_a_typed_error(tmp_path):
+    # every public solve, sweep and w~ returns or raises a PolarsolveError, and
+    # every CLI run exits 0, 1, 2 or 3 (no convergence) with one error line
+    # exactly when it exits 2 or 3.  Every solve runs undamped: below the
+    # single-peak bound the damped fallback grid-scans in every best response
+    # and can take seconds on one draw, which would not fit this test's budget
+    cfg = SolverConfig(damping=1.0)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"solver": {"damping": 1.0}}), encoding="utf-8")
+    outcomes = collections.Counter()
+
+    def call(name, run):
+        try:
+            run()
+            outcomes[name, "ok"] += 1
+        except PolarsolveError as exc:
+            outcomes[name, type(exc).__name__] += 1
+
+    def cli(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main([*argv, "--config", str(config)])
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+        assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+        assert len(errors) == (code >= 2), (argv, err.getvalue())
+        assert code < 2 or re.fullmatch(r"error: [a-z-]+: .*", errors[0]), errors
+        outcomes["cli " + argv[0], code] += 1
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SinglePeakednessWarning)
+        for draw in _float_limit_draws(12):
+            w = draw["w"]
+            locus = {**draw, "mu_v": symmetry_locus_mu_v(w, draw["mu_i"])}
+            grid = [0.5 * w, w, 2.0 * w] if w > 0.0 else [0.0, 0.5, 1.0]
+            call("solve_symmetric", lambda: solve_symmetric(ModelParams(**locus), cfg))
+            call("solve_asymmetric", lambda: solve_asymmetric(ModelParams(**draw), cfg))
+            call("w_tilde", lambda: w_tilde(ModelParams(**draw), cfg))
+            call("sweep_w", lambda: sweep_w(grid, ModelParams(**draw), cfg, mode="asymmetric"))
+            cli(["solve", *_flags(**draw)])
+            # the default symmetric sweep, on the locus at the middle row
+            sweep_flags = _flags(**{k: v for k, v in locus.items() if k != "w"})
+            cli(["sweep", *sweep_flags, *_flags(w_min=grid[0], w_max=grid[-1], w_steps=3)])
+    # the draws reach results as well as errors on every entry
+    entries = ("solve_symmetric", "solve_asymmetric", "w_tilde", "sweep_w")
+    assert all((name, "ok") in outcomes for name in entries)
+    assert ("cli solve", 0) in outcomes and ("cli sweep", 0) in outcomes

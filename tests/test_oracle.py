@@ -27,7 +27,7 @@ from polarsolve import (
     win_margin,
     win_probability_L,
 )
-from polarsolve import solver, verify
+from polarsolve import oracle, verify
 from polarsolve.oracle import DEFAULT_SPAN, _grid_payoffs
 
 # A genuinely bimodal instance found by random search below the
@@ -192,7 +192,7 @@ def test_the_gap_form_keeps_every_clear_argmax_of_the_raw_payoff(monkeypatch):
             party = "L" if seed % 2 == 0 else "R"
             cases.append((opponent, party, params, grid_best_response(opponent, party, params)))
     cases += _recorded_grid_calls(monkeypatch, verify, lambda: run_checks(only=["oracle-br"]))
-    cases += _recorded_grid_calls(monkeypatch, solver, _rugged_solves)
+    cases += _recorded_grid_calls(monkeypatch, oracle, _rugged_solves)
     clear = 0
     for opponent, party, params, response in cases:
         xs, vals = _grid_payoffs(opponent, party, params, DEFAULT_SPAN, 1e-4)

@@ -30,7 +30,7 @@ from polarsolve.calculus import (
 )
 from polarsolve.model import PlatformPair, noise_scale, win_margin
 from polarsolve.oracle import grid_best_response
-from polarsolve import solver
+from polarsolve import oracle, solver
 
 # Frozen solver anchors, cross-checked against the 1e-4 grid oracle and
 # (for w=0) the closed-form polarization at zero ideological weight.
@@ -651,9 +651,9 @@ def _fail_the_first_grid_certificate(monkeypatch, then=lambda: None):
 
 def _count_grid_scans(monkeypatch):
     scans = []
-    grid = solver.grid_best_response
+    grid = oracle.grid_best_response
     monkeypatch.setattr(
-        solver, "grid_best_response", lambda *args, **kw: scans.append(1) or grid(*args, **kw)
+        oracle, "grid_best_response", lambda *args, **kw: scans.append(1) or grid(*args, **kw)
     )
     return scans
 
@@ -668,7 +668,7 @@ def test_below_the_bound_no_best_response_uses_a_warm_cell(monkeypatch):
             best_response(0.75, "L", _BELOW)
         )
     seeds, starts = [], []
-    grid, rtsafe = solver.grid_best_response, solver._rtsafe
+    grid, rtsafe = oracle.grid_best_response, solver._rtsafe
 
     def seed(*args, **kw):
         seeds.append(grid(*args, **kw))
@@ -679,7 +679,7 @@ def test_below_the_bound_no_best_response_uses_a_warm_cell(monkeypatch):
         return rtsafe(f, lo, hi, x, tol)
 
     def record_starts():
-        monkeypatch.setattr(solver, "grid_best_response", seed)
+        monkeypatch.setattr(oracle, "grid_best_response", seed)
         monkeypatch.setattr(solver, "_rtsafe", start)
 
     _fail_the_first_grid_certificate(monkeypatch, then=record_starts)
