@@ -69,5 +69,6 @@ class DegenerateError(PolarsolveError, ArithmeticError):
 
 class SinglePeakednessWarning(UserWarning):
     """sigma_v is below sqrt(32/3125): party objectives are not guaranteed
-    unimodal, so results are certified against the grid oracle, and best
-    responses run a global grid pre-scan only when that certification fails."""
+    unimodal, so results are certified against the grid oracle, and an
+    asymmetric solve whose pair Newton declines runs a global grid pre-scan
+    in every best response."""

@@ -89,14 +89,14 @@ def _grid_columns(lo: float, hi: float, grid_step: float) -> tuple[np.ndarray, .
 
 def _std_normal_cdf_array(x: np.ndarray) -> np.ndarray:
     """:func:`~polarsolve.gaussmath.std_normal_cdf` of every element of a
-    float64 array, bit for bit: the same ``math.erfc`` call per element and
-    the same clamp."""
+    float64 array, bit for bit: the same clamp to exact 0/1 past +-38, and
+    the same ``math.erfc`` call per element inside it (only there)."""
     finite = np.isfinite(x)
     if not finite.all():
         _require_finite(float(x[~finite][0]))
-    cdf = 0.5 * _erfc(-x * _INV_SQRT_2).astype(np.float64)
-    cdf[x > _CDF_CLAMP] = 1.0
-    cdf[x < -_CDF_CLAMP] = 0.0
+    cdf = (x > _CDF_CLAMP).astype(np.float64)
+    inside = np.abs(x) <= _CDF_CLAMP
+    cdf[inside] = 0.5 * _erfc(-x[inside] * _INV_SQRT_2).astype(np.float64)
     return cdf
 
 

@@ -11,20 +11,18 @@ Two entry points:
 * :func:`solve_asymmetric` — general parameters.  One kernel pair serves
   every step: each party's FOC divided by its own win probability (G_L,
   G_R in :mod:`polarsolve.calculus`), finite where that probability
-  underflows, with closed-form partials.  Above the single-peak bound the
-  solve runs 2-D Newton steps on (G_L, G_R) from a cold start, clamped to
-  the proven brackets [0, 1/2] for L and [1/2, 1] for R, and keeps the
-  point once one best response per party confirms it and it certifies.
-  Otherwise, and always below the bound, it runs damped alternating best
-  responses: each finds the root of G by Newton steps safeguarded by
-  bisection (:func:`_rtsafe`) on the party's bracket, starting at the
-  party's previous response.  Both routes end with the same finish, and
-  both step with one 2x2 Newton solve (:func:`_pair_step`).  Below the
-  single-peak bound a result must also pass the grid oracle; only if it
-  does not, or the iteration does not converge, is the solve rerun with a
-  grid pre-scan in every best response.  Non-convergence of the damped
-  loop is a reported outcome (:class:`~polarsolve.errors.ConvergenceError`
-  with the full iterate trace), never a silent truncation.
+  underflows, with closed-form partials.  The solve runs 2-D Newton steps
+  on (G_L, G_R) from a cold start, clamped to the proven brackets [0, 1/2]
+  for L and [1/2, 1] for R, and keeps the point once one best response per
+  party confirms it and it certifies.  If Newton declines, it runs damped
+  alternating best responses: each finds the root of G by Newton steps
+  safeguarded by bisection (:func:`_rtsafe`) on the party's bracket,
+  starting at the party's previous response, or below the single-peak
+  bound at the argmax of a grid pre-scan.  Both routes end with the same
+  finish, and both step with one 2x2 Newton solve (:func:`_pair_step`).
+  Non-convergence of the damped loop is a reported outcome
+  (:class:`~polarsolve.errors.ConvergenceError` with the full iterate
+  trace), never a silent truncation.
   A sweep row solves through :func:`_solve_asymmetric_at`.
 
 Every result carries its own certificate: each party's Newton distance
@@ -129,8 +127,9 @@ def _warn_single_peakedness(params: ModelParams, stacklevel: int = 3) -> None:
     warnings.warn(
         f"sigma_v={params.sigma_v:g} is below the unimodality bound "
         f"sqrt(32/3125)~0.10119; single-peakedness is not guaranteed, so "
-        f"results are certified against the grid oracle, and best responses "
-        f"run a global grid pre-scan only when that certification fails",
+        f"results are certified against the grid oracle, and an asymmetric "
+        f"solve whose pair Newton declines runs a global grid pre-scan in "
+        f"every best response",
         SinglePeakednessWarning,
         stacklevel=stacklevel,
     )
@@ -322,13 +321,14 @@ def _best_response(
     """:func:`best_response` of a checked opponent, given ``sn``: the root
     of the party's scaled FOC by :func:`_rtsafe` to ``cfg.tol_root``.
 
-    With ``prescan`` (public :func:`best_response` below the single-peak
-    bound, and :func:`solve_asymmetric`'s fallback) the search starts at
-    the 1e-4 grid argmax inside its +- 1e-4 bracket and ``guess`` is
-    ignored.  Otherwise it starts at ``guess`` (the party's previous
-    response, inside :func:`solve_asymmetric`) when that lies in the
-    party's bracket, else at the bracket's midpoint.  Below the bound,
-    without the pre-scan, the sign change found may be a local maximum only.
+    With ``prescan`` (public :func:`best_response` and
+    :func:`solve_asymmetric`'s damped fallback, below the single-peak
+    bound) the search starts at the 1e-4 grid argmax inside its +- 1e-4
+    bracket and ``guess`` is ignored.  Otherwise it starts at ``guess``
+    (the party's previous response, inside :func:`solve_asymmetric`) when
+    that lies in the party's bracket, else at the bracket's midpoint.
+    Below the bound, without the pre-scan (the pair Newton's confirming
+    responses), the sign change found may be a local maximum only.
     """
     if party == "L":
         lo, hi = 0.0, 0.5
@@ -355,20 +355,19 @@ def solve_asymmetric(
     """Equilibrium by 2-D Newton on the scaled FOC pair, with damped
     alternating best responses as the fallback.
 
-    Above the single-peak bound the solve first runs Newton steps on
-    (G_L, G_R) from ``start`` (:func:`_pair_newton`), each iterate clamped
-    to the proven brackets [0, 1/2] x [1/2, 1], and accepts the point only
-    if one warm best response per party confirms it to 1e-9 and it passes
-    the finish and the certificate; ``iterations`` then counts Newton
-    steps.  Otherwise, and always below the bound, the solve runs the
-    damped loop (:func:`_iterate`): Gauss-Seidel updates with step
-    ``cfg.damping`` toward the current best response, each search starting
-    at the party's previous response (the ``start`` entry in round 1, or
-    the bracket's midpoint if that lies outside the party's bracket), then
-    the Newton finish; ``iterations`` counts damped rounds.
-    Below the bound that search may stop on a local maximum: if the result
-    fails the grid oracle or the iteration does not converge, the solve
-    reruns from ``start`` with a grid pre-scan in every best response.
+    The solve first runs Newton steps on (G_L, G_R) from ``start``
+    (:func:`_pair_newton`), each iterate clamped to the proven brackets
+    [0, 1/2] x [1/2, 1], and accepts the point only if one warm best
+    response per party confirms it to 1e-9 and it passes the finish and
+    the certificate, which below the single-peak bound includes the grid
+    oracle; ``iterations`` then counts Newton steps.  Otherwise the solve
+    runs the damped loop (:func:`_iterate`) from ``start``: Gauss-Seidel
+    updates with step ``cfg.damping`` toward the current best response,
+    then the Newton finish; ``iterations`` counts damped rounds.  Above
+    the bound each search starts at the party's previous response (the
+    ``start`` entry in round 1, or the bracket's midpoint if that lies
+    outside the party's bracket).  Below it a warm search may stop on a
+    local maximum, so every search starts at the argmax of a grid pre-scan.
     ``start`` must be a pair of finite reals; it is checked once here.
     In the damped loop a persistent period-2 cycle raises
     :class:`ConvergenceError` suggesting a lower damping; so does an
@@ -392,18 +391,11 @@ def _solve_asymmetric_at(
     noise scale is checked once here and the kernels read only (V, w, mu_i,
     mu_v).  An asymmetric sweep row and its re-solves call this directly."""
     sn = _checked_noise_scale(w, params.sigma_i, params.sigma_v)
-    if params.single_peaked_guaranteed:
-        return _pair_newton(p_l, p_r, params, w, sn, cfg) or _iterate(
-            p_l, p_r, params, w, sn, cfg, prescan=False
-        )
-    # the grid oracle needs a ModelParams at w
-    params = params if w == params.w else replace(params, w=w)
-    _warn_single_peakedness(params, stacklevel)
-    try:
-        res = _iterate(p_l, p_r, params, w, sn, cfg, prescan=False)
-    except ConvergenceError:
-        res = None
-    return res if res and res.certified else _iterate(p_l, p_r, params, w, sn, cfg, prescan=True)
+    if not params.single_peaked_guaranteed:
+        # the grid oracle needs a ModelParams at w
+        params = params if w == params.w else replace(params, w=w)
+        _warn_single_peakedness(params, stacklevel)
+    return _pair_newton(p_l, p_r, params, w, sn, cfg) or _iterate(p_l, p_r, params, w, sn, cfg)
 
 
 def _pair_newton(
@@ -416,7 +408,7 @@ def _pair_newton(
     point is kept only if one warm best response per party lands within
     1e-9 of it and, after the Newton finish, the certificate passes, which
     requires both own slopes G' < 0: a root of the pair where a payoff has
-    a minimum is declined.  Above the single-peak bound only."""
+    a minimum is declined."""
     at_w = _AtW(params.V, w, params.mu_i, params.mu_v)
     p_l, p_r = min(max(p_l, 0.0), 0.5), min(max(p_r, 0.5), 1.0)
     for steps in range(1, cfg.max_iter + 1):
@@ -441,12 +433,13 @@ def _pair_newton(
 
 
 def _iterate(
-    p_l: float, p_r: float, params: ModelParams, w: float, sn: float, cfg: SolverConfig,
-    prescan: bool,
+    p_l: float, p_r: float, params: ModelParams, w: float, sn: float, cfg: SolverConfig
 ) -> EquilibriumResult:
     """:func:`solve_asymmetric`'s damped loop from (p_l, p_r) at weight
-    ``w``, Newton finish and certificate; with ``prescan``, ``params.w``
-    must be ``w``, as the grid oracle reads ``params``."""
+    ``w``, Newton finish and certificate.  Below the single-peak bound every
+    best response pre-scans the grid, so ``params.w`` must be ``w``, as the
+    grid oracle reads ``params``."""
+    prescan = not params.single_peaked_guaranteed
     at_w = params if prescan else _AtW(params.V, w, params.mu_i, params.mu_v)
     br_l, br_r = p_l, p_r
     trace: list[tuple[float, float]] = [(p_l, p_r)]

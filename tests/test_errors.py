@@ -8,7 +8,6 @@ an :class:`InvalidParamsError`, which is both a ``PolarsolveError`` and a
 import collections
 import contextlib
 import io
-import json
 import math
 import random
 import re
@@ -23,7 +22,6 @@ from polarsolve import (
     PolarsolveError,
     PreconditionError,
     SinglePeakednessWarning,
-    SolverConfig,
     best_response,
     classify_moderate,
     expected_utility_L,
@@ -182,15 +180,10 @@ def _flags(**values):
     return [f"--{key.replace('_', '-')}={value!r}" for key, value in values.items()]
 
 
-def test_float_limit_fuzz_ends_in_a_result_or_a_typed_error(tmp_path):
+def test_float_limit_fuzz_ends_in_a_result_or_a_typed_error():
     # every public solve, sweep and w~ returns or raises a PolarsolveError, and
     # every CLI run exits 0, 1, 2 or 3 (no convergence) with one error line
-    # exactly when it exits 2 or 3.  Every solve runs undamped: below the
-    # single-peak bound the damped fallback grid-scans in every best response
-    # and can take seconds on one draw, which would not fit this test's budget
-    cfg = SolverConfig(damping=1.0)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"solver": {"damping": 1.0}}), encoding="utf-8")
+    # exactly when it exits 2 or 3
     outcomes = collections.Counter()
 
     def call(name, run):
@@ -203,7 +196,7 @@ def test_float_limit_fuzz_ends_in_a_result_or_a_typed_error(tmp_path):
     def cli(argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli_main([*argv, "--config", str(config)])
+            code = cli_main(argv)
         errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
         assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
         assert len(errors) == (code >= 2), (argv, err.getvalue())
@@ -216,10 +209,10 @@ def test_float_limit_fuzz_ends_in_a_result_or_a_typed_error(tmp_path):
             w = draw["w"]
             locus = {**draw, "mu_v": symmetry_locus_mu_v(w, draw["mu_i"])}
             grid = [0.5 * w, w, 2.0 * w] if w > 0.0 else [0.0, 0.5, 1.0]
-            call("solve_symmetric", lambda: solve_symmetric(ModelParams(**locus), cfg))
-            call("solve_asymmetric", lambda: solve_asymmetric(ModelParams(**draw), cfg))
-            call("w_tilde", lambda: w_tilde(ModelParams(**draw), cfg))
-            call("sweep_w", lambda: sweep_w(grid, ModelParams(**draw), cfg, mode="asymmetric"))
+            call("solve_symmetric", lambda: solve_symmetric(ModelParams(**locus)))
+            call("solve_asymmetric", lambda: solve_asymmetric(ModelParams(**draw)))
+            call("w_tilde", lambda: w_tilde(ModelParams(**draw)))
+            call("sweep_w", lambda: sweep_w(grid, ModelParams(**draw), mode="asymmetric"))
             cli(["solve", *_flags(**draw)])
             # the default symmetric sweep, on the locus at the middle row
             sweep_flags = _flags(**{k: v for k, v in locus.items() if k != "w"})

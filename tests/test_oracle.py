@@ -28,6 +28,7 @@ from polarsolve import (
     win_probability_L,
 )
 from polarsolve import oracle, verify
+from polarsolve.gaussmath import _cdf
 from polarsolve.oracle import DEFAULT_SPAN, _grid_payoffs
 
 # A genuinely bimodal instance found by random search below the
@@ -77,6 +78,18 @@ BIT_CASES = {
         ModelParams(w=0.5, sigma_i=0.01, sigma_v=0.05, mu_v=1.5), 0.6, (-8.0, 9.0)
     ),
 }
+
+
+def test_the_array_cdf_calls_erfc_only_inside_the_clamp(monkeypatch):
+    # +-38 and the zeros are inside; the next double past 38 and 1e300 are not
+    edges = (38.0, math.nextafter(38.0, 39.0), 1e300, 0.0, -0.0, 1e-300)
+    x = np.array([sign * e for e in edges for sign in (1.0, -1.0)])
+    sizes, erfc = [], oracle._erfc
+    monkeypatch.setattr(oracle, "_erfc", lambda a: sizes.append(a.size) or erfc(a))
+    cdf = oracle._std_normal_cdf_array(x)
+    want = np.array([_cdf(v) for v in x.tolist()])
+    assert np.array_equal(cdf.view(np.int64), want.view(np.int64))
+    assert sizes == [8]
 
 
 # an infinite step once reached the payoffs as NaN grid points and raised

@@ -206,15 +206,19 @@ def test_single_peakedness_warning_names_the_callers_line():
     assert record[0].filename == __file__
 
 
-def test_solve_asymmetric_below_the_bound_frozen_value():
-    # below sqrt(32/3125) the fast pass's result is certified against the
-    # grid oracle; these bits and the iteration count are also those of the
-    # pre-scan route, where every best response starts at the grid argmax
+def test_solve_asymmetric_below_the_bound_frozen_value(monkeypatch):
+    # below sqrt(32/3125) the pair Newton's point is certified against the
+    # grid oracle in 3 steps; the pre-scan route, forced, where every best
+    # response starts at the grid argmax, reaches the same bits in 29 rounds
+    params = ModelParams(w=1.0, sigma_v=0.08, mu_v=0.3)
     with pytest.warns(SinglePeakednessWarning):
-        res = solve_asymmetric(ModelParams(w=1.0, sigma_v=0.08, mu_v=0.3))
-    assert (res.platforms.p_L, res.platforms.p_R) == (0.2641356252348499, 0.7657555661173802)
-    assert res.iterations == 29
-    assert res.certified
+        newton = solve_asymmetric(params)
+    for res, iterations in ((newton, 3), (_pre_scan_solve(monkeypatch, params), 29)):
+        assert (res.platforms.p_L, res.platforms.p_R) == (
+            0.2641356252348499, 0.7657555661173802
+        )
+        assert res.iterations == iterations
+        assert res.certified
 
 
 def test_best_response_satisfies_first_order_condition(baseline):
@@ -509,9 +513,9 @@ def _count_damped_fallbacks(monkeypatch):
     calls = []
     iterate = solver._iterate
 
-    def counted(*args, prescan):
+    def counted(*args):
         calls.append(1)
-        return iterate(*args, prescan=prescan)
+        return iterate(*args)
 
     monkeypatch.setattr(solver, "_iterate", counted)
     return calls
@@ -537,9 +541,7 @@ def test_sweep_rows_need_no_damped_fallback_and_equal_its_rows(base, monkeypatch
         assert row.dpL_dw_fd == pytest.approx(want.dpL_dw_fd, abs=1e-10), row
 
 
-def test_a_failed_best_response_confirmation_falls_back_to_the_damped_loop(monkeypatch):
-    params = ModelParams(w=1.0, mu_i=0.3, mu_v=0.1)
-    forced = _damped_solve(monkeypatch, params)
+def _miss_the_first_best_response(monkeypatch):
     best = solver._best_response
 
     def refuse_once(*args):
@@ -547,6 +549,12 @@ def test_a_failed_best_response_confirmation_falls_back_to_the_damped_loop(monke
         return best(*args) + 1e-8  # L's response misses the Newton point
 
     monkeypatch.setattr(solver, "_best_response", refuse_once)
+
+
+def test_a_failed_best_response_confirmation_falls_back_to_the_damped_loop(monkeypatch):
+    params = ModelParams(w=1.0, mu_i=0.3, mu_v=0.1)
+    forced = _damped_solve(monkeypatch, params)
+    _miss_the_first_best_response(monkeypatch)
     assert repr(solve_asymmetric(params)) == repr(forced)
     assert forced.iterations == 29
 
@@ -624,18 +632,16 @@ def test_the_finest_tol_root_terminates_and_certifies(monkeypatch):
     assert calls
 
 
-# below the single-peak bound; the fast pass certifies it with the pre-scan
+# below the single-peak bound; the pair Newton certifies it with the pre-scan
 # route's bits (test_solve_asymmetric_below_the_bound_frozen_value)
 _BELOW = ModelParams(w=1.0, sigma_v=0.08, mu_v=0.3)
 
 
 def _pre_scan_solve(monkeypatch, params, cfg=None):
-    # solve_asymmetric forced onto the pre-scan route from its first pass
-    iterate = solver._iterate
-    with monkeypatch.context() as m:
-        m.setattr(solver, "_iterate", lambda *args, prescan: iterate(*args, prescan=True))
-        with pytest.warns(SinglePeakednessWarning):
-            return solve_asymmetric(params, cfg)
+    # solve_asymmetric below the bound forced onto the damped fallback, which
+    # pre-scans in every best response: the pair Newton declines
+    with pytest.warns(SinglePeakednessWarning):
+        return _damped_solve(monkeypatch, params, cfg)
 
 
 def _fail_the_first_grid_certificate(monkeypatch, then=lambda: None):
@@ -660,8 +666,8 @@ def _count_grid_scans(monkeypatch):
 
 def test_below_the_bound_no_best_response_uses_a_warm_cell(monkeypatch):
     # on the pre-scan route (public best_response, and solve_asymmetric's
-    # fallback once the fast pass fails the grid oracle) each search starts
-    # at the grid argmax and ignores the previous response
+    # fallback once the pair Newton's point fails the grid oracle) each
+    # search starts at the grid argmax and ignores the previous response
     sn, cfg = noise_scale(_BELOW), SolverConfig()
     for guess in (None, 0.0, 0.25, 0.5, 0.7):
         assert solver._best_response(0.75, "L", _BELOW, sn, cfg, guess, prescan=True) == (
@@ -691,42 +697,46 @@ def test_below_the_bound_no_best_response_uses_a_warm_cell(monkeypatch):
     assert seeds[: len(starts)] == starts and len(seeds) == len(starts) + 2
 
 
-def test_below_the_bound_the_fast_pass_runs_no_grid_scan_in_a_best_response(monkeypatch):
+def test_below_the_bound_the_pair_newton_runs_no_grid_scan_in_a_best_response(monkeypatch):
     scans = _count_grid_scans(monkeypatch)
     with pytest.warns(SinglePeakednessWarning):
         res = solve_asymmetric(_BELOW)
-    assert res.certified
+    assert res.certified and res.iterations == 3
     assert len(scans) == 2  # the certificate's, one per party
 
 
 def test_below_the_bound_an_uncertified_result_falls_back_to_the_pre_scan_route(monkeypatch):
+    # the pair Newton's point fails its grid certificate (patched, so it
+    # scans nothing), and the pair Newton declines it
     forced = _pre_scan_solve(monkeypatch, _BELOW)
     _fail_the_first_grid_certificate(monkeypatch)
+    fallbacks = _count_damped_fallbacks(monkeypatch)
     scans = _count_grid_scans(monkeypatch)
     with pytest.warns(SinglePeakednessWarning):
         res = solve_asymmetric(_BELOW)
-    assert repr(res) == repr(forced)
+    assert repr(res) == repr(forced) and len(fallbacks) == 1
     # a pre-scan in each of the fallback's best responses, then its certificate
     assert len(scans) == 2 * forced.iterations + 2
 
 
-def test_below_the_bound_a_fast_pass_that_does_not_converge_falls_back(monkeypatch):
+def test_below_the_bound_a_declined_pair_newton_goes_straight_to_the_pre_scan_route(
+    monkeypatch,
+):
+    # L's confirming best response misses the Newton point, so the pair
+    # Newton declines before its certificate: the one damped pass that
+    # follows pre-scans in every best response
     forced = _pre_scan_solve(monkeypatch, _BELOW)
-    iterate = solver._iterate
-
-    def fast_pass_stalls(*args, prescan):
-        if not prescan:
-            raise ConvergenceError("stalled", [])
-        return iterate(*args, prescan=prescan)
-
-    monkeypatch.setattr(solver, "_iterate", fast_pass_stalls)
+    _miss_the_first_best_response(monkeypatch)
+    fallbacks = _count_damped_fallbacks(monkeypatch)
+    scans = _count_grid_scans(monkeypatch)
     with pytest.warns(SinglePeakednessWarning):
         assert repr(solve_asymmetric(_BELOW)) == repr(forced)
+    assert len(fallbacks) == 1 and len(scans) == 2 * forced.iterations + 2
 
 
-def test_below_the_bound_an_exhausted_budget_reruns_the_pre_scan_route(monkeypatch):
-    # max_iter=2 is too small for either pass: the error raised is the
-    # pre-scan route's, with its trace
+def test_below_the_bound_an_exhausted_budget_raises_the_pre_scan_routes_error(monkeypatch):
+    # max_iter=2 is too small for the pair Newton and for the damped
+    # fallback: the error raised is the pre-scan route's, with its trace
     cfg = SolverConfig(max_iter=2)
     with pytest.raises(ConvergenceError) as forced:
         _pre_scan_solve(monkeypatch, _BELOW, cfg)
