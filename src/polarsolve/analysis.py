@@ -45,6 +45,7 @@ from .solver import (
     _solve_asymmetric_at,
     _solve_symmetric_at,
     _sym_root,
+    _warn_single_peakedness,
     solve_asymmetric,
 )
 
@@ -181,7 +182,8 @@ def sweep_w(
     serially and in grid order.
 
     Per-row solver failures become NaN rows with ``certified=False`` —
-    the sweep itself never aborts.
+    the sweep itself never aborts.  Below the single-peak bound the sweep
+    warns once, before its first row.
     """
     _instance("params_base", params_base, ModelParams)
     cfg = _config(params_base, cfg)
@@ -201,6 +203,7 @@ def sweep_w(
     for a, b in zip(grid, grid[1:]):
         if not a < b:
             raise InvalidParamsError(f"w_grid must be strictly increasing ({a} !< {b})")
+    _warn_single_peakedness(params_base)
     return [_sweep_row(w, params_base, cfg, mode) for w in grid]
 
 
@@ -315,7 +318,7 @@ def symmetry_locus_mu_v(w: float, mu_i: float) -> float:
     """The mean valence advantage that exactly offsets a mean ideological
     tilt mu_i at polarization w: mu_v = w(1 - 2*mu_i).  On this locus a
     symmetric equilibrium exists."""
-    return w * (1.0 - 2.0 * mu_i)
+    return _finite("w", w) * (1.0 - 2.0 * _finite("mu_i", mu_i))
 
 
 def w_hat(mu_v: float, mu_i: float) -> float:
@@ -324,6 +327,7 @@ def w_hat(mu_v: float, mu_i: float) -> float:
     Undefined at mu_i = 1/2: there the symmetry locus forces mu_v = 0
     and no threshold exists (raises :class:`DomainError`).
     """
+    mu_v, mu_i = _finite("mu_v", mu_v), _finite("mu_i", mu_i)
     if mu_i == 0.5:
         raise DomainError(
             "w_hat is undefined at mu_i=1/2 (degenerate symmetry locus forces mu_v=0)"

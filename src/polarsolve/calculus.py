@@ -48,11 +48,11 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Literal
+from typing import Callable, Literal
 
 from .errors import DomainError, InvalidParamsError, PreconditionError
 from .gaussmath import _cdf, _mills, _pdf, _require_finite
-from .model import ModelParams, PlatformPair, _instance, _margin, _platforms, noise_scale
+from .model import ModelParams, PlatformPair, _finite, _instance, _margin, _platforms, noise_scale
 
 __all__ = [
     "d_euL_d_pL",
@@ -166,13 +166,13 @@ def foc_symmetric(p_L: float, params: ModelParams) -> float:
     the symmetry locus the win margin is identically zero.
     """
     sn = noise_scale(params)  # checks params before its fields are read
-    return _foc_symmetric(p_L, params.V, params.w, sn)
+    return _foc_symmetric(_finite("p_L", p_L), params.V, params.w, sn)
 
 
 def foc_symmetric_derivative(p_L: float, params: ModelParams) -> float:
     """d/dp_L of :func:`foc_symmetric`; strictly negative on [0, 1/2]."""
     sn = noise_scale(params)  # checks params before its fields are read
-    return _foc_symmetric_derivative(p_L, params.V, params.w, sn)
+    return _foc_symmetric_derivative(_finite("p_L", p_L), params.V, params.w, sn)
 
 
 def _foc_symmetric(p_L: float, V: float, w: float, sn: float) -> float:
@@ -192,7 +192,7 @@ def foc_symmetric_valence_only(p_L: float, params: ModelParams) -> float:
     """Symmetric FOC in the valence-uncertainty-only limit sigma_i -> 0
     (the noise scale collapses to sigma_v)."""
     _instance("params", params, ModelParams)
-    return _foc_symmetric(p_L, params.V, params.w, params.sigma_v)
+    return _foc_symmetric(_finite("p_L", p_L), params.V, params.w, params.sigma_v)
 
 
 def foc_symmetric_ideology_only(p_L: float, params: ModelParams) -> float:
@@ -208,15 +208,21 @@ def foc_symmetric_ideology_only(p_L: float, params: ModelParams) -> float:
             "ideology-only FOC is singular at w=0 (limit policy is 1/2); "
             "w must be positive"
         )
-    return _foc_symmetric(p_L, params.V, params.w, 2.0 * params.sigma_i * params.w)
+    return _foc_symmetric(_finite("p_L", p_L), params.V, params.w, 2.0 * params.sigma_i * params.w)
 
 
-def _require_root(foc: float, label: str) -> None:
-    if not abs(foc) <= _ON_MANIFOLD_TOL:  # NaN too
+def _require_root(p_L: float, params: ModelParams, foc: Callable, label: str) -> float:
+    """``p_L`` as a float once it is a root of ``foc`` for ``params``,
+    else :class:`PreconditionError`.  ``foc`` checks that ``p_L`` is a real
+    number; a NaN or infinite one, which it would reject, is no root."""
+    _instance("params", params, ModelParams)
+    value = p_L if isinstance(p_L, float) and not math.isfinite(p_L) else foc(p_L, params)
+    if not abs(value) <= _ON_MANIFOLD_TOL:  # NaN too
         raise PreconditionError(
             f"implicit derivative evaluated off the solution manifold: "
-            f"|{label}| = {abs(foc):.3e} > {_ON_MANIFOLD_TOL:.0e}"
+            f"|{label}| = {abs(value):.3e} > {_ON_MANIFOLD_TOL:.0e}"
         )
+    return float(p_L)
 
 
 def dpL_dw_symmetric(p_L: float, params: ModelParams) -> float:
@@ -230,7 +236,7 @@ def dpL_dw_symmetric(p_L: float, params: ModelParams) -> float:
     Positive exactly while w < sigma_v^2 / (4 sigma_i^2 (1 + V - 2p)).
     ``p_L`` must be a root of the symmetric FOC for these params.
     """
-    _require_root(foc_symmetric(p_L, params), "foc_symmetric")
+    p_L = _require_root(p_L, params, foc_symmetric, "foc_symmetric")
     return _dpL_dw_symmetric(p_L, params.V, params.w, params.sigma_i, params.sigma_v)
 
 
@@ -272,12 +278,14 @@ def dpL_dw_polar(
     ``p_L`` must solve the corresponding polar FOC.
     """
     if which == "valence_only":
-        _require_root(foc_symmetric_valence_only(p_L, params), "foc_symmetric_valence_only")
+        p_L = _require_root(p_L, params, foc_symmetric_valence_only, "foc_symmetric_valence_only")
         return (1.0 - 2.0 * p_L) * _PHI0 / (
             2.0 * _PHI0 * (params.V + params.w + 2.0 * (1.0 - 2.0 * p_L)) + params.sigma_v
         )
     if which == "ideology_only":
-        _require_root(foc_symmetric_ideology_only(p_L, params), "foc_symmetric_ideology_only")
+        p_L = _require_root(
+            p_L, params, foc_symmetric_ideology_only, "foc_symmetric_ideology_only"
+        )
         return -(1.0 - 2.0 * p_L) * (params.V + 1.0 - 2.0 * p_L) * _PHI0 / (
             2.0
             * params.w

@@ -14,11 +14,14 @@ is ``verify``'s); an unused or abbreviated flag is ``invalid-args``.
 Each setting in ``_SETTINGS`` takes its flag if given, else its ``--config``
 JSON value, which must be of the setting's JSON kind, else its default.
 Every error path exits nonzero after a single machine-parsable line of
-the form ``error: <slug>: <reason>`` on stderr (slugs: ``invalid-args``,
-``invalid-params``, ``invalid-config``, ``invalid-input``,
+the form ``error: <slug>: <reason>``, the last on stderr (slugs:
+``invalid-args``, ``invalid-params``, ``invalid-config``, ``invalid-input``,
 ``no-convergence``).  Exit codes: 2 for anything invalid, 3 for solver
 non-convergence, 1 for a result that is computable but fails its
-certification or check threshold.
+certification or check threshold.  :func:`main` prints each distinct
+warning that a command raises once on stderr, as ``warning: <message>``
+(``SinglePeakednessWarning`` below the single-peak bound, whatever the
+command), before that command's error line if it fails.
 
 CSV output is comma-delimited with a header row, 17-significant-digit
 floats (lossless double round-trip), ``true``/``false`` booleans,
@@ -351,12 +354,7 @@ def _emit_csv(header: Sequence[str], rows: list[Sequence[object]], out: Path | N
 def _cmd_solve(config: RunConfig) -> int:
     params = config.params
     on_locus = abs(params.mu_v - symmetry_locus_mu_v(params.w, params.mu_i)) <= LOCUS_TOL
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        solve = solve_symmetric if on_locus else solve_asymmetric
-        result = solve(params, config.solver)
-    for item in caught:
-        print(f"warning: {item.message}", file=sys.stderr)
+    result = (solve_symmetric if on_locus else solve_asymmetric)(params, config.solver)
     pp = result.platforms
     lines = [
         f"kind: {result.kind}",
@@ -487,10 +485,18 @@ _HANDLERS: dict[str, Callable[[RunConfig], int]] = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run the CLI; returns the process exit status instead of raising."""
+    """Run the CLI; returns the process exit status instead of raising.
+    Each distinct warning the command raises is printed once on stderr as
+    ``warning: <message>``, before the error line if the command fails."""
     try:
         config = _make_config(_build_parser().parse_args(argv))
-        return _HANDLERS[config.command](config)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                return _HANDLERS[config.command](config)
+            finally:
+                for message in dict.fromkeys(str(item.message) for item in caught):
+                    print(f"warning: {message}", file=sys.stderr)
     except SystemExit as exc:  # argparse printed its own reason (or help)
         return exc.code if isinstance(exc.code, int) else 0
     except _CliError as exc:

@@ -132,21 +132,18 @@ def voter_utility(i: float, p: float, i_hat: float, params: ModelParams) -> floa
     """Voter's utility -w*(i_hat - i)^2 - (p_hat_V - p)^2 from a party at
     ideological anchor ``i`` offering platform ``p``.  Never positive."""
     _instance("params", params, ModelParams)
+    i, p, i_hat = _finite("i", i), _finite("p", p), _finite("i_hat", i_hat)
     di = i_hat - i
     dp = params.p_hat_V - p
     return -params.w * di * di - dp * dp
 
 
-def _noise_scale(w: float, sigma_i: float, sigma_v: float) -> float:
-    """:func:`noise_scale` of plain floats."""
-    return math.sqrt(sigma_v**2 + 4.0 * w**2 * sigma_i**2)
-
-
 def _checked_noise_scale(w: float, sigma_i: float, sigma_v: float) -> float:
-    """:func:`_noise_scale`, or :class:`InvalidParamsError` naming ``w``,
-    ``sigma_i`` and ``sigma_v`` when it is not a positive finite double."""
+    """:func:`noise_scale` of plain floats, or :class:`InvalidParamsError`
+    naming ``w``, ``sigma_i`` and ``sigma_v`` when it is not a positive
+    finite double."""
     try:
-        sn = _noise_scale(w, sigma_i, sigma_v)
+        sn = math.sqrt(sigma_v**2 + 4.0 * w**2 * sigma_i**2)
     except OverflowError:
         sn = math.inf
     if not 0.0 < sn < math.inf:
@@ -160,7 +157,7 @@ def _checked_noise_scale(w: float, sigma_i: float, sigma_v: float) -> float:
 def noise_scale(params: ModelParams) -> float:
     """Standard deviation of the combined shock 2*w*i_hat + v."""
     _instance("params", params, ModelParams)
-    return _noise_scale(params.w, params.sigma_i, params.sigma_v)
+    return _checked_noise_scale(params.w, params.sigma_i, params.sigma_v)
 
 
 def _margin(p_L: float, p_R: float, params: ModelParams, sn: float) -> float:

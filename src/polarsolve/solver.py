@@ -29,6 +29,11 @@ Every result carries its own certificate: each party's Newton distance
 |G/G'| to its root below ``tol_fp`` with G' < 0, and — when sigma_v sits
 below the unimodality bound — agreement with the brute-force grid oracle.
 The raw FOC residuals and second derivatives are reported beside it.
+
+Each solve is set up once by :func:`_at`: the instance at weight w, whose
+``single_peaked_guaranteed`` the certificate and the damped loop read.
+Below the bound each public entry, :func:`polarsolve.analysis.sweep_w`
+included, warns once; the private ``_solve_*_at`` entries never warn.
 """
 
 from __future__ import annotations
@@ -123,7 +128,11 @@ def _config(params: ModelParams, cfg: SolverConfig | None) -> SolverConfig:
     return SolverConfig() if cfg is None else _instance("cfg", cfg, SolverConfig)
 
 
-def _warn_single_peakedness(params: ModelParams, stacklevel: int = 3) -> None:
+def _warn_single_peakedness(params: ModelParams) -> None:
+    """Warn below the unimodality bound, naming the line that called the
+    public entry: each public solve and sweep calls this once, itself."""
+    if params.single_peaked_guaranteed:
+        return
     warnings.warn(
         f"sigma_v={params.sigma_v:g} is below the unimodality bound "
         f"sqrt(32/3125)~0.10119; single-peakedness is not guaranteed, so "
@@ -131,7 +140,7 @@ def _warn_single_peakedness(params: ModelParams, stacklevel: int = 3) -> None:
         f"solve whose pair Newton declines runs a global grid pre-scan in "
         f"every best response",
         SinglePeakednessWarning,
-        stacklevel=stacklevel,
+        stacklevel=3,
     )
 
 
@@ -157,21 +166,38 @@ def _scaled_pair(p_l: float, p_r: float, params: ModelParams, sn: float) -> tupl
     return max(abs(g_l[0] / g_l[1]), abs(g_r[0] / g_r[1])), g_l, g_r
 
 
-#: The fields the kernels read: an unchecked stand-in for ``replace(params, w=w)``.
-_AtW = NamedTuple("_AtW", [("V", float), ("w", float), ("mu_i", float), ("mu_v", float)])
+class _AtW(NamedTuple):
+    """The fields the kernels read: an unchecked stand-in for
+    ``replace(params, w=w)`` above the single-peak bound, which it
+    reports as ``ModelParams`` does."""
+
+    V: float
+    w: float
+    mu_i: float
+    mu_v: float
+    single_peaked_guaranteed = True
+
+
+def _at(params: ModelParams, w: float) -> tuple[ModelParams | _AtW, float]:
+    """The instance at weight ``w`` and its noise scale, checked once for
+    a whole solve.  Above the single-peak bound it is an :class:`_AtW`;
+    below it a ``ModelParams``, which the grid oracle reads."""
+    sn = _checked_noise_scale(w, params.sigma_i, params.sigma_v)
+    if params.single_peaked_guaranteed:
+        return _AtW(params.V, w, params.mu_i, params.mu_v), sn
+    return (params if w == params.w else replace(params, w=w)), sn
 
 
 def _certificate(
-    pp: PlatformPair, params: ModelParams, w: float, sn: float, cfg: SolverConfig,
+    pp: PlatformPair, at: ModelParams | _AtW, sn: float, cfg: SolverConfig,
     iterations: int, kind: Literal["symmetric", "asymmetric"],
 ) -> EquilibriumResult:
-    """Certificate of ``pp`` for ``params`` at weight ``w`` (noise scale ``sn``),
-    on the kernels; a ``ModelParams`` at ``w`` is built only for the grid oracle."""
-    at_w = _AtW(params.V, w, params.mu_i, params.mu_v)
-    f_l, f_r, s_l, s_r, pr_l = _raw_pair(pp.p_L, pp.p_R, at_w, sn)
-    certified = _scaled_pair(pp.p_L, pp.p_R, at_w, sn)[0] < cfg.tol_fp
-    if certified and not params.single_peaked_guaranteed:
-        certified = _grid_certified(pp, replace(params, w=w))
+    """Certificate of ``pp`` for the instance ``at`` (noise scale ``sn``)
+    on the kernels, and below the single-peak bound by the grid oracle."""
+    f_l, f_r, s_l, s_r, pr_l = _raw_pair(pp.p_L, pp.p_R, at, sn)
+    certified = _scaled_pair(pp.p_L, pp.p_R, at, sn)[0] < cfg.tol_fp
+    if certified and not at.single_peaked_guaranteed:
+        certified = _grid_certified(pp, at)
     return EquilibriumResult(
         platforms=pp,
         pr_L=pr_l,
@@ -227,16 +253,16 @@ def solve_symmetric(params: ModelParams, cfg: SolverConfig | None = None) -> Equ
     mu_v != w(1-2*mu_i) (within ``LOCUS_TOL``); off the locus no symmetric
     equilibrium exists and :func:`solve_asymmetric` is the right call.
     """
-    return _solve_symmetric_at(params, params.w, _config(params, cfg), stacklevel=4)
+    cfg = _config(params, cfg)
+    _warn_single_peakedness(params)
+    return _solve_symmetric_at(params, params.w, cfg)
 
 
-def _solve_symmetric_at(
-    params: ModelParams, w: float, cfg: SolverConfig, stacklevel: int = 3
-) -> EquilibriumResult:
-    """:func:`solve_symmetric` of ``replace(params, w=w)``, without building
-    it: the noise scale is checked once here, and the root and certificate
+def _solve_symmetric_at(params: ModelParams, w: float, cfg: SolverConfig) -> EquilibriumResult:
+    """:func:`solve_symmetric` of ``replace(params, w=w)``, without the
+    warning, on the instance :func:`_at` sets up; the root and certificate
     run on the float kernels.  A symmetric sweep row calls this directly."""
-    sn = _checked_noise_scale(w, params.sigma_i, params.sigma_v)
+    at, sn = _at(params, w)
     locus_gap = params.mu_v - w * (1.0 - 2.0 * params.mu_i)
     if abs(locus_gap) > LOCUS_TOL:
         raise SymmetryLocusError(
@@ -244,10 +270,8 @@ def _solve_symmetric_at(
             f"w(1-2*mu_i)={w * (1.0 - 2.0 * params.mu_i):g} "
             f"(gap {locus_gap:.3e}); use solve_asymmetric"
         )
-    if not params.single_peaked_guaranteed:
-        _warn_single_peakedness(params, stacklevel)
     p, iterations = _sym_root(params.V, w, sn, cfg.tol_root)
-    return _certificate(PlatformPair(p, 1.0 - p), params, w, sn, cfg, iterations, "symmetric")
+    return _certificate(PlatformPair(p, 1.0 - p), at, sn, cfg, iterations, "symmetric")
 
 
 def best_response(
@@ -379,27 +403,23 @@ def solve_asymmetric(
     except (TypeError, ValueError):
         raise InvalidParamsError(f"start must be a pair (p_L, p_R), got {start!r}") from None
     p_l, p_r = _finite("p_L", p_l), _finite("p_R", p_r)
-    return _solve_asymmetric_at(params, params.w, cfg, p_l, p_r, stacklevel=4)
+    _warn_single_peakedness(params)
+    return _solve_asymmetric_at(params, params.w, cfg, p_l, p_r)
 
 
 def _solve_asymmetric_at(
-    params: ModelParams, w: float, cfg: SolverConfig, p_l: float, p_r: float,
-    stacklevel: int = 3,
+    params: ModelParams, w: float, cfg: SolverConfig, p_l: float, p_r: float
 ) -> EquilibriumResult:
     """:func:`solve_asymmetric` of ``replace(params, w=w)`` from a checked
-    start: above the single-peak bound it builds no ``ModelParams``, as the
-    noise scale is checked once here and the kernels read only (V, w, mu_i,
-    mu_v).  An asymmetric sweep row and its re-solves call this directly."""
-    sn = _checked_noise_scale(w, params.sigma_i, params.sigma_v)
-    if not params.single_peaked_guaranteed:
-        # the grid oracle needs a ModelParams at w
-        params = params if w == params.w else replace(params, w=w)
-        _warn_single_peakedness(params, stacklevel)
-    return _pair_newton(p_l, p_r, params, w, sn, cfg) or _iterate(p_l, p_r, params, w, sn, cfg)
+    start, without the warning, on the instance :func:`_at` sets up.  An
+    asymmetric sweep row, its re-solves and :func:`find_equilibria`'s
+    starts call this directly."""
+    at, sn = _at(params, w)
+    return _pair_newton(p_l, p_r, at, sn, cfg) or _iterate(p_l, p_r, at, sn, cfg)
 
 
 def _pair_newton(
-    p_l: float, p_r: float, params: ModelParams, w: float, sn: float, cfg: SolverConfig
+    p_l: float, p_r: float, at: ModelParams | _AtW, sn: float, cfg: SolverConfig
 ) -> EquilibriumResult | None:
     """Cold 2-D Newton on (G_L, G_R) from (p_l, p_r), or ``None`` to decline.
 
@@ -409,10 +429,9 @@ def _pair_newton(
     1e-9 of it and, after the Newton finish, the certificate passes, which
     requires both own slopes G' < 0: a root of the pair where a payoff has
     a minimum is declined."""
-    at_w = _AtW(params.V, w, params.mu_i, params.mu_v)
     p_l, p_r = min(max(p_l, 0.0), 0.5), min(max(p_r, 0.5), 1.0)
     for steps in range(1, cfg.max_iter + 1):
-        step = _pair_step(_scaled_foc_L(p_l, p_r, at_w, sn), _scaled_foc_R(p_l, p_r, at_w, sn))
+        step = _pair_step(_scaled_foc_L(p_l, p_r, at, sn), _scaled_foc_R(p_l, p_r, at, sn))
         if step is None or not (math.isfinite(step[0]) and math.isfinite(step[1])):
             return None
         new_l, new_r = min(max(p_l - step[0], 0.0), 0.5), min(max(p_r - step[1], 0.5), 1.0)
@@ -422,33 +441,31 @@ def _pair_newton(
             break
     else:
         return None
-    p_l, p_r = _newton_polish(p_l, p_r, at_w, sn)
+    p_l, p_r = _newton_polish(p_l, p_r, at, sn)
     if not (
-        abs(_best_response(p_r, "L", at_w, sn, cfg, p_l) - p_l) <= 1e-9
-        and abs(_best_response(p_l, "R", at_w, sn, cfg, p_r) - p_r) <= 1e-9
+        abs(_best_response(p_r, "L", at, sn, cfg, p_l) - p_l) <= 1e-9
+        and abs(_best_response(p_l, "R", at, sn, cfg, p_r) - p_r) <= 1e-9
     ):
         return None
-    res = _certificate(PlatformPair(p_l, p_r), params, w, sn, cfg, steps, "asymmetric")
+    res = _certificate(PlatformPair(p_l, p_r), at, sn, cfg, steps, "asymmetric")
     return res if res.certified else None
 
 
 def _iterate(
-    p_l: float, p_r: float, params: ModelParams, w: float, sn: float, cfg: SolverConfig
+    p_l: float, p_r: float, at: ModelParams | _AtW, sn: float, cfg: SolverConfig
 ) -> EquilibriumResult:
-    """:func:`solve_asymmetric`'s damped loop from (p_l, p_r) at weight
-    ``w``, Newton finish and certificate.  Below the single-peak bound every
-    best response pre-scans the grid, so ``params.w`` must be ``w``, as the
-    grid oracle reads ``params``."""
-    prescan = not params.single_peaked_guaranteed
-    at_w = params if prescan else _AtW(params.V, w, params.mu_i, params.mu_v)
+    """:func:`solve_asymmetric`'s damped loop from (p_l, p_r) on the
+    instance ``at``, Newton finish and certificate.  Below the single-peak
+    bound every best response pre-scans the grid."""
+    prescan = not at.single_peaked_guaranteed
     br_l, br_r = p_l, p_r
     trace: list[tuple[float, float]] = [(p_l, p_r)]
     lam = cfg.damping
     converged = 0
     for iteration in range(1, cfg.max_iter + 1):
-        br_l = _best_response(p_r, "L", at_w, sn, cfg, br_l, prescan)
+        br_l = _best_response(p_r, "L", at, sn, cfg, br_l, prescan)
         p_l_new = (1.0 - lam) * p_l + lam * br_l
-        br_r = _best_response(p_l_new, "R", at_w, sn, cfg, br_r, prescan)
+        br_r = _best_response(p_l_new, "R", at, sn, cfg, br_r, prescan)
         p_r_new = (1.0 - lam) * p_r + lam * br_r
         change = max(abs(p_l_new - p_l), abs(p_r_new - p_r))
         p_l, p_r = p_l_new, p_r_new
@@ -470,8 +487,8 @@ def _iterate(
             f"(last change {change:.3e})",
             trace,
         )
-    p_l, p_r = _newton_polish(p_l, p_r, at_w, sn)
-    return _certificate(PlatformPair(p_l, p_r), params, w, sn, cfg, converged, "asymmetric")
+    p_l, p_r = _newton_polish(p_l, p_r, at, sn)
+    return _certificate(PlatformPair(p_l, p_r), at, sn, cfg, converged, "asymmetric")
 
 
 def _pair_step(scaled_l: tuple, scaled_r: tuple) -> tuple[float, float] | None:
@@ -517,11 +534,13 @@ def find_equilibria(
     converge are skipped — the survivors are what was found, not a
     completeness claim.
     """
+    cfg = _config(params, cfg)
+    _warn_single_peakedness(params)
     results: list[EquilibriumResult] = []
     for a in (0.1, 0.25, 0.4):
         for b in (0.6, 0.75, 0.9):
             try:
-                res = solve_asymmetric(params, cfg, start=(a, b))
+                res = _solve_asymmetric_at(params, params.w, cfg, a, b)
             except ConvergenceError:
                 continue
             if not any(

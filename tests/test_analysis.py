@@ -212,19 +212,52 @@ def test_symmetric_sweep_rows_equal_rows_from_the_public_solver(params, grid):
     assert repr(sweep_w(grid, params)) == repr(expected)
 
 
-def test_symmetric_sweep_below_the_bound_grid_certifies_and_warns_once_per_row():
-    params = ModelParams(w=0.0, sigma_v=0.05)
+def _asymmetric_row_from_public_solves(w, params):
+    """An asymmetric sweep row built from the public ``solve_asymmetric`` at
+    ``replace(params, w=...)``, its re-solves started at the row's platforms."""
+    try:
+        res = solve_asymmetric(replace(params, w=w))
+        start = (res.platforms.p_L, res.platforms.p_R)
+        fd = analysis._fd_slope(
+            lambda wp: solve_asymmetric(replace(params, w=wp), start=start).platforms.p_L,
+            w, res.platforms.p_L,
+        )
+    except PolarsolveError:
+        return analysis._nan_row(w)
+    return SweepRow(
+        w, res.platforms.p_L, res.platforms.p_R, res.delta, res.pr_L, math.nan, fd,
+        res.soc_L, res.soc_R, res.certified,
+    )
+
+
+@pytest.mark.parametrize(
+    "mode, params, row_from_public_solves",
+    [
+        ("symmetric", ModelParams(w=0.0, sigma_v=0.05), _row_from_public_solves),
+        (
+            "asymmetric",
+            ModelParams(w=1.0, sigma_v=0.08, mu_v=0.3),
+            _asymmetric_row_from_public_solves,
+        ),
+    ],
+    ids=["symmetric", "asymmetric"],
+)
+def test_a_sweep_below_the_bound_grid_certifies_and_warns_once(
+    mode, params, row_from_public_solves
+):
+    # every row and re-solve is grid-certified, but the sweep warns once,
+    # naming the caller's line, not once per row or per re-solve
     grid = [0.0, 0.5, 2.0]
-    with pytest.warns(SinglePeakednessWarning) as record:
-        expected = [_row_from_public_solves(w, params) for w in grid]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SinglePeakednessWarning)
+        expected = [row_from_public_solves(w, params) for w in grid]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rows = sweep_w(grid, params)
+        rows = sweep_w(grid, params, mode=mode)
     assert repr(rows) == repr(expected)
     assert all(r.certified for r in rows)
-    assert len(record) == len(grid)
-    assert [w.category for w in caught] == [SinglePeakednessWarning] * len(grid)
-    assert {w.filename for w in caught} == {analysis.__file__}
+    assert [w.category for w in caught] == [SinglePeakednessWarning]
+    assert caught[0].filename == __file__
 
 
 def test_asymmetric_sweep_frozen_rows(monkeypatch):

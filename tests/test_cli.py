@@ -85,6 +85,18 @@ def test_solve_below_bound_warns_on_stderr(capsys):
     assert "unimodality bound" in err
 
 
+def test_a_below_bound_solve_that_fails_prints_its_warning_before_the_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"solver": {"max_iter": 2}}))
+    argv = ["solve", "--sigma-v", "0.08", "--mu-v", "0.3", "--config", str(config)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    warning, error = err.splitlines()
+    assert warning.startswith("warning: sigma_v=0.08 is below the unimodality bound")
+    assert error.startswith("error: no-convergence: ")
+
+
 def test_solve_rejects_negative_w(capsys):
     code, _, err = run_cli(["solve", "--w", "-1"], capsys)
     assert code == 2
@@ -653,16 +665,41 @@ def test_damped_fallback_stdout_is_byte_identical_to_its_golden_output(capsys, m
 # --- process-level smoke test ---------------------------------------------
 
 
-def test_module_entrypoint_subprocess():
-    # the child imports the same package this process is testing
+def run_module(*argv):
+    """``python -m polarsolve`` in a child that imports the same package this
+    process is testing, with Python's default warning filters."""
     src = str(Path(polarsolve.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "polarsolve", "solve", "--w", "0"],
+    return subprocess.run(
+        [sys.executable, "-m", "polarsolve", *argv],
         capture_output=True,
         text=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entrypoint_subprocess():
+    proc = run_module("solve", "--w", "0")
     assert proc.returncode == 0
     assert "certified: true" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--sigma-v", "0.08", "--w-steps", "5"],
+        ["sweep", "--mode", "asymmetric", "--sigma-v", "0.08", "--w-steps", "5"],
+        ["locus", "--sigma-v", "0.08", "--w-list", "1", "--mu-i-steps", "5"],
+    ],
+    ids=["sweep", "sweep-asymmetric", "locus"],
+)
+def test_a_below_bound_command_prints_its_warning_once(argv):
+    # one "warning:" line for the whole command, not Python's two-line
+    # default format once per solve site
+    proc = run_module(*argv)
+    assert proc.returncode == 0
+    warnings = [line for line in proc.stderr.splitlines() if line.startswith("warning: ")]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("warning: sigma_v=0.08 is below the unimodality bound")
+    assert "SinglePeakednessWarning:" not in proc.stderr

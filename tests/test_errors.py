@@ -39,6 +39,7 @@ from polarsolve import (
     sweep_w,
     symmetry_locus_mu_v,
     voter_utility,
+    w_hat,
     w_tilde,
     win_margin,
     win_probability_L,
@@ -86,6 +87,15 @@ CASES = {
     "peak-scan-step-subnormal": lambda: peak_scan(0.75, "L", BASE, grid_step=5e-324),
     "verify-check-id": lambda: run_checks(only=["bogus"]),
     "verify-no-check": lambda: run_checks(only=[]),
+    # a scalar that is not finite once went through the formula: NaN, or -0.0
+    "w-hat-nan": lambda: w_hat(math.nan, 0.3),
+    "w-hat-inf": lambda: w_hat(1.0, math.inf),
+    "locus-nan": lambda: symmetry_locus_mu_v(math.nan, 0.3),
+    "voter-utility-inf": lambda: voter_utility(0.0, math.inf, 0.5, BASE),
+    "foc-symmetric-nan": lambda: foc_symmetric(math.nan, BASE),
+    "foc-derivative-inf": lambda: foc_symmetric_derivative(math.inf, BASE),
+    "foc-valence-nan": lambda: foc_symmetric_valence_only(math.nan, BASE),
+    "foc-ideology-nan": lambda: foc_symmetric_ideology_only(math.nan, BASE),
 }
 
 
@@ -128,6 +138,15 @@ WRONG_TYPES = {
     "foc-ideology-params": ("params", lambda: foc_symmetric_ideology_only(0.25, None)),
     "slope-symmetric-params": ("params", lambda: dpL_dw_symmetric(0.25, None)),
     "slope-polar-params": ("params", lambda: dpL_dw_polar(0.25, None, "valence_only")),
+    "w-hat-mu-v": ("mu_v", lambda: w_hat("a", 0.3)),
+    "locus-w": ("w", lambda: symmetry_locus_mu_v(None, 0.3)),
+    "voter-utility-i": ("i", lambda: voter_utility("x", 0.2, 0.1, BASE)),
+    "foc-symmetric-p": ("p_L", lambda: foc_symmetric("x", BASE)),
+    "foc-derivative-p": ("p_L", lambda: foc_symmetric_derivative(None, BASE)),
+    "foc-valence-p": ("p_L", lambda: foc_symmetric_valence_only("x", BASE)),
+    "foc-ideology-p": ("p_L", lambda: foc_symmetric_ideology_only(True, BASE)),
+    "slope-symmetric-p": ("p_L", lambda: dpL_dw_symmetric("x", BASE)),
+    "slope-polar-p": ("p_L", lambda: dpL_dw_polar("x", BASE, "ideology_only")),
 }
 
 

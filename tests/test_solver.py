@@ -1,6 +1,7 @@
 """Equilibrium solvers and their certificates."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -204,6 +205,16 @@ def test_single_peakedness_warning_names_the_callers_line():
     with pytest.warns(SinglePeakednessWarning) as record:
         solve_symmetric(ModelParams(w=1.0, sigma_v=0.05))
     assert record[0].filename == __file__
+
+
+def test_find_equilibria_below_the_bound_warns_once():
+    # nine starts, one warning, naming the caller's line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        found = find_equilibria(ModelParams(w=1.0, sigma_v=0.08, mu_v=0.3))
+    assert found and all(res.certified for res in found)
+    assert [w.category for w in caught] == [SinglePeakednessWarning]
+    assert caught[0].filename == __file__
 
 
 def test_solve_asymmetric_below_the_bound_frozen_value(monkeypatch):
@@ -486,7 +497,8 @@ def test_the_certificate_refuses_a_root_where_a_payoff_has_a_minimum():
     g_r, slope_r, _ = _scaled_foc_R(pp.p_L, pp.p_R, params, sn)
     assert slope_l > 0.0 > slope_r
     assert abs(g_l / slope_l) < 1e-15 and abs(g_r / slope_r) < 1e-15
-    res = solver._certificate(pp, params, params.w, sn, SolverConfig(), 0, "asymmetric")
+    at, _ = solver._at(params, params.w)
+    res = solver._certificate(pp, at, sn, SolverConfig(), 0, "asymmetric")
     assert res.soc_L > 0.0
     assert not res.certified
 
