@@ -40,13 +40,14 @@ from .model import ModelParams, _checked_noise_scale, _finite, _instance
 from .solver import (
     _START,
     SolverConfig,
+    _at,
+    _certify,
+    _check_locus,
     _config,
     _rtsafe,
     _solve_asymmetric_at,
-    _solve_symmetric_at,
     _sym_root,
     _warn_single_peakedness,
-    solve_asymmetric,
 )
 
 __all__ = [
@@ -133,28 +134,31 @@ def _sweep_row(
 ) -> SweepRow:
     try:
         if mode == "symmetric":
-            res = _solve_symmetric_at(params, w, cfg)
-            analytic = _dpL_dw_symmetric(
-                res.platforms.p_L, params.V, w, params.sigma_i, params.sigma_v
-            )
+            # solve_symmetric's instance, locus check, root and certificate
+            # at w, on the float kernels and without a result object
+            V, sigma_i, sigma_v = params.V, params.sigma_i, params.sigma_v
+            at, sn = _at(params, w)
+            _check_locus(params, w)
+            p = _sym_root(V, w, sn, cfg.tol_root)[0]
+            q = 1.0 - p
+            (_, _, soc_l, soc_r, pr_l), certified = _certify(p, q, at, sn, cfg)
+            analytic = _dpL_dw_symmetric(p, V, w, sigma_i, sigma_v)
             # p_L*(w) lives on the symmetry locus, where the FOC depends on
             # (V, w, sigma_i, sigma_v) only: the root at the perturbed w is
             # the same curve the analytic formula differentiates.
             solve_pl = lambda wp: _sym_root(
-                params.V,
-                wp,
-                _checked_noise_scale(wp, params.sigma_i, params.sigma_v),
-                cfg.tol_root,
+                V, wp, _checked_noise_scale(wp, sigma_i, sigma_v), cfg.tol_root
             )[0]
-        else:
-            res = _solve_asymmetric_at(params, w, cfg, *_START)
-            analytic = math.nan  # defined only on the symmetric manifold
-            # warm-started from the row's own solution, so each re-solve
-            # stays on the row's equilibrium branch
-            start = res.platforms
-            solve_pl = lambda wp: _solve_asymmetric_at(
-                params, wp, cfg, start.p_L, start.p_R
-            ).platforms.p_L
+            fd = _fd_slope(solve_pl, w, p)
+            return SweepRow(w, p, q, abs(q - p), pr_l, analytic, fd, soc_l, soc_r, certified)
+        res = _solve_asymmetric_at(params, w, cfg, *_START)
+        analytic = math.nan  # defined only on the symmetric manifold
+        # warm-started from the row's own solution, so each re-solve
+        # stays on the row's equilibrium branch
+        start = res.platforms
+        solve_pl = lambda wp: _solve_asymmetric_at(
+            params, wp, cfg, start.p_L, start.p_R
+        ).platforms.p_L
         fd = _fd_slope(solve_pl, w, res.platforms.p_L)
     except PolarsolveError:
         return _nan_row(w)
@@ -181,9 +185,13 @@ def sweep_w(
     """Solve along a strictly increasing grid of w values, one row per w,
     serially and in grid order.
 
-    Per-row solver failures become NaN rows with ``certified=False`` —
-    the sweep itself never aborts.  Below the single-peak bound the sweep
-    warns once, before its first row.
+    A symmetric row computes :func:`~polarsolve.solver.solve_symmetric`'s
+    root and certificate at its w on the float kernels, with no result
+    object; an asymmetric row and its FD re-solves run
+    :func:`~polarsolve.solver.solve_asymmetric`'s route.  Per-row solver
+    failures become NaN rows with ``certified=False`` — the sweep itself
+    never aborts.  Below the single-peak bound the sweep warns once,
+    before its first row.
     """
     _instance("params_base", params_base, ModelParams)
     cfg = _config(params_base, cfg)
@@ -345,9 +353,13 @@ def classify_moderate(
     mu_i > 1/2 the verdict is cross-checked against the w ><= w_hat
     rule; a disagreement (possible far from the symmetry locus, where
     only the solver is authoritative) is surfaced as a warning, and the
-    empirical verdict is returned.
+    empirical verdict is returned.  Below the single-peak bound it warns
+    once, naming the caller's line, as
+    :func:`~polarsolve.solver.solve_asymmetric` does.
     """
-    res = solve_asymmetric(params, cfg)
+    cfg = _config(params, cfg)
+    _warn_single_peakedness(params)
+    res = _solve_asymmetric_at(params, params.w, cfg, *_START)
     s = res.platforms.p_L + res.platforms.p_R - 1.0
     if abs(s) <= _EMPIRICAL_SYM_TOL:
         empirical: Literal["L_moderate", "R_moderate", "symmetric"] = "symmetric"

@@ -4,9 +4,12 @@ Two entry points:
 
 * :func:`solve_symmetric` — the 1-D problem on the symmetry locus
   mu_v = w(1-2*mu_i).  Its FOC is strictly decreasing on [0, 1/2] with a
-  proven sign change, and a quadratic in 1 - 2 p_L: :func:`_rtsafe` starts
-  at the closed-form root, and one Newton step usually ends the search.
-  A sweep row solves through :func:`_solve_symmetric_at` (no ``ModelParams``).
+  proven sign change, and a quadratic in 1 - 2 p_L: the search starts at
+  the closed-form root, and one Newton step from there, which
+  :func:`_sym_root` takes itself, usually ends it; otherwise
+  :func:`_rtsafe` runs from the same start.  A symmetric sweep row calls
+  :func:`_at`, :func:`_check_locus`, :func:`_sym_root` and
+  :func:`_certify` directly and builds no ``EquilibriumResult``.
 
 * :func:`solve_asymmetric` — general parameters.  One kernel pair serves
   every step: each party's FOC divided by its own win probability (G_L,
@@ -25,15 +28,17 @@ Two entry points:
   trace), never a silent truncation.
   A sweep row solves through :func:`_solve_asymmetric_at`.
 
-Every result carries its own certificate: each party's Newton distance
-|G/G'| to its root below ``tol_fp`` with G' < 0, and — when sigma_v sits
-below the unimodality bound — agreement with the brute-force grid oracle.
-The raw FOC residuals and second derivatives are reported beside it.
+Every result carries its own certificate (:func:`_certify`): each party's
+Newton distance |G/G'| to its root below ``tol_fp`` with G' < 0, and — when
+sigma_v sits below the unimodality bound — agreement with the brute-force
+grid oracle.  The raw FOC residuals and second derivatives are reported
+beside it.
 
 Each solve is set up once by :func:`_at`: the instance at weight w, whose
 ``single_peaked_guaranteed`` the certificate and the damped loop read.
 Below the bound each public entry, :func:`polarsolve.analysis.sweep_w`
-included, warns once; the private ``_solve_*_at`` entries never warn.
+included, warns once; :func:`_solve_asymmetric_at` and the sweep rows
+never warn.
 """
 
 from __future__ import annotations
@@ -188,16 +193,27 @@ def _at(params: ModelParams, w: float) -> tuple[ModelParams | _AtW, float]:
     return (params if w == params.w else replace(params, w=w)), sn
 
 
+def _certify(
+    p_l: float, p_r: float, at: ModelParams | _AtW, sn: float, cfg: SolverConfig
+) -> tuple[tuple[float, ...], bool]:
+    """The certificate's decision on the profile (p_l, p_r) for the
+    instance ``at`` (noise scale ``sn``): :func:`_raw_pair`'s values and
+    whether both Newton distances |G/G'| are below ``cfg.tol_fp`` and,
+    below the single-peak bound, the grid oracle agrees.  Every solve's
+    certificate and every symmetric sweep row decide here."""
+    raw = _raw_pair(p_l, p_r, at, sn)
+    certified = _scaled_pair(p_l, p_r, at, sn)[0] < cfg.tol_fp
+    if certified and not at.single_peaked_guaranteed:
+        certified = _grid_certified(PlatformPair(p_l, p_r), at)
+    return raw, certified
+
+
 def _certificate(
     pp: PlatformPair, at: ModelParams | _AtW, sn: float, cfg: SolverConfig,
     iterations: int, kind: Literal["symmetric", "asymmetric"],
 ) -> EquilibriumResult:
-    """Certificate of ``pp`` for the instance ``at`` (noise scale ``sn``)
-    on the kernels, and below the single-peak bound by the grid oracle."""
-    f_l, f_r, s_l, s_r, pr_l = _raw_pair(pp.p_L, pp.p_R, at, sn)
-    certified = _scaled_pair(pp.p_L, pp.p_R, at, sn)[0] < cfg.tol_fp
-    if certified and not at.single_peaked_guaranteed:
-        certified = _grid_certified(pp, at)
+    """:func:`_certify`'s decision on ``pp`` as an :class:`EquilibriumResult`."""
+    (f_l, f_r, s_l, s_r, pr_l), certified = _certify(pp.p_L, pp.p_R, at, sn, cfg)
     return EquilibriumResult(
         platforms=pp,
         pr_L=pr_l,
@@ -223,9 +239,24 @@ def _symmetric_closed_form(V: float, w: float, sn: float) -> float:
 
 
 def _sym_root(V: float, w: float, sn: float, tol: float) -> tuple[float, int]:
-    """:func:`symmetric_foc_root` of plain floats, given ``sn``."""
-    fdf = lambda x: (_foc_symmetric(x, V, w, sn), _foc_symmetric_derivative(x, V, w, sn), None)
-    return _rtsafe(fdf, 0.0, 0.5, _symmetric_closed_form(V, w, sn), tol)
+    """:func:`symmetric_foc_root` of plain floats, given ``sn``.
+
+    The Newton step from the closed form is taken here, without
+    :func:`_rtsafe`'s frame, exactly where the search's first iteration
+    would return it: f and f' finite, f' != 0, the step shorter than
+    ``tol`` and landing inside [0, 1/2] once f has moved the bracket's end
+    of its sign to the start.  Any other start goes to :func:`_rtsafe`
+    from the same point, so the root and the evaluation count are the
+    search's either way."""
+    x = _symmetric_closed_form(V, w, sn)
+    f, df = _foc_symmetric(x, V, w, sn), _foc_symmetric_derivative(x, V, w, sn)
+    if math.isfinite(f) and math.isfinite(df) and df != 0.0:
+        dx = f / df
+        x_new = x - dx
+        if abs(dx) < tol and (x if f > 0.0 else 0.0) <= x_new <= (x if f < 0.0 else 0.5):
+            return x_new, 1
+    fdf = lambda p: (_foc_symmetric(p, V, w, sn), _foc_symmetric_derivative(p, V, w, sn), None)
+    return _rtsafe(fdf, 0.0, 0.5, x, tol)
 
 
 def symmetric_foc_root(
@@ -255,14 +286,15 @@ def solve_symmetric(params: ModelParams, cfg: SolverConfig | None = None) -> Equ
     """
     cfg = _config(params, cfg)
     _warn_single_peakedness(params)
-    return _solve_symmetric_at(params, params.w, cfg)
+    at, sn = _at(params, params.w)
+    _check_locus(params, params.w)
+    p, iterations = _sym_root(params.V, params.w, sn, cfg.tol_root)
+    return _certificate(PlatformPair(p, 1.0 - p), at, sn, cfg, iterations, "symmetric")
 
 
-def _solve_symmetric_at(params: ModelParams, w: float, cfg: SolverConfig) -> EquilibriumResult:
-    """:func:`solve_symmetric` of ``replace(params, w=w)``, without the
-    warning, on the instance :func:`_at` sets up; the root and certificate
-    run on the float kernels.  A symmetric sweep row calls this directly."""
-    at, sn = _at(params, w)
+def _check_locus(params: ModelParams, w: float) -> None:
+    """:class:`SymmetryLocusError` unless ``params`` at weight ``w`` lies on
+    the symmetry locus mu_v = w(1-2*mu_i), within ``LOCUS_TOL``."""
     locus_gap = params.mu_v - w * (1.0 - 2.0 * params.mu_i)
     if abs(locus_gap) > LOCUS_TOL:
         raise SymmetryLocusError(
@@ -270,8 +302,6 @@ def _solve_symmetric_at(params: ModelParams, w: float, cfg: SolverConfig) -> Equ
             f"w(1-2*mu_i)={w * (1.0 - 2.0 * params.mu_i):g} "
             f"(gap {locus_gap:.3e}); use solve_asymmetric"
         )
-    p, iterations = _sym_root(params.V, w, sn, cfg.tol_root)
-    return _certificate(PlatformPair(p, 1.0 - p), at, sn, cfg, iterations, "symmetric")
 
 
 def best_response(

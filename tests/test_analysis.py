@@ -508,6 +508,15 @@ def test_classify_moderate_three_verdicts(baseline):
     assert classify_moderate(baseline) == "symmetric"
 
 
+def test_classify_moderate_below_the_bound_warns_once_naming_the_caller():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        verdict = classify_moderate(ModelParams(w=1.0, sigma_v=0.08, mu_i=0.7, mu_v=-0.3))
+    assert verdict == "L_moderate"
+    assert [w.category for w in caught] == [SinglePeakednessWarning]
+    assert caught[0].filename == __file__
+
+
 def test_prop5_identity_sign_and_zero(baseline):
     p = symmetric_foc_root(baseline)[0]
     assert prop5_slope_identity(p, baseline) == 0.0  # balanced means

@@ -40,8 +40,8 @@ def test_a_solve_from_the_command_line_loads_no_numpy():
 
 def test_the_commands_above_the_bound_run_with_numpy_blocked(capsys):
     # byte-identical stdout with `import numpy` failing in the child
-    runs = [["solve", "--w", "1.5"], ["sweep", "--mode", "asymmetric", "--w-steps", "13"],
-            ["locus", "--mu-i-steps", "11"]]
+    runs = [["solve", "--w", "1.5"], ["sweep", "--w-steps", "13"],
+            ["sweep", "--mode", "asymmetric", "--w-steps", "13"], ["locus", "--mu-i-steps", "11"]]
     script = (
         "import sys; sys.modules['numpy'] = None\n"
         "from polarsolve.cli import main\n"

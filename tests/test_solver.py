@@ -1,5 +1,6 @@
 """Equilibrium solvers and their certificates."""
 
+import collections
 import math
 import warnings
 from dataclasses import replace
@@ -23,13 +24,15 @@ from polarsolve import (
     symmetric_foc_root,
 )
 from polarsolve.calculus import (
+    _foc_symmetric,
+    _foc_symmetric_derivative,
     _scaled_foc_L,
     _scaled_foc_R,
     d_euL_d_pL,
     d_euR_d_pR,
     foc_symmetric,
 )
-from polarsolve.model import PlatformPair, noise_scale, win_margin
+from polarsolve.model import PlatformPair, _checked_noise_scale, noise_scale, win_margin
 from polarsolve.oracle import grid_best_response
 from polarsolve import oracle, solver
 
@@ -140,6 +143,65 @@ def test_symmetric_root_falls_back_when_the_closed_form_is_off(monkeypatch):
         for params, p_ref in zip(cases, expected):
             p, evaluations = symmetric_foc_root(params)
             assert abs(p - p_ref) <= math.ulp(p_ref) and evaluations <= 8, (params, p, evaluations)
+
+
+def _symmetric_root_cases():
+    """(V, w, sn) of the locus-statics box (V, sigma_i and sigma_v
+    log-uniform over [1e-2, 1e2], [1e-2, 10] and [0.102, 10]) at each w of
+    its grid and of that w's FD stencil, then of the float-limit fuzz's
+    symmetric sweeps; cases whose noise scale leaves the doubles are skipped."""
+    from test_errors import _float_limit_draws
+
+    h = 1e-4
+    grid = [i * 0.05 for i in range(61)] + [float(w) for w in np.geomspace(3.0, 1e6, 31)[1:]]
+    rng = np.random.default_rng(20261025)
+    draws = [
+        (v, w_, s_i, s_v)
+        for v, s_i, s_v in 10.0 ** rng.uniform([-2.0, -2.0, -0.99], [2.0, 1.0, 1.0], size=(30, 3))
+        for w in grid
+        for w_ in (w, w + h, w + 2.0 * h, w - h)
+        if w_ >= 0.0
+    ]
+    for draw in _float_limit_draws(2000):
+        w = draw["w"]
+        for w_ in [0.5 * w, w, 2.0 * w] if w > 0.0 else [0.0, 0.5, 1.0]:
+            draws.append((draw["V"], w_, draw["sigma_i"], draw["sigma_v"]))
+    for v, w, s_i, s_v in draws:
+        try:
+            yield float(v), float(w), _checked_noise_scale(float(w), float(s_i), float(s_v))
+        except InvalidParamsError:
+            continue
+
+
+def test_the_symmetric_roots_own_newton_step_is_the_root_finders(monkeypatch):
+    # _sym_root takes the closed form's Newton step itself only where
+    # _rtsafe's first iteration returns it: the same root bits and the same
+    # evaluation count as _rtsafe from the closed form.  A few float-limit
+    # cases decline at the default tolerance; tol=5e-324 declines every
+    # step but a zero one; a slope of the wrong sign sends the step out of
+    # the bracket the first value narrows, where _rtsafe bisects
+    rtsafe = solver._rtsafe
+    wrong_way = lambda x, V, w, sn: -_foc_symmetric_derivative(x, V, w, sn)
+    declined = collections.Counter()
+    cases = list(_symmetric_root_cases())
+    for slope, tol in [
+        (_foc_symmetric_derivative, 1e-12),
+        (_foc_symmetric_derivative, 2.0**-52),
+        (_foc_symmetric_derivative, 5e-324),
+        (wrong_way, 1e-12),
+    ]:
+        monkeypatch.setattr(solver, "_foc_symmetric_derivative", slope)
+        monkeypatch.setattr(
+            solver, "_rtsafe", lambda *args: declined.update([(slope, tol)]) or rtsafe(*args)
+        )
+        for V, w, sn in cases:
+            fdf = lambda x: (_foc_symmetric(x, V, w, sn), slope(x, V, w, sn), None)
+            x, n = rtsafe(fdf, 0.0, 0.5, solver._symmetric_closed_form(V, w, sn), tol)
+            p, evaluations = solver._sym_root(V, w, sn, tol)
+            assert (p.hex(), evaluations) == (x.hex(), n), (V, w, sn, tol)
+    assert 0 < declined[_foc_symmetric_derivative, 1e-12] < len(cases) // 100
+    assert declined[_foc_symmetric_derivative, 5e-324] > len(cases) // 2
+    assert declined[wrong_way, 1e-12] > len(cases) // 4
 
 
 def test_a_coarse_root_tolerance_still_certifies():
