@@ -4,11 +4,11 @@ Two office- and policy-motivated parties at fixed ideological anchors
 commit to policy platforms; a representative voter with Gaussian
 ideological and valence uncertainty picks a winner.  The package solves
 the resulting Bayesian game (a safeguarded Newton root on the symmetry
-locus; off it, 2-D Newton on the pair of first-order conditions, with
-damped alternating best responses as the fallback), certifies every
-solution against its own first/second-order conditions and brute-force
-oracles, and exposes the comparative statics of platform polarization in
-the ideological weight w.
+locus; off it, 2-D Newton on the pair of first-order conditions, with a
+bracketed root of L's condition along R's best responses as the
+fallback), certifies every solution against its own first/second-order
+conditions and brute-force oracles, and exposes the comparative statics
+of platform polarization in the ideological weight w.
 
 The usual entry points are :func:`solve_symmetric`,
 :func:`solve_asymmetric`, :func:`sweep_w` and the ``polarsolve`` CLI.
@@ -45,7 +45,6 @@ from .errors import (
     SolverError,
     SpanTooSmallError,
     SymmetryLocusError,
-    UnboundedResponseError,
 )
 from .model import (
     SIGMA_V_TILDE,
@@ -131,7 +130,6 @@ __all__ = [
     "SymmetryLocusError",
     "SolverError",
     "ConvergenceError",
-    "UnboundedResponseError",
     "SpanTooSmallError",
     "DegenerateError",
     "SinglePeakednessWarning",

@@ -42,20 +42,9 @@ class SolverError(PolarsolveError, RuntimeError):
 
 
 class ConvergenceError(SolverError):
-    """Iteration budget exhausted or a persistent oscillation was detected.
-
-    Carries the iterate trace so the failure can be diagnosed.
-    """
-
-    def __init__(self, message: str, trace: list[tuple[float, float]] | None = None):
-        super().__init__(message)
-        self.trace: list[tuple[float, float]] = trace or []
-
-
-class UnboundedResponseError(SolverError):
-    """No longer raised: every best response lies in a constant bracket,
-    [0, 1/2] for L and [1/2, 1] for R.  Kept exported so that code
-    catching it keeps working."""
+    """A search found nothing to converge to: :func:`~polarsolve.analysis.w_tilde`
+    raises it when rounding leaves no bracket of positive finite w for the
+    peak of p_L*(w).  Every asymmetric solve ends in a result instead."""
 
 
 class SpanTooSmallError(PolarsolveError, ValueError):

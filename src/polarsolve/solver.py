@@ -17,15 +17,14 @@ Two entry points:
   underflows, with closed-form partials.  The solve runs 2-D Newton steps
   on (G_L, G_R) from a cold start, clamped to the proven brackets [0, 1/2]
   for L and [1/2, 1] for R, and keeps the point once one best response per
-  party confirms it and it certifies.  If Newton declines, it runs damped
-  alternating best responses: each finds the root of G by Newton steps
-  safeguarded by bisection (:func:`_rtsafe`) on the party's bracket,
-  starting at the party's previous response, or below the single-peak
-  bound at the argmax of a grid pre-scan.  Both routes end with the same
-  finish, and both step with one 2x2 Newton solve (:func:`_pair_step`).
-  Non-convergence of the damped loop is a reported outcome
-  (:class:`~polarsolve.errors.ConvergenceError` with the full iterate
-  trace), never a silent truncation.
+  party confirms it and it certifies.  If Newton declines, it solves the
+  reduced FOC (:func:`_reduced_foc`): L's G along R's best responses,
+  whose root :func:`_rtsafe` brackets in [0, 1/2], each best response
+  the root of G_R by the same search, starting at R's previous response,
+  or below the single-peak bound at the argmax of a grid pre-scan.  That
+  search always ends, so every solve returns a result whose certificate
+  says whether it is an equilibrium.  Both routes end with the same
+  finish, which steps with one 2x2 Newton solve (:func:`_pair_step`).
   A sweep row solves through :func:`_solve_asymmetric_at`.
 
 Every result carries its own certificate (:func:`_certify`): each party's
@@ -35,7 +34,7 @@ grid oracle.  The raw FOC residuals and second derivatives are reported
 beside it.
 
 Each solve is set up once by :func:`_at`: the instance at weight w, whose
-``single_peaked_guaranteed`` the certificate and the damped loop read.
+``single_peaked_guaranteed`` the certificate and the fallback read.
 Below the bound each public entry, :func:`polarsolve.analysis.sweep_w`
 included, warns once; :func:`_solve_asymmetric_at` and the sweep rows
 never warn.
@@ -57,7 +56,6 @@ from .calculus import (
     _scaled_foc_R,
 )
 from .errors import (
-    ConvergenceError,
     InvalidParamsError,
     SinglePeakednessWarning,
     SpanTooSmallError,
@@ -90,16 +88,13 @@ class SolverConfig:
 
     tol_root: float = 1e-12       # _rtsafe's stop: a step shorter than this
     tol_fp: float = 1e-10         # platform change to stop; certificate's |G/G'| bound
-    max_iter: int = 500           # budget of the pair Newton steps and of the damped rounds
-    damping: float = 0.5          # damped fallback's step fraction toward the best response
+    max_iter: int = 500           # budget of the pair Newton steps
 
     def __post_init__(self) -> None:
-        for name in ("tol_root", "tol_fp", "damping"):
+        for name in ("tol_root", "tol_fp"):
             _finite(name, getattr(self, name))
         if not (self.tol_root > 0.0 and self.tol_fp > 0.0):
             raise InvalidParamsError("solver tolerances must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise InvalidParamsError(f"damping must be in (0, 1], got {self.damping}")
         if type(self.max_iter) is not int or self.max_iter < 1:
             raise InvalidParamsError(f"max_iter must be an int >= 1, got {self.max_iter!r}")
 
@@ -108,7 +103,7 @@ class SolverConfig:
 class EquilibriumResult:
     """A solved profile plus its certificate.  ``iterations`` counts the
     symmetric root's FOC evaluations, the pair Newton's steps, or the
-    damped fallback's rounds."""
+    reduced FOC's evaluations on the fallback."""
 
     platforms: PlatformPair
     pr_L: float
@@ -376,9 +371,9 @@ def _best_response(
     of the party's scaled FOC by :func:`_rtsafe` to ``cfg.tol_root``.
 
     With ``prescan`` (public :func:`best_response` and
-    :func:`solve_asymmetric`'s damped fallback, below the single-peak
-    bound) the search starts at the 1e-4 grid argmax inside its +- 1e-4
-    bracket and ``guess`` is ignored.  Otherwise it starts at ``guess``
+    :func:`solve_asymmetric`'s fallback, below the single-peak bound) the
+    search starts at the 1e-4 grid argmax inside its +- 1e-4 bracket and
+    ``guess`` is ignored.  Otherwise it starts at ``guess``
     (the party's previous response, inside :func:`solve_asymmetric`) when
     that lies in the party's bracket, else at the bracket's midpoint.
     Below the bound, without the pre-scan (the pair Newton's confirming
@@ -406,8 +401,8 @@ def solve_asymmetric(
     cfg: SolverConfig | None = None,
     start: tuple[float, float] = _START,
 ) -> EquilibriumResult:
-    """Equilibrium by 2-D Newton on the scaled FOC pair, with damped
-    alternating best responses as the fallback.
+    """Equilibrium by 2-D Newton on the scaled FOC pair, with the
+    best-response-reduced FOC as the fallback.
 
     The solve first runs Newton steps on (G_L, G_R) from ``start``
     (:func:`_pair_newton`), each iterate clamped to the proven brackets
@@ -415,17 +410,17 @@ def solve_asymmetric(
     response per party confirms it to 1e-9 and it passes the finish and
     the certificate, which below the single-peak bound includes the grid
     oracle; ``iterations`` then counts Newton steps.  Otherwise the solve
-    runs the damped loop (:func:`_iterate`) from ``start``: Gauss-Seidel
-    updates with step ``cfg.damping`` toward the current best response,
-    then the Newton finish; ``iterations`` counts damped rounds.  Above
-    the bound each search starts at the party's previous response (the
-    ``start`` entry in round 1, or the bracket's midpoint if that lies
-    outside the party's bracket).  Below it a warm search may stop on a
-    local maximum, so every search starts at the argmax of a grid pre-scan.
+    runs :func:`_reduced_foc` from ``start``: the root of
+    H(p_L) = G_L(p_L, BR_R(p_L)) by safeguarded Newton steps on [0, 1/2],
+    where H changes sign for any R, then the Newton finish; ``iterations``
+    counts evaluations of H.  The search starts at ``start``'s p_L and,
+    above the bound, each of R's best responses at the previous one
+    (``start``'s p_R first); an entry outside its party's bracket is
+    replaced by the bracket's midpoint.  Below the bound a warm search may
+    stop on a local maximum, so each of R's best responses starts at the
+    argmax of a grid pre-scan.  Either route ends in a result, certified
+    or not.
     ``start`` must be a pair of finite reals; it is checked once here.
-    In the damped loop a persistent period-2 cycle raises
-    :class:`ConvergenceError` suggesting a lower damping; so does an
-    exhausted iteration budget.  The raised error carries the iterate trace.
     """
     cfg = _config(params, cfg)
     try:
@@ -445,7 +440,7 @@ def _solve_asymmetric_at(
     asymmetric sweep row, its re-solves and :func:`find_equilibria`'s
     starts call this directly."""
     at, sn = _at(params, w)
-    return _pair_newton(p_l, p_r, at, sn, cfg) or _iterate(p_l, p_r, at, sn, cfg)
+    return _pair_newton(p_l, p_r, at, sn, cfg) or _reduced_foc(p_l, p_r, at, sn, cfg)
 
 
 def _pair_newton(
@@ -481,44 +476,34 @@ def _pair_newton(
     return res if res.certified else None
 
 
-def _iterate(
+def _reduced_foc(
     p_l: float, p_r: float, at: ModelParams | _AtW, sn: float, cfg: SolverConfig
 ) -> EquilibriumResult:
-    """:func:`solve_asymmetric`'s damped loop from (p_l, p_r) on the
-    instance ``at``, Newton finish and certificate.  Below the single-peak
-    bound every best response pre-scans the grid."""
+    """:func:`solve_asymmetric`'s fallback from (p_l, p_r) on the instance
+    ``at``: the root of L's scaled FOC along R's best responses,
+    H(p_L) = G_L(p_L, BR_R(p_L)), by :func:`_rtsafe` on [0, 1/2] to
+    ``cfg.tol_root``, then the Newton finish and the certificate.
+
+    H(0) > 0 and H(1/2) = -1 whatever R plays, so the search ends for any
+    tolerance.  H' comes from the implicit function theorem on G_R = 0:
+    dG_L/dp_L - dG_L/dp_R (dG_R/dp_L) / (dG_R/dp_R), from the kernels'
+    closed-form partials.  Each BR_R starts at the previous evaluation's
+    response (``p_r`` first), or below the single-peak bound at the argmax
+    of a grid pre-scan.  The finish starts from the search's root and the
+    last best response it evaluated.  ``iterations`` counts evaluations of H."""
     prescan = not at.single_peaked_guaranteed
-    br_l, br_r = p_l, p_r
-    trace: list[tuple[float, float]] = [(p_l, p_r)]
-    lam = cfg.damping
-    converged = 0
-    for iteration in range(1, cfg.max_iter + 1):
-        br_l = _best_response(p_r, "L", at, sn, cfg, br_l, prescan)
-        p_l_new = (1.0 - lam) * p_l + lam * br_l
-        br_r = _best_response(p_l_new, "R", at, sn, cfg, br_r, prescan)
-        p_r_new = (1.0 - lam) * p_r + lam * br_r
-        change = max(abs(p_l_new - p_l), abs(p_r_new - p_r))
-        p_l, p_r = p_l_new, p_r_new
-        trace.append((p_l, p_r))
-        if change < cfg.tol_fp:
-            converged = iteration
-            break
-        if len(trace) >= 3 and change > 10.0 * cfg.tol_fp:
-            back = trace[-3]
-            if max(abs(p_l - back[0]), abs(p_r - back[1])) < cfg.tol_fp:
-                raise ConvergenceError(
-                    f"period-2 oscillation after {iteration} iterations "
-                    f"(amplitude {change:.3e}); lower cfg.damping",
-                    trace,
-                )
-    if not converged:
-        raise ConvergenceError(
-            f"no best-response fixed point within {cfg.max_iter} iterations "
-            f"(last change {change:.3e})",
-            trace,
-        )
-    p_l, p_r = _newton_polish(p_l, p_r, at, sn)
-    return _certificate(PlatformPair(p_l, p_r), at, sn, cfg, converged, "asymmetric")
+    br_r = p_r
+
+    def h(x: float) -> tuple[float, float, None]:
+        nonlocal br_r
+        br_r = _best_response(x, "R", at, sn, cfg, br_r, prescan)
+        g_l, j_ll, j_lr = _scaled_foc_L(x, br_r, at, sn)
+        _, j_rr, j_rl = _scaled_foc_R(x, br_r, at, sn)
+        return g_l, j_ll - j_lr * j_rl / j_rr if j_rr else math.nan, None  # nan: bisect
+
+    p_l, evaluations = _rtsafe(h, 0.0, 0.5, p_l if 0.0 <= p_l <= 0.5 else 0.25, cfg.tol_root)
+    p_l, p_r = _newton_polish(p_l, br_r, at, sn)
+    return _certificate(PlatformPair(p_l, p_r), at, sn, cfg, evaluations, "asymmetric")
 
 
 def _pair_step(scaled_l: tuple, scaled_r: tuple) -> tuple[float, float] | None:
@@ -560,8 +545,8 @@ def find_equilibria(
     report the distinct fixed points found (sorted by p_L).
 
     Uniqueness of the asymmetric equilibrium is not established theory;
-    this is the empirical multiplicity probe.  Starts that fail to
-    converge are skipped — the survivors are what was found, not a
+    this is the empirical multiplicity probe.  Every start ends in a
+    result, certified or not; the distinct ones are what was found, not a
     completeness claim.
     """
     cfg = _config(params, cfg)
@@ -569,10 +554,7 @@ def find_equilibria(
     results: list[EquilibriumResult] = []
     for a in (0.1, 0.25, 0.4):
         for b in (0.6, 0.75, 0.9):
-            try:
-                res = _solve_asymmetric_at(params, params.w, cfg, a, b)
-            except ConvergenceError:
-                continue
+            res = _solve_asymmetric_at(params, params.w, cfg, a, b)
             if not any(
                 max(
                     abs(res.platforms.p_L - seen.platforms.p_L),

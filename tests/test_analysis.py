@@ -263,7 +263,8 @@ def test_a_sweep_below_the_bound_grid_certifies_and_warns_once(
 def test_asymmetric_sweep_frozen_rows(monkeypatch):
     # bit-identity anchors for the asymmetric sweep, FD column included
     # (its re-solves start from the row's own solution), on the pair Newton
-    # and on the damped fallback, forced
+    # and on the reduced-FOC fallback, forced; the first row is the pair
+    # Newton's to the last bit, FD column included
     params = ModelParams(w=1.0, V=0.5, sigma_i=2.0, sigma_v=0.5, mu_i=0.8, mu_v=-1.0)
     rows = sweep_w([0.01, 1.0, 100.0], params, mode="asymmetric")
     assert [(r.p_L, r.p_R, r.dpL_dw_fd) for r in rows] == [
@@ -275,7 +276,7 @@ def test_asymmetric_sweep_frozen_rows(monkeypatch):
     monkeypatch.setattr(solver, "_pair_newton", lambda *args: None)
     rows = sweep_w([0.01, 1.0, 100.0], params, mode="asymmetric")
     assert [(r.p_L, r.p_R, r.dpL_dw_fd) for r in rows] == [
-        (0.0778637009318122, 0.5850649348264017, 0.2461565624845008),
+        (0.07786370093181222, 0.5850649348264017, 0.2461565624844314),
         (0.14280954491754833, 0.8398201148680681, -0.02750855051109058),
         (0.09234438109729072, 0.9241109199066427, -8.555141733923577e-06),
     ]

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from polarsolve import (
-    ConvergenceError,
     DomainError,
     InvalidParamsError,
     ModelParams,
@@ -47,13 +46,11 @@ P_STAR_W1 = 0.23702503069772776
     [
         {"tol_root": 0.0},
         {"tol_fp": -1e-9},
-        {"damping": 0.0},
-        {"damping": 1.5},
         {"tol_root": math.nan},
         {"tol_fp": math.nan},
         {"max_iter": 0},
-        # an infinite tol_fp would stop the damped iteration after one
-        # round and make the certificate's residual test vacuous
+        # an infinite tol_fp would stop the pair Newton after one step and
+        # make the certificate's residual test vacuous
         {"tol_root": math.inf},
         {"tol_fp": math.inf},
         # a fractional max_iter would reach range() as a bare TypeError
@@ -61,7 +58,6 @@ P_STAR_W1 = 0.23702503069772776
         {"max_iter": True},
         {"tol_root": True},
         {"tol_fp": True},
-        {"damping": True},
     ],
 )
 def test_solver_config_validation(kwargs):
@@ -281,12 +277,13 @@ def test_find_equilibria_below_the_bound_warns_once():
 
 def test_solve_asymmetric_below_the_bound_frozen_value(monkeypatch):
     # below sqrt(32/3125) the pair Newton's point is certified against the
-    # grid oracle in 3 steps; the pre-scan route, forced, where every best
-    # response starts at the grid argmax, reaches the same bits in 29 rounds
+    # grid oracle in 3 steps; the pre-scan route, forced, where each of R's
+    # best responses starts at the grid argmax, reaches the same bits in 4
+    # evaluations of the reduced FOC
     params = ModelParams(w=1.0, sigma_v=0.08, mu_v=0.3)
     with pytest.warns(SinglePeakednessWarning):
         newton = solve_asymmetric(params)
-    for res, iterations in ((newton, 3), (_pre_scan_solve(monkeypatch, params), 29)):
+    for res, iterations in ((newton, 3), (_pre_scan_solve(monkeypatch, params), 4)):
         assert (res.platforms.p_L, res.platforms.p_R) == (
             0.2641356252348499, 0.7657555661173802
         )
@@ -322,23 +319,21 @@ def test_best_response_frozen_values():
     assert best_response(0.25, "R", p) == 0.7512376301124426
 
 
-def _damped_solve(monkeypatch, params, cfg=None):
-    # solve_asymmetric forced onto the damped fallback: the pair Newton declines
+def _reduced_foc_solve(monkeypatch, params, cfg=None):
+    # solve_asymmetric forced onto the reduced-FOC fallback: the pair Newton declines
     with monkeypatch.context() as m:
         m.setattr(solver, "_pair_newton", lambda *args: None)
         return solve_asymmetric(params, cfg)
 
 
 def test_solve_asymmetric_frozen_value(monkeypatch):
-    # 4 Newton steps; the damped fallback, forced, reaches the same bits
-    # in 29 rounds
+    # 4 Newton steps; the reduced-FOC fallback, forced, lands one ulp of p_L
+    # away in 4 evaluations
     params = ModelParams(w=1.0, mu_i=0.3, mu_v=0.1)
-    newton, damped = solve_asymmetric(params), _damped_solve(monkeypatch, params)
-    for res, iterations in ((newton, 4), (damped, 29)):
-        assert (res.platforms.p_L, res.platforms.p_R) == (
-            0.22331295107760948, 0.7498706867408111
-        )
-        assert res.iterations == iterations
+    newton, forced = solve_asymmetric(params), _reduced_foc_solve(monkeypatch, params)
+    for res, p_L in ((newton, 0.22331295107760948), (forced, 0.2233129510776095)):
+        assert (res.platforms.p_L, res.platforms.p_R) == (p_L, 0.7498706867408111)
+        assert res.iterations == 4
         assert res.certified
 
 
@@ -368,8 +363,8 @@ def test_lopsided_race_certifies_the_root_of_the_scaled_foc(w, p_L):
 
 
 def test_solve_asymmetric_where_r_sits_at_its_bliss_point():
-    # offlocus-sweep seed 1, base 0 at w=10: a best-response search whose
-    # bracket had to be found by widening raised UnboundedResponseError
+    # offlocus-sweep seed 1, base 0 at w=10: R's best response is its bliss
+    # point 1.0, the end of its bracket
     params = ModelParams(
         w=10.0,
         V=0.2083274125304709,
@@ -486,7 +481,7 @@ def test_wide_fuzz_certifies_only_mutual_best_responses(monkeypatch):
     # 207 of these draws at a profile up to 0.0202 from a mutual best
     # response, 156 of them with a platform at exactly 0.5; the pair Newton
     # is accepted on every draw, in 3 to 8 steps
-    fallbacks = _count_damped_fallbacks(monkeypatch)
+    fallbacks = _count_reduced_foc_fallbacks(monkeypatch)
     n_certified = 0
     for _, params, _ in _wide_draws(20261020, 3000):
         res = solve_asymmetric(params)
@@ -583,15 +578,46 @@ def test_scaled_foc_slopes_agree_with_central_differences():
             assert abs(d_opp - fd_opp) <= tol, (party, params, p_l, p_r)
 
 
-def _count_damped_fallbacks(monkeypatch):
+class _Captured(Exception):
+    pass
+
+
+def _reduced_foc_of(monkeypatch, params):
+    """The function of p_L the fallback hands to its search on [0, 1/2]:
+    H(p_L) = G_L(p_L, BR_R(p_L)), its slope, and ``None``."""
+
+    def capture(fdf, *args):
+        raise _Captured(fdf)
+
+    at, sn = solver._at(params, params.w)
+    with monkeypatch.context() as m, pytest.raises(_Captured) as captured:
+        m.setattr(solver, "_rtsafe", capture)
+        solver._reduced_foc(0.25, 0.75, at, sn, SolverConfig())
+    return captured.value.args[0]
+
+
+def test_the_reduced_foc_slope_agrees_with_central_differences(monkeypatch):
+    # H' = dG_L/dp_L - dG_L/dp_R (dG_R/dp_L) / (dG_R/dp_R), against a
+    # central difference of H, each of whose values solves R's best
+    # response, relative to H'
+    h = 1e-7
+    for rng, params, _ in _wide_draws(20261021, 400):
+        reduced = _reduced_foc_of(monkeypatch, params)
+        p_l = float(rng.uniform(h, 0.5 - h))
+        _, slope, _ = reduced(p_l)
+        fd = (reduced(p_l + h)[0] - reduced(p_l - h)[0]) / (2.0 * h)
+        assert abs(slope - fd) <= 1e-6 * abs(slope), (params, p_l, slope, fd)
+
+
+def _count_reduced_foc_fallbacks(monkeypatch):
     calls = []
-    iterate = solver._iterate
+    reduced_foc = solver._reduced_foc
 
     def counted(*args):
         calls.append(1)
-        return iterate(*args)
+        return reduced_foc(*args)
 
-    monkeypatch.setattr(solver, "_iterate", counted)
+    monkeypatch.setattr(solver, "_reduced_foc", counted)
     return calls
 
 
@@ -601,17 +627,18 @@ def _count_damped_fallbacks(monkeypatch):
 def test_sweep_rows_need_no_damped_fallback_and_equal_its_rows(base, monkeypatch):
     # kappa < -38 at the top of the grid on bases 5 and 23, R at its bliss
     # point on base 0, R flat to rounding on base 9: the pair Newton is
-    # accepted on every row and FD re-solve
+    # accepted on every row and FD re-solve, and the reduced-FOC fallback,
+    # forced, certifies every row at the same platforms to 1e-12
     base = ModelParams(w=1.0, **base)
-    fallbacks = _count_damped_fallbacks(monkeypatch)
+    fallbacks = _count_reduced_foc_fallbacks(monkeypatch)
     rows = sweep_w(_SWEEP_GRID, base, mode="asymmetric")
     assert not fallbacks
     monkeypatch.setattr(solver, "_pair_newton", lambda *args: None)
-    damped = sweep_w(_SWEEP_GRID, base, mode="asymmetric")
+    forced = sweep_w(_SWEEP_GRID, base, mode="asymmetric")
     assert len(fallbacks) == 3 * len(_SWEEP_GRID)
     assert all(r.certified for r in rows)
-    _same_certified_rows(rows, damped)
-    for row, want in zip(rows, damped):
+    _same_certified_rows(rows, forced)
+    for row, want in zip(rows, forced):
         assert row.dpL_dw_fd == pytest.approx(want.dpL_dw_fd, abs=1e-10), row
 
 
@@ -626,23 +653,12 @@ def _miss_the_first_best_response(monkeypatch):
 
 
 def test_a_failed_best_response_confirmation_falls_back_to_the_damped_loop(monkeypatch):
+    # the fallback it reaches is the reduced FOC's
     params = ModelParams(w=1.0, mu_i=0.3, mu_v=0.1)
-    forced = _damped_solve(monkeypatch, params)
+    forced = _reduced_foc_solve(monkeypatch, params)
     _miss_the_first_best_response(monkeypatch)
     assert repr(solve_asymmetric(params)) == repr(forced)
-    assert forced.iterations == 29
-
-
-def test_a_pair_newton_over_budget_raises_the_damped_loops_error(monkeypatch):
-    # two Newton steps do not reach the root from (0.25, 0.75), so the
-    # damped loop runs and exhausts the same budget
-    params, cfg = ModelParams(w=1.0, mu_i=0.3, mu_v=0.1), SolverConfig(max_iter=2)
-    with pytest.raises(ConvergenceError) as forced:
-        _damped_solve(monkeypatch, params, cfg)
-    with pytest.raises(ConvergenceError, match="^no best-response fixed point within 2 ") as err:
-        solve_asymmetric(params, cfg)
-    assert str(err.value) == str(forced.value)
-    assert err.value.trace == forced.value.trace and len(err.value.trace) == 3
+    assert forced.iterations == 4
 
 
 def _same_certified_rows(rows, ref):
@@ -712,10 +728,10 @@ _BELOW = ModelParams(w=1.0, sigma_v=0.08, mu_v=0.3)
 
 
 def _pre_scan_solve(monkeypatch, params, cfg=None):
-    # solve_asymmetric below the bound forced onto the damped fallback, which
-    # pre-scans in every best response: the pair Newton declines
+    # solve_asymmetric below the bound forced onto the reduced-FOC fallback,
+    # which pre-scans in each of R's best responses: the pair Newton declines
     with pytest.warns(SinglePeakednessWarning):
-        return _damped_solve(monkeypatch, params, cfg)
+        return _reduced_foc_solve(monkeypatch, params, cfg)
 
 
 def _fail_the_first_grid_certificate(monkeypatch, then=lambda: None):
@@ -766,9 +782,11 @@ def test_below_the_bound_no_best_response_uses_a_warm_cell(monkeypatch):
     with pytest.warns(SinglePeakednessWarning):
         res = solve_asymmetric(_BELOW)
     assert res.certified
-    assert len(starts) == 2 * res.iterations  # the fallback ran
-    # each search starts at its own pre-scan; the certificate's two scans follow
-    assert seeds[: len(starts)] == starts and len(seeds) == len(starts) + 2
+    # the reduced FOC's search from L's start, then one best response of R
+    # per evaluation, each started at its own pre-scan; the certificate's
+    # two scans follow
+    assert starts[0] == 0.25 and len(starts) == res.iterations + 1
+    assert seeds[: res.iterations] == starts[1:] and len(seeds) == res.iterations + 2
 
 
 def test_below_the_bound_the_pair_newton_runs_no_grid_scan_in_a_best_response(monkeypatch):
@@ -784,92 +802,95 @@ def test_below_the_bound_an_uncertified_result_falls_back_to_the_pre_scan_route(
     # scans nothing), and the pair Newton declines it
     forced = _pre_scan_solve(monkeypatch, _BELOW)
     _fail_the_first_grid_certificate(monkeypatch)
-    fallbacks = _count_damped_fallbacks(monkeypatch)
+    fallbacks = _count_reduced_foc_fallbacks(monkeypatch)
     scans = _count_grid_scans(monkeypatch)
     with pytest.warns(SinglePeakednessWarning):
         res = solve_asymmetric(_BELOW)
     assert repr(res) == repr(forced) and len(fallbacks) == 1
-    # a pre-scan in each of the fallback's best responses, then its certificate
-    assert len(scans) == 2 * forced.iterations + 2
+    # a pre-scan in each of the fallback's best responses, one per
+    # evaluation, then its certificate
+    assert len(scans) == forced.iterations + 2
 
 
 def test_below_the_bound_a_declined_pair_newton_goes_straight_to_the_pre_scan_route(
     monkeypatch,
 ):
     # L's confirming best response misses the Newton point, so the pair
-    # Newton declines before its certificate: the one damped pass that
-    # follows pre-scans in every best response
+    # Newton declines before its certificate: the one fallback that follows
+    # pre-scans in every best response
     forced = _pre_scan_solve(monkeypatch, _BELOW)
     _miss_the_first_best_response(monkeypatch)
-    fallbacks = _count_damped_fallbacks(monkeypatch)
+    fallbacks = _count_reduced_foc_fallbacks(monkeypatch)
     scans = _count_grid_scans(monkeypatch)
     with pytest.warns(SinglePeakednessWarning):
         assert repr(solve_asymmetric(_BELOW)) == repr(forced)
-    assert len(fallbacks) == 1 and len(scans) == 2 * forced.iterations + 2
-
-
-def test_below_the_bound_an_exhausted_budget_raises_the_pre_scan_routes_error(monkeypatch):
-    # max_iter=2 is too small for the pair Newton and for the damped
-    # fallback: the error raised is the pre-scan route's, with its trace
-    cfg = SolverConfig(max_iter=2)
-    with pytest.raises(ConvergenceError) as forced:
-        _pre_scan_solve(monkeypatch, _BELOW, cfg)
-    scans = _count_grid_scans(monkeypatch)
-    with pytest.warns(SinglePeakednessWarning), pytest.raises(ConvergenceError) as excinfo:
-        solve_asymmetric(_BELOW, cfg)
-    assert excinfo.value.trace == forced.value.trace
-    assert len(scans) == 4  # two pre-scanned rounds, no certificate
+    assert len(fallbacks) == 1 and len(scans) == forced.iterations + 2
 
 
 @pytest.mark.parametrize("cause", ["uncertified", "no convergence"])
 def test_a_solve_that_falls_back_warns_once(cause, monkeypatch):
+    # "no convergence": two steps are too few for the pair Newton
     if cause == "uncertified":
         _fail_the_first_grid_certificate(monkeypatch)
         cfg = SolverConfig()
     else:
         cfg = SolverConfig(max_iter=2)
+    fallbacks = _count_reduced_foc_fallbacks(monkeypatch)
     with pytest.warns(SinglePeakednessWarning) as record:
-        try:
-            solve_asymmetric(_BELOW, cfg)
-        except ConvergenceError:
-            pass
+        assert solve_asymmetric(_BELOW, cfg).certified
     assert [w.category for w in record] == [SinglePeakednessWarning]
+    assert len(fallbacks) == 1
 
 
 def test_below_the_bound_fuzz_matches_the_pre_scan_route(monkeypatch):
     # sigma_v in [0.02, 0.1], w in [0, 3], V in [0.05, 3], sigma_i in
-    # [0.1, 3], mu_i in [0, 1], mu_v in [-1.5, 1.5]
+    # [0.1, 3], mu_i in [0, 1], mu_v in [-1.5, 1.5]: the reduced-FOC
+    # fallback, forced, certifies every draw the pair Newton certifies, at
+    # the same platforms to 1e-12
     rng = np.random.default_rng(20261020)
     lo, hi = [0.0, 0.05, 0.1, 0.02, 0.0, -1.5], [3.0, 3.0, 3.0, 0.1, 1.0, 1.5]
     for _ in range(12):
         w, v, s_i, s_v, mu_i, mu_v = (float(x) for x in rng.uniform(lo, hi))
         params = ModelParams(w=w, V=v, sigma_i=s_i, sigma_v=s_v, mu_i=mu_i, mu_v=mu_v)
-        try:
-            forced = _pre_scan_solve(monkeypatch, params)
-        except ConvergenceError:
-            forced = None
-        try:
-            with pytest.warns(SinglePeakednessWarning):
-                res = solve_asymmetric(params)
-        except ConvergenceError:
-            assert forced is None, params  # the fallback is the pre-scan route
-            continue
-        assert res.certified >= (forced is not None and forced.certified), params
-        if res.certified and forced is not None and forced.certified:
+        forced = _pre_scan_solve(monkeypatch, params)
+        with pytest.warns(SinglePeakednessWarning):
+            res = solve_asymmetric(params)
+        assert forced.certified >= res.certified, params
+        if res.certified:
             gap = max(
                 abs(res.platforms.p_L - forced.platforms.p_L),
                 abs(res.platforms.p_R - forced.platforms.p_R),
             )
-            assert gap <= 1e-9, params
+            assert gap <= 1e-12, params
+
+
+def test_a_below_bound_solve_that_pair_newton_declines_ends_in_a_result(monkeypatch):
+    # a float-limit draw where the damped loop it replaced spent its 500
+    # rounds (1,000 grid scans, 26,004 scaled-FOC calls) and raised
+    # ConvergenceError: the reduced FOC ends after 34 evaluations (1,386
+    # calls) and certifies
+    params = ModelParams(
+        w=3.305041707209043e-24,
+        V=5.986775711433046e-167,
+        sigma_i=2.126546824830104e-205,
+        sigma_v=4.872799805622364e-11,
+        mu_i=0.41461483876295135,
+        mu_v=-0.14029059323597926,
+    )
+    calls = _cap_scaled_foc_calls(monkeypatch, 2_000)
+    with pytest.warns(SinglePeakednessWarning):
+        res = solve_asymmetric(params)
+    assert isinstance(res, solver.EquilibriumResult)
+    assert res.certified and res.iterations == 34
+    assert calls
 
 
 def test_warm_started_solve_makes_fewer_scaled_foc_calls(monkeypatch):
-    # the damped fallback, forced: about two safeguarded Newton steps per
-    # best response, 125 calls here (811 scaled plus 198 raw FOC and SOC
-    # calls with the bisection)
+    # the reduced-FOC fallback, forced: each of R's best responses starts
+    # at the previous one, 25 calls here
     params = ModelParams(w=1.0, mu_i=0.3, mu_v=0.1)
-    calls = _cap_scaled_foc_calls(monkeypatch, 200)
-    assert _damped_solve(monkeypatch, params).iterations == 29
+    calls = _cap_scaled_foc_calls(monkeypatch, 40)
+    assert _reduced_foc_solve(monkeypatch, params).iterations == 4
     assert calls
 
 
@@ -954,32 +975,6 @@ def test_solve_asymmetric_is_start_independent():
     b = solve_asymmetric(params, start=(0.4, 0.6))
     assert abs(a.platforms.p_L - b.platforms.p_L) < 1e-8
     assert abs(a.platforms.p_R - b.platforms.p_R) < 1e-8
-
-
-def test_exhausted_budget_raises_with_trace(baseline):
-    cfg = SolverConfig(max_iter=2)
-    with pytest.raises(ConvergenceError) as excinfo:
-        solve_asymmetric(baseline, cfg, start=(0.0, 1.0))
-    trace = excinfo.value.trace
-    assert len(trace) == 3  # start plus one point per spent iteration
-    assert all(
-        isinstance(pt, tuple) and len(pt) == 2 and all(math.isfinite(x) for x in pt)
-        for pt in trace
-    )
-
-
-def test_a_two_cycle_raises_a_period_2_error_with_its_trace(baseline, monkeypatch):
-    # L plays 0.1 against a far R and 0.3 otherwise; R plays 0.6 against a
-    # far L and 0.9 otherwise: undamped, the pair cycles with period 2
-    def two_cycle(opp, party, *args):
-        if party == "L":
-            return 0.1 if opp > 0.7 else 0.3
-        return 0.6 if opp < 0.2 else 0.9
-
-    monkeypatch.setattr(solver, "_best_response", two_cycle)
-    with pytest.raises(ConvergenceError, match=r"^period-2 oscillation after 3 iterations ") as err:
-        solve_asymmetric(baseline, SolverConfig(damping=1.0))
-    assert err.value.trace == [(0.25, 0.75), (0.1, 0.6), (0.3, 0.9), (0.1, 0.6)]
 
 
 def test_find_equilibria_dedupes_to_one(baseline):
