@@ -16,8 +16,8 @@ Two entry points:
   G_R in :mod:`polarsolve.calculus`), finite where that probability
   underflows, with closed-form partials.  The solve runs 2-D Newton steps
   on (G_L, G_R) from a cold start, clamped to the proven brackets [0, 1/2]
-  for L and [1/2, 1] for R, and keeps the point once one best response per
-  party confirms it and it certifies.  If Newton declines, it solves the
+  for L and [1/2, 1] for R, and keeps the point if its certificate
+  passes: no other test accepts it.  If Newton declines, it solves the
   reduced FOC (:func:`_reduced_foc`): L's G along R's best responses,
   whose root :func:`_rtsafe` brackets in [0, 1/2], each best response
   the root of G_R by the same search, starting at R's previous response,
@@ -315,15 +315,15 @@ def best_response(
     on it from the bracket's midpoint to ``cfg.tol_root``.  R's bracket is
     the mirror [1/2, 1].  Below the single-peak bound a 1e-4-grid pre-scan
     first narrows the bracket to its argmax +- 1e-4 and starts there.
-    The arguments are checked once here; the search (:func:`_best_response`)
-    runs on plain floats with the noise scale computed once.
+    The arguments are checked once here; the search (:func:`_best_response`),
+    which reads the bound from ``params``, runs on plain floats with the
+    noise scale computed once.
     """
     cfg = _config(params, cfg)
     if party not in ("L", "R"):
         raise InvalidParamsError(f"party must be 'L' or 'R', got {party!r}")
     opp = _finite("p_R" if party == "L" else "p_L", opponent_policy)
-    prescan = not params.single_peaked_guaranteed
-    return _best_response(opp, party, params, noise_scale(params), cfg, prescan=prescan)
+    return _best_response(opp, party, params, noise_scale(params), cfg)
 
 
 def _rtsafe(
@@ -365,19 +365,16 @@ def _rtsafe(
 
 def _best_response(
     opp: float, party: Literal["L", "R"], params: ModelParams, sn: float, cfg: SolverConfig,
-    guess: float | None = None, prescan: bool = False,
+    guess: float | None = None,
 ) -> float:
     """:func:`best_response` of a checked opponent, given ``sn``: the root
     of the party's scaled FOC by :func:`_rtsafe` to ``cfg.tol_root``.
 
-    With ``prescan`` (public :func:`best_response` and
-    :func:`solve_asymmetric`'s fallback, below the single-peak bound) the
-    search starts at the 1e-4 grid argmax inside its +- 1e-4 bracket and
-    ``guess`` is ignored.  Otherwise it starts at ``guess``
-    (the party's previous response, inside :func:`solve_asymmetric`) when
-    that lies in the party's bracket, else at the bracket's midpoint.
-    Below the bound, without the pre-scan (the pair Newton's confirming
-    responses), the sign change found may be a local maximum only.
+    Below the single-peak bound of ``params`` the search starts at the
+    1e-4 grid argmax inside its +- 1e-4 bracket and ``guess`` is ignored.
+    Above it the search starts at ``guess`` (R's previous response, inside
+    :func:`_reduced_foc`) when that lies in the party's bracket, else at
+    the bracket's midpoint.
     """
     if party == "L":
         lo, hi = 0.0, 0.5
@@ -385,7 +382,7 @@ def _best_response(
     else:
         lo, hi = 0.5, 1.0
         fdf = lambda x: _scaled_foc_R(opp, x, params, sn)
-    if prescan:
+    if not params.single_peaked_guaranteed:
         from .oracle import grid_best_response  # numpy loads only below the bound
 
         # the default span contains the bracket, so the argmax is interior
@@ -406,11 +403,10 @@ def solve_asymmetric(
 
     The solve first runs Newton steps on (G_L, G_R) from ``start``
     (:func:`_pair_newton`), each iterate clamped to the proven brackets
-    [0, 1/2] x [1/2, 1], and accepts the point only if one warm best
-    response per party confirms it to 1e-9 and it passes the finish and
-    the certificate, which below the single-peak bound includes the grid
-    oracle; ``iterations`` then counts Newton steps.  Otherwise the solve
-    runs :func:`_reduced_foc` from ``start``: the root of
+    [0, 1/2] x [1/2, 1], and after the Newton finish accepts the point
+    only if it passes the certificate, which below the single-peak bound
+    includes the grid oracle; ``iterations`` then counts Newton steps.
+    Otherwise the solve runs :func:`_reduced_foc` from ``start``: the root of
     H(p_L) = G_L(p_L, BR_R(p_L)) by safeguarded Newton steps on [0, 1/2],
     where H changes sign for any R, then the Newton finish; ``iterations``
     counts evaluations of H.  The search starts at ``start``'s p_L and,
@@ -450,10 +446,9 @@ def _pair_newton(
 
     Every iterate is clamped to [0, 1/2] x [1/2, 1]; the loop stops after a
     step shorter than ``cfg.tol_fp``, within ``cfg.max_iter`` steps.  The
-    point is kept only if one warm best response per party lands within
-    1e-9 of it and, after the Newton finish, the certificate passes, which
-    requires both own slopes G' < 0: a root of the pair where a payoff has
-    a minimum is declined."""
+    point is kept only if, after the Newton finish, the certificate
+    passes, which requires both own slopes G' < 0: a root of the pair
+    where a payoff has a minimum is declined."""
     p_l, p_r = min(max(p_l, 0.0), 0.5), min(max(p_r, 0.5), 1.0)
     for steps in range(1, cfg.max_iter + 1):
         step = _pair_step(_scaled_foc_L(p_l, p_r, at, sn), _scaled_foc_R(p_l, p_r, at, sn))
@@ -467,11 +462,6 @@ def _pair_newton(
     else:
         return None
     p_l, p_r = _newton_polish(p_l, p_r, at, sn)
-    if not (
-        abs(_best_response(p_r, "L", at, sn, cfg, p_l) - p_l) <= 1e-9
-        and abs(_best_response(p_l, "R", at, sn, cfg, p_r) - p_r) <= 1e-9
-    ):
-        return None
     res = _certificate(PlatformPair(p_l, p_r), at, sn, cfg, steps, "asymmetric")
     return res if res.certified else None
 
@@ -487,16 +477,16 @@ def _reduced_foc(
     H(0) > 0 and H(1/2) = -1 whatever R plays, so the search ends for any
     tolerance.  H' comes from the implicit function theorem on G_R = 0:
     dG_L/dp_L - dG_L/dp_R (dG_R/dp_L) / (dG_R/dp_R), from the kernels'
-    closed-form partials.  Each BR_R starts at the previous evaluation's
-    response (``p_r`` first), or below the single-peak bound at the argmax
-    of a grid pre-scan.  The finish starts from the search's root and the
-    last best response it evaluated.  ``iterations`` counts evaluations of H."""
-    prescan = not at.single_peaked_guaranteed
+    closed-form partials.  Each BR_R is :func:`_best_response`'s: above the
+    single-peak bound it starts at the previous evaluation's response
+    (``p_r`` first), below it at the argmax of a grid pre-scan.  The
+    finish starts from the search's root and the last best response it
+    evaluated.  ``iterations`` counts evaluations of H."""
     br_r = p_r
 
     def h(x: float) -> tuple[float, float, None]:
         nonlocal br_r
-        br_r = _best_response(x, "R", at, sn, cfg, br_r, prescan)
+        br_r = _best_response(x, "R", at, sn, cfg, br_r)
         g_l, j_ll, j_lr = _scaled_foc_L(x, br_r, at, sn)
         _, j_rr, j_rl = _scaled_foc_R(x, br_r, at, sn)
         return g_l, j_ll - j_lr * j_rl / j_rr if j_rr else math.nan, None  # nan: bisect

@@ -667,7 +667,9 @@ GOLDEN_FALLBACK_STDOUT = {
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_FALLBACK_STDOUT))
-def test_damped_fallback_stdout_is_byte_identical_to_its_golden_output(capsys, monkeypatch, name):
+def test_reduced_foc_fallback_stdout_is_byte_identical_to_its_golden_output(
+    capsys, monkeypatch, name
+):
     monkeypatch.setattr(polarsolve.solver, "_pair_newton", lambda *args: None)
     expected = GOLDEN_FALLBACK_STDOUT[name]
     assert expected != GOLDEN_STDOUT[name][1]

@@ -624,7 +624,7 @@ def _count_reduced_foc_fallbacks(monkeypatch):
 @pytest.mark.parametrize(
     "base", [_BASE_0, _BASE_5, _BASE_9, _BASE_23], ids=["base0", "base5", "base9", "base23"]
 )
-def test_sweep_rows_need_no_damped_fallback_and_equal_its_rows(base, monkeypatch):
+def test_sweep_rows_need_no_reduced_foc_fallback_and_equal_its_rows(base, monkeypatch):
     # kappa < -38 at the top of the grid on bases 5 and 23, R at its bliss
     # point on base 0, R flat to rounding on base 9: the pair Newton is
     # accepted on every row and FD re-solve, and the reduced-FOC fallback,
@@ -642,25 +642,6 @@ def test_sweep_rows_need_no_damped_fallback_and_equal_its_rows(base, monkeypatch
         assert row.dpL_dw_fd == pytest.approx(want.dpL_dw_fd, abs=1e-10), row
 
 
-def _miss_the_first_best_response(monkeypatch):
-    best = solver._best_response
-
-    def refuse_once(*args):
-        monkeypatch.setattr(solver, "_best_response", best)
-        return best(*args) + 1e-8  # L's response misses the Newton point
-
-    monkeypatch.setattr(solver, "_best_response", refuse_once)
-
-
-def test_a_failed_best_response_confirmation_falls_back_to_the_damped_loop(monkeypatch):
-    # the fallback it reaches is the reduced FOC's
-    params = ModelParams(w=1.0, mu_i=0.3, mu_v=0.1)
-    forced = _reduced_foc_solve(monkeypatch, params)
-    _miss_the_first_best_response(monkeypatch)
-    assert repr(solve_asymmetric(params)) == repr(forced)
-    assert forced.iterations == 4
-
-
 def _same_certified_rows(rows, ref):
     assert [r.certified for r in rows] == [r.certified for r in ref]
     for row, want in zip(rows, ref):
@@ -671,15 +652,16 @@ def _same_certified_rows(rows, ref):
 
 @pytest.mark.parametrize("base", [_BASE_0, _BASE_9, _BASE_13], ids=["base0", "base9", "base13"])
 def test_warm_started_sweep_equals_the_cold_sweep(base, monkeypatch):
-    # the cold sweep drops every guess, so each best response starts at the
-    # midpoint of its bracket
+    # best responses run only on the reduced-FOC fallback, forced here; the
+    # cold sweep drops every guess, so each starts at the midpoint of its
+    # bracket
     base = ModelParams(w=1.0, **base)
+    monkeypatch.setattr(solver, "_pair_newton", lambda *args: None)
     warm = sweep_w(_SWEEP_GRID, base, mode="asymmetric")
     best = solver._best_response
     monkeypatch.setattr(
         solver, "_best_response",
-        lambda opp, party, params, sn, cfg, guess=None, prescan=False:
-            best(opp, party, params, sn, cfg, None, prescan),
+        lambda opp, party, params, sn, cfg, guess=None: best(opp, party, params, sn, cfg),
     )
     _same_certified_rows(warm, sweep_w(_SWEEP_GRID, base, mode="asymmetric"))
 
@@ -760,7 +742,7 @@ def test_below_the_bound_no_best_response_uses_a_warm_cell(monkeypatch):
     # search starts at the grid argmax and ignores the previous response
     sn, cfg = noise_scale(_BELOW), SolverConfig()
     for guess in (None, 0.0, 0.25, 0.5, 0.7):
-        assert solver._best_response(0.75, "L", _BELOW, sn, cfg, guess, prescan=True) == (
+        assert solver._best_response(0.75, "L", _BELOW, sn, cfg, guess) == (
             best_response(0.75, "L", _BELOW)
         )
     seeds, starts = [], []
@@ -789,12 +771,27 @@ def test_below_the_bound_no_best_response_uses_a_warm_cell(monkeypatch):
     assert seeds[: res.iterations] == starts[1:] and len(seeds) == res.iterations + 2
 
 
-def test_below_the_bound_the_pair_newton_runs_no_grid_scan_in_a_best_response(monkeypatch):
+@pytest.mark.parametrize("params, steps, want_scans", [
+    (_BELOW, 3, 2),  # the certificate's, one per party
+    (ModelParams(w=1.0, mu_i=0.3, mu_v=0.1), 4, 0),  # above the bound: none
+], ids=["below", "above"])
+def test_below_the_bound_the_pair_newton_runs_no_grid_scan_in_a_best_response(
+    params, steps, want_scans, monkeypatch
+):
+    # the certificate alone accepts the pair Newton's point: no best
+    # response runs, and below the bound only the certificate scans
     scans = _count_grid_scans(monkeypatch)
-    with pytest.warns(SinglePeakednessWarning):
-        res = solve_asymmetric(_BELOW)
-    assert res.certified and res.iterations == 3
-    assert len(scans) == 2  # the certificate's, one per party
+    best = solver._best_response
+    responses = []
+    monkeypatch.setattr(
+        solver, "_best_response", lambda *args: responses.append(1) or best(*args)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SinglePeakednessWarning)
+        res = solve_asymmetric(params)
+    assert res.certified and res.iterations == steps
+    assert not responses
+    assert len(scans) == want_scans
 
 
 def test_below_the_bound_an_uncertified_result_falls_back_to_the_pre_scan_route(monkeypatch):
@@ -810,21 +807,6 @@ def test_below_the_bound_an_uncertified_result_falls_back_to_the_pre_scan_route(
     # a pre-scan in each of the fallback's best responses, one per
     # evaluation, then its certificate
     assert len(scans) == forced.iterations + 2
-
-
-def test_below_the_bound_a_declined_pair_newton_goes_straight_to_the_pre_scan_route(
-    monkeypatch,
-):
-    # L's confirming best response misses the Newton point, so the pair
-    # Newton declines before its certificate: the one fallback that follows
-    # pre-scans in every best response
-    forced = _pre_scan_solve(monkeypatch, _BELOW)
-    _miss_the_first_best_response(monkeypatch)
-    fallbacks = _count_reduced_foc_fallbacks(monkeypatch)
-    scans = _count_grid_scans(monkeypatch)
-    with pytest.warns(SinglePeakednessWarning):
-        assert repr(solve_asymmetric(_BELOW)) == repr(forced)
-    assert len(fallbacks) == 1 and len(scans) == forced.iterations + 2
 
 
 @pytest.mark.parametrize("cause", ["uncertified", "no convergence"])
@@ -895,9 +877,9 @@ def test_warm_started_solve_makes_fewer_scaled_foc_calls(monkeypatch):
 
 
 def test_the_pair_newton_solve_makes_few_scaled_foc_calls(monkeypatch):
-    # 4 Newton steps, the finish, one confirming best response per party
-    # and the certificate: 16 calls here
-    calls = _cap_scaled_foc_calls(monkeypatch, 30)
+    # 4 Newton steps (a kernel pair each), then the finish and the
+    # certificate (three pairs): 14 calls here
+    calls = _cap_scaled_foc_calls(monkeypatch, 14)
     assert solve_asymmetric(ModelParams(w=1.0, mu_i=0.3, mu_v=0.1)).iterations == 4
     assert calls
 
