@@ -7,8 +7,10 @@ The public pair checks its argument and calls the unchecked :func:`_pdf`
 and :func:`_cdf`, which kernels that check their margin call directly.
 
 The CDF is evaluated through the complementary error function
-(``math.erfc`` is correctly rounded on every mainstream libm), which is
-numerically superior to ``0.5*(1+erf(x/sqrt(2)))`` in the lower tail.
+(``math.erfc`` is accurate to about an ulp on mainstream libms, though not
+always monotone in that ulp: glibc's steps back by one just below 1.25),
+which is numerically superior to ``0.5*(1+erf(x/sqrt(2)))`` in the lower
+tail.
 Inputs beyond |x| = 38 clamp to exact 0/1: the true tail mass there is
 below 1e-315 and computing it would only produce denormal noise.
 :mod:`polarsolve.oracle` applies the same ``math.erfc`` and the same clamp

@@ -6,14 +6,16 @@ Monte Carlo frequencies of the voter's literal decision rule, and
 peak counting is a direct scan.  The rest of the package is certified
 against these routines, never the other way around.
 
-The grid scans evaluate the payoff over the whole grid in one numpy pass.
-The peak scan's raw payoff repeats the formulas of
+The grid scans compute the payoff's terms over the whole grid in one numpy
+pass.  The peak scan's raw payoff repeats the formulas of
 :func:`expected_utility_L` and :func:`expected_utility_R` operation for
 operation, and takes the normal CDF by the scalar ``math.erfc`` per element
 with the scalar clamp (:func:`_std_normal_cdf_array`), so every grid value
-has the same bits as the scalar call at that point; the grid best response
-ranks the same payoff less the party's sure-loss payoff.  With
-:mod:`polarsolve.verify`, this is the only module that imports numpy.
+has the same bits as the scalar call at that point.  The grid best response
+ranks the same payoff less the party's sure-loss payoff, and takes the CDF
+exactly only in the blocks of the grid whose upper bound can reach the
+maximum.  With :mod:`polarsolve.verify`, this is the only module that
+imports numpy.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ _MC_BATCH = 250_000
 
 #: ``math.erfc`` as a ufunc on object arrays; numpy has no erfc of its own.
 _erfc = np.frompyfunc(math.erfc, 1, 1)
+
+#: The grid best response bounds its gaps over blocks of this many points.
+_BLOCK = 128
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,13 +92,19 @@ def _grid_columns(lo: float, hi: float, grid_step: float) -> tuple[np.ndarray, .
     return arrays
 
 
+def _require_all_finite(x: np.ndarray) -> None:
+    """Raise the scalar call's :class:`DomainError` for the first
+    non-finite element."""
+    finite = np.isfinite(x)
+    if not finite.all():
+        _require_finite(float(x[~finite][0]))
+
+
 def _std_normal_cdf_array(x: np.ndarray) -> np.ndarray:
     """:func:`~polarsolve.gaussmath.std_normal_cdf` of every element of a
     float64 array, bit for bit: the same clamp to exact 0/1 past +-38, and
     the same ``math.erfc`` call per element inside it (only there)."""
-    finite = np.isfinite(x)
-    if not finite.all():
-        _require_finite(float(x[~finite][0]))
+    _require_all_finite(x)
     cdf = (x > _CDF_CLAMP).astype(np.float64)
     inside = np.abs(x) <= _CDF_CLAMP
     cdf[inside] = 0.5 * _erfc(-x[inside] * _INV_SQRT_2).astype(np.float64)
@@ -157,18 +168,53 @@ def grid_best_response(
     """Argmax of the party's expected utility on a uniform grid.
 
     It maximizes the payoff less the sure-loss payoff, a constant: the
-    party's own win probability, Phi(kappa) for L and Phi(-kappa) for R by
-    ``math.erfc`` (never as 1 - Phi), times its stake, the payoff of winning
-    less that of losing.  Where the party surely loses, the raw payoff is
-    flat to its last bit; the gap ranks the points down to Phi(-38).
-    Exact value ties break toward the point nearest 1/2 (then the
-    smaller point).  An argmax on the edge of ``span`` means the span
-    was too small to contain the response and raises
+    party's own win probability Phi(y), with y = kappa for L and -kappa for
+    R, taken by ``math.erfc`` (never as 1 - Phi), times its stake, the
+    payoff of winning less that of losing.  Where the party surely loses,
+    the raw payoff is flat to its last bit; the gap ranks the points down
+    to Phi(-38).  Exact value ties break toward the point nearest 1/2
+    (then the smaller point).  An argmax on the edge of ``span`` means the
+    span was too small to contain the response and raises
     :class:`SpanTooSmallError` rather than returning a clipped answer.
+
+    The scan takes Phi exactly only where the maximum can lie.  Phi is
+    increasing, so no gap in a block of the grid exceeds Phi at the
+    block's largest y times its largest stake (the smallest y if every
+    stake is negative).  Phi is taken at each block's bound point, then
+    over the block of highest bound, whose largest gap is a floor; only
+    the blocks whose bound reaches the floor are scanned exactly.  Every
+    point of the maximum gap lies in those, so the answer is the full
+    scan's.
     """
     xs, k, win, lose = _grid_terms(opponent_policy, party, params, span, grid_step)
-    gaps = _std_normal_cdf_array(k if party == "L" else -k) * (win + lose)
-    candidates = xs[gaps == gaps.max()]
+    # k and win are this call's own arrays: reuse them rather than allocate
+    y = k if party == "L" else np.negative(k, out=k)
+    stake = np.add(win, lose, out=win)
+    _require_all_finite(y)
+    starts = np.arange(0, y.size, _BLOCK)
+    stake_hi = np.maximum.reduceat(stake, starts)
+    y_bound = np.maximum.reduceat(y, starts)
+    negative = stake_hi < 0.0
+    if negative.any():
+        y_bound[negative] = np.minimum.reduceat(y, starts)[negative]
+    phi = _std_normal_cdf_array(y_bound)
+    # erfc is not monotone to its last ulp (glibc's steps back by one near
+    # 1.25): pad Phi by 1e-12 of itself, and by 1e-320 where that rounds
+    # away among the subnormals
+    pad = phi * 1e-12 + 1e-320
+    bound = np.where(negative, np.maximum(phi - pad, 0.0), phi + pad) * stake_hi
+    first = starts[np.argmax(bound)]
+    top = slice(first, first + _BLOCK)
+    floor = (_std_normal_cdf_array(y[top]) * stake[top]).max()
+    # not "bound >= floor": a NaN floor (an inf stake times Phi = 0) prunes nothing
+    keep = ~(bound < floor)
+    scan_xs = xs
+    if not keep.all():
+        at = (starts[keep, None] + np.arange(_BLOCK)).ravel()
+        at = at[at < y.size]
+        scan_xs, y, stake = xs[at], y[at], stake[at]
+    gaps = np.multiply(_std_normal_cdf_array(y), stake, out=stake)
+    candidates = scan_xs[gaps == gaps.max()]
     # the first, so the smaller, of the points nearest 1/2
     response = float(candidates[np.argmin(np.abs(candidates - 0.5))])
     if response == xs[0] or response == xs[-1]:

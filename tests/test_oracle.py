@@ -160,7 +160,7 @@ def test_grid_tie_breaks_toward_one_half_on_a_flat_payoff():
     assert grid_best_response(0.75, "L", ModelParams(w=0.0, mu_v=100.0)) == 0.5
 
 
-def _recorded_grid_calls(monkeypatch, module, run):
+def _recorded_grid_calls(module, run):
     """(opponent, party, params, response) of every default-grid best
     response that ``run()`` makes through ``module``."""
     calls = []
@@ -172,7 +172,7 @@ def _recorded_grid_calls(monkeypatch, module, run):
             calls.append((opponent, party, params, response))
         return response
 
-    with monkeypatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(module, "grid_best_response", record)
         run()
     return calls
@@ -192,7 +192,16 @@ def _rugged_solves():
                 solve_asymmetric(params)
 
 
-def test_the_gap_form_keeps_every_clear_argmax_of_the_raw_payoff(monkeypatch):
+@pytest.fixture(scope="module")
+def certificate_calls():
+    """The recorded best responses of the oracle-br check's 50 configs and
+    of the rugged solves' certificates."""
+    return _recorded_grid_calls(
+        verify, lambda: run_checks(only=["oracle-br"])
+    ) + _recorded_grid_calls(oracle, _rugged_solves)
+
+
+def test_the_gap_form_keeps_every_clear_argmax_of_the_raw_payoff(certificate_calls):
     # where the raw payoff's maximum beats every other grid point by more
     # than 64 ulps, the grid best response is that point: the gap form
     # changes only the rounding of the same function.  Configs: seeded
@@ -204,8 +213,7 @@ def test_the_gap_form_keeps_every_clear_argmax_of_the_raw_payoff(monkeypatch):
             params, opponent = seeded_draw(seed, lo, hi)
             party = "L" if seed % 2 == 0 else "R"
             cases.append((opponent, party, params, grid_best_response(opponent, party, params)))
-    cases += _recorded_grid_calls(monkeypatch, verify, lambda: run_checks(only=["oracle-br"]))
-    cases += _recorded_grid_calls(monkeypatch, oracle, _rugged_solves)
+    cases += certificate_calls
     clear = 0
     for opponent, party, params, response in cases:
         xs, vals = _grid_payoffs(opponent, party, params, DEFAULT_SPAN, 1e-4)
@@ -214,6 +222,159 @@ def test_the_gap_form_keeps_every_clear_argmax_of_the_raw_payoff(monkeypatch):
             clear += 1
             assert response == xs[i], (params, opponent, party)
     assert clear >= 480
+
+
+def _full_scan(opponent, party, params, grid_step=1e-4, span=DEFAULT_SPAN):
+    """The grid best response by the exact gap at every grid point, with
+    its tie-break and span-edge error: the reference for the bounded scan."""
+    xs, k, win, lose = oracle._grid_terms(opponent, party, params, span, grid_step)
+    gaps = oracle._std_normal_cdf_array(k if party == "L" else -k) * (win + lose)
+    candidates = xs[gaps == gaps.max()]
+    response = float(candidates[np.argmin(np.abs(candidates - 0.5))])
+    if response == xs[0] or response == xs[-1]:
+        raise SpanTooSmallError(
+            f"grid argmax for party {party} sits on the span edge at {response}; "
+            f"widen span={span}"
+        )
+    return response
+
+
+def _outcome(scan, *args):
+    """The response's bits, or the class and message of what it raised."""
+    try:
+        return scan(*args).hex()
+    except Exception as e:  # the class and message are the outcome
+        return type(e), str(e)
+
+
+def _edge_cases():
+    """The bounded scan's edge cases, by name: (opponent, party, params,
+    grid_step, span)."""
+    step = 1e-4
+    response = grid_best_response(0.75, "L", BIMODAL_PARAMS, step)
+    hi = response + 10 * step
+    all_negative = ModelParams(w=0.0, V=0.05, sigma_v=0.5, mu_v=-1.25)
+    small_v = ModelParams(w=0.2, V=0.05, sigma_v=0.05, mu_i=0.4)
+    huge = ModelParams(w=1.0, V=sys.float_info.max, mu_i=sys.float_info.max / 2, sigma_v=0.05)
+    return {
+        # a flat sure loss ties everywhere
+        "flat": (0.75, "L", ModelParams(w=0.0, mu_v=100.0), 1e-4, DEFAULT_SPAN),
+        # Phi = 1/2 and the stake are flat to their last bit: every point ties
+        # inside the clamp, so no block is pruned
+        "tied": (0.3, "L", ModelParams(w=0.0, V=1e20, sigma_v=1e20), 1e-4, DEFAULT_SPAN),
+        # stakes negative on most of a wide span: those blocks bound by their
+        # smallest y.  Where every stake is negative, the first point of sure
+        # loss (gap -0) is the maximum, in a block whose largest y is far from it
+        "small-V-L": (0.3, "L", small_v, 1e-3, (-8.0, 9.0)),
+        "small-V-R": (0.3, "R", small_v, 1e-3, (-8.0, 9.0)),
+        "negative-L": (0.5, "L", all_negative, 1e-3, (2.0, 9.0)),
+        "negative-R": (0.5, "R", all_negative, 1e-3, (-8.0, -1.0)),
+        # kappa is -mu_v / 2^25 at 1/2 and one ulp lower beside it, where glibc's
+        # erfc, not monotone by an ulp at 1.25, gives the larger Phi: the
+        # maximum is not at its block's bound point
+        "erfc-bump": (
+            0.5, "L", ModelParams(w=0.0, V=2.0**60, sigma_v=2.0**25, mu_v=59316416.01223603),
+            1e-4, DEFAULT_SPAN,
+        ),
+        # an infinite stake times Phi = 0 is NaN, and the full scan finds no argmax
+        "nan-gap": (1.3e154, "L", huge, 1e-4, DEFAULT_SPAN),
+        # the response in a short last block: 128 * 40 + 41 points, 10 steps from the end
+        "short-block": (0.75, "L", BIMODAL_PARAMS, step, (hi - (128 * 40 + 40) * step, hi)),
+        # the response beyond the span: it lands on the edge
+        "edge": (0.9, "L", ModelParams(w=1.0), 1e-3, (0.9, 1.1)),
+    }
+
+
+def _scan_cases():
+    """(opponent, party, params, grid_step, span) for the bounded scan's
+    equivalence: seeded draws on three spans at three steps, then the edges."""
+    cases = []
+    for seed in range(36):
+        span = (DEFAULT_SPAN, (-8.0, 9.0), (0.0, 1.0))[seed % 3]
+        step = (1e-4, 3e-4, 1e-3)[seed // 3 % 3]
+        for lo, hi in ((0.102, 10.0), (0.01, 0.1)):
+            params, opponent = seeded_draw(seed, lo, hi)
+            cases += [(opponent, party, params, step, span) for party in "LR"]
+    return cases + list(_edge_cases().values())
+
+
+def test_the_bounded_scan_matches_the_full_scan(certificate_calls):
+    # the same response bits, or the same exception class and message, as
+    # the exact gap at every grid point
+    with np.errstate(over="ignore", invalid="ignore"):
+        for case in _scan_cases():
+            assert _outcome(grid_best_response, *case) == _outcome(_full_scan, *case), case
+    edge = _edge_cases()
+    assert grid_best_response(*edge["flat"]) == grid_best_response(*edge["tied"]) == 0.5
+    for name in ("small-V-L", "small-V-R", "negative-L", "negative-R"):
+        opponent, party, params, step, span = edge[name]
+        _, _, win, lose = oracle._grid_terms(opponent, party, params, span, step)
+        assert (win + lose < 0.0).mean() > 0.5
+        assert (win + lose > 0.0).any() == name.startswith("small")
+    _, _, _, step, span = edge["short-block"]
+    xs = oracle._grid_columns(*span, step)[0]
+    assert xs.size % 128 == 41 and grid_best_response(*edge["short-block"]) == xs[-11]
+    with pytest.raises(SpanTooSmallError):
+        grid_best_response(*edge["edge"])
+    for opponent, party, params, response in certificate_calls:
+        assert response == _full_scan(opponent, party, params), (params, opponent, party)
+
+
+_HUGE_MARGIN = dict(w=1.0, sigma_i=1e-200, sigma_v=1.0, mu_i=-sys.float_info.max / 2)
+
+# (opponent, party, params, grid_step, span) whose margin kappa is infinite at
+# some grid points only, or with both signs
+NONFINITE_CASES = {
+    # w (1 - 2 mu_i) is the largest double, so kappa overflows where the lead
+    # has the magnitude of its last bit: for L at the points nearest 1/2, for
+    # R at the span's ends (-inf for R's own margin, which no block maximum sees)
+    "L-near-one-half": (
+        0.5, "L", ModelParams(**_HUGE_MARGIN, mu_v=-1.5 * 2.0**970), 1e143, (-1e147, 1e147)
+    ),
+    "R-at-the-ends": (0.5, "R", ModelParams(**_HUGE_MARGIN, mu_v=0.0), 1e143, (-1e147, 1e147)),
+    # over the smallest noise scale, kappa is -inf at the first point, whose
+    # stake is 0, and +inf after it: the first block's largest y is +inf, but
+    # the full scan meets -inf first
+    "L-both-signs": (
+        1e150, "L", ModelParams(w=0.0, sigma_v=2.2e-162, mu_v=1e147), 1e146, (-1e150, 1e150)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NONFINITE_CASES)
+def test_the_bounded_scan_checks_every_margin_before_it_bounds(case):
+    opponent, party, params, step, span = args = NONFINITE_CASES[case]
+    with np.errstate(over="ignore"):
+        _, k, _, _ = oracle._grid_terms(opponent, party, params, span, step)
+        assert not np.isfinite(k).all() and np.unique(k).size > 1
+        outcome = _outcome(grid_best_response, *args)
+        assert outcome == _outcome(_full_scan, *args)
+    assert outcome[0] is DomainError
+
+
+def test_a_below_bound_certificate_takes_erfc_at_few_grid_points(monkeypatch):
+    # the bound points, the block of highest bound, then the blocks whose
+    # bound reaches that block's maximum: the full scan took every point
+    sizes, erfc = [], oracle._erfc
+    monkeypatch.setattr(oracle, "_erfc", lambda a: sizes.append(a.size) or erfc(a))
+    work, grid = [], oracle.grid_best_response
+
+    def counted(opponent, party, params, grid_step=1e-4, span=DEFAULT_SPAN):
+        sizes.clear()
+        try:
+            return grid(opponent, party, params, grid_step, span)
+        finally:
+            work.append((sum(sizes), oracle._grid_columns(*span, grid_step)[0].size))
+
+    monkeypatch.setattr(oracle, "grid_best_response", counted)
+    with pytest.warns(polarsolve.SinglePeakednessWarning):
+        assert solve_asymmetric(ModelParams(w=1.0, sigma_v=0.08, mu_v=0.3)).certified
+    assert len(work) == 2 and all(n == 20_001 and 0 < taken < 2_000 for taken, n in work)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for case in _scan_cases():
+            _outcome(counted, *case)
+    assert all(taken <= n + -(-n // 128) + 128 for taken, n in work)
+    assert max(taken - n for taken, n in work) == -(-20_001 // 128) + 128
 
 
 def test_the_gap_form_ranks_a_race_the_party_surely_loses():
