@@ -7,11 +7,12 @@ peak counting is a direct scan.  The rest of the package is certified
 against these routines, never the other way around.
 
 The grid scans compute the payoff's terms over the whole grid in one numpy
-pass.  The peak scan's raw payoff repeats the formulas of
-:func:`expected_utility_L` and :func:`expected_utility_R` operation for
-operation, and takes the normal CDF by the scalar ``math.erfc`` per element
-with the scalar clamp (:func:`_std_normal_cdf_array`), so every grid value
-has the same bits as the scalar call at that point.  The grid best response
+pass, in place in the calling thread's work arrays.  The peak scan's raw
+payoff repeats the formulas of :func:`expected_utility_L` and
+:func:`expected_utility_R` operation for operation, and takes the normal
+CDF by the scalar ``math.erfc`` per element with the scalar clamp
+(:func:`_std_normal_cdf_array`), so every grid value has the same bits as
+the scalar call at that point.  The grid best response
 ranks the same payoff less the party's sure-loss payoff, and takes the CDF
 exactly only in the blocks of the grid whose upper bound can reach the
 maximum.  With :mod:`polarsolve.verify`, this is the only module that
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Literal
 
@@ -54,6 +56,11 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 #: The grid best response bounds its gaps over blocks of this many points.
 _BLOCK = 128
+
+#: Per-thread work arrays of the grid scans (:func:`_work_arrays`), kept for
+#: grids of at most this many points (the default grid has 20,001).
+_work = threading.local()
+_WORK_MAX = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,6 +99,24 @@ def _grid_columns(lo: float, hi: float, grid_step: float) -> tuple[np.ndarray, .
     return arrays
 
 
+def _work_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two float64 arrays of n elements owned by the calling thread: the
+    first n elements of the two largest it has asked for so far.
+
+    A grid scan builds its terms in these rather than in new arrays: whether
+    a new grid-sized array comes from the heap or from a fresh mapping
+    depends on the allocator's state, and in the second case every scan
+    pays the page faults of zeroing its pages again.  A grid of over
+    :data:`_WORK_MAX` points gets new arrays, so that no thread holds on
+    to one of its size."""
+    if n > _WORK_MAX:
+        return np.empty(n), np.empty(n)
+    arrays = getattr(_work, "arrays", None)
+    if arrays is None or arrays[0].size < n:
+        arrays = _work.arrays = (np.empty(n), np.empty(n))
+    return arrays[0][:n], arrays[1][:n]
+
+
 def _require_all_finite(x: np.ndarray) -> None:
     """Raise the scalar call's :class:`DomainError` for the first
     non-finite element."""
@@ -117,7 +142,11 @@ def _grid_terms(
 ) -> tuple[np.ndarray, ...]:
     """The grid, L's margin kappa at every grid point, and there the party's
     payoff if it wins and its cost if it loses (the sure-loss payoff is minus
-    that), each computed as :func:`win_margin` and the payoffs compute it."""
+    that), each computed as :func:`win_margin` and the payoffs compute it.
+
+    kappa and the win payoff are built in place, one operation at a time in
+    the scalar call's order, in the calling thread's :func:`_work_arrays`:
+    the caller is done with them before that thread's next grid scan."""
     try:
         lo, hi = span
     except (TypeError, ValueError):
@@ -136,15 +165,20 @@ def _grid_terms(
         raise InvalidParamsError(f"party must be 'L' or 'R', got {party!r}")
     opp = _finite("p_R" if party == "L" else "p_L", opponent_policy)
     _instance("params", params, ModelParams)
-    own_term = xs * (1.0 - xs)
+    k, win = _work_arrays(xs.size)
+    np.multiply(xs, np.subtract(1.0, xs, out=k), out=k)  # the own term x (1 - x)
     opp_term = opp * (1.0 - opp)
     if party == "L":
-        lead, win, lose = own_term - opp_term, params.V - xs_sq, params.w + opp**2
+        np.subtract(k, opp_term, out=k)  # the lead
+        np.subtract(params.V, xs_sq, out=win)
+        lose = params.w + opp**2
     else:
-        lead = opp_term - own_term
-        win, lose = params.V - one_minus_xs_sq, params.w + (1.0 - opp) ** 2
-    num = (lead + params.w * (1.0 - 2.0 * params.mu_i)) - params.mu_v
-    return xs, num / noise_scale(params), win, lose
+        np.subtract(opp_term, k, out=k)
+        np.subtract(params.V, one_minus_xs_sq, out=win)
+        lose = params.w + (1.0 - opp) ** 2
+    np.add(k, params.w * (1.0 - 2.0 * params.mu_i), out=k)
+    np.subtract(k, params.mu_v, out=k)
+    return xs, np.divide(k, noise_scale(params), out=k), win, lose
 
 
 def _grid_payoffs(
@@ -187,7 +221,6 @@ def grid_best_response(
     scan's.
     """
     xs, k, win, lose = _grid_terms(opponent_policy, party, params, span, grid_step)
-    # k and win are this call's own arrays: reuse them rather than allocate
     y = k if party == "L" else np.negative(k, out=k)
     stake = np.add(win, lose, out=win)
     _require_all_finite(y)

@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -375,6 +376,46 @@ def test_a_below_bound_certificate_takes_erfc_at_few_grid_points(monkeypatch):
             _outcome(counted, *case)
     assert all(taken <= n + -(-n // 128) + 128 for taken, n in work)
     assert max(taken - n for taken, n in work) == -(-20_001 // 128) + 128
+
+
+def test_the_grid_scans_build_their_terms_in_their_threads_work_arrays():
+    # the bits of the terms computed into new arrays, in the memory of the
+    # calling thread's two work arrays, which each thread keeps for itself
+    # and which no grid over the size limit replaces
+    cases = [case[:3] + (1e-4, DEFAULT_SPAN) for case in _scan_cases()[:40]]
+    for opponent, party, params, step, span in cases[:8] + [cases[0][:3] + (1e-3, (-8.0, 9.0))]:
+        xs, k, win, lose = oracle._grid_terms(opponent, party, params, span, step)
+        xs_sq, one_minus_xs_sq = oracle._grid_columns(*span, step)[1:]
+        own, opp = xs * (1.0 - xs), opponent * (1.0 - opponent)
+        lead = own - opp if party == "L" else opp - own
+        num = (lead + params.w * (1.0 - 2.0 * params.mu_i)) - params.mu_v
+        want = params.V - (xs_sq if party == "L" else one_minus_xs_sq)
+        assert (num / polarsolve.noise_scale(params)).tobytes() == k.tobytes()
+        assert want.tobytes() == win.tobytes()
+        assert np.shares_memory(k, oracle._work.arrays[0])
+        assert np.shares_memory(win, oracle._work.arrays[1])
+    serial = [_outcome(grid_best_response, *case) for case in cases]
+    arrays = oracle._work.arrays
+    assert peak_scan(*cases[0][:3]).n_local_maxima >= 1
+    assert [_outcome(grid_best_response, *case) for case in cases] == serial
+    assert oracle._work.arrays is arrays
+
+    results = {}
+
+    def scan(half):
+        got = [_outcome(grid_best_response, *case) for case in cases[half::2]]
+        results[half] = got, oracle._work.arrays
+
+    threads = [threading.Thread(target=scan, args=(half,)) for half in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    (even, a), (odd, b) = results[0], results[1]
+    assert even == serial[0::2] and odd == serial[1::2]
+    assert not any(np.shares_memory(x[0], y[0]) for x, y in ((arrays, a), (arrays, b), (a, b)))
+    big = oracle._work_arrays(oracle._WORK_MAX + 1)
+    assert big[0].size == oracle._WORK_MAX + 1 and oracle._work.arrays is arrays
 
 
 def test_the_gap_form_ranks_a_race_the_party_surely_loses():
