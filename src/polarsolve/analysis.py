@@ -28,7 +28,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Literal
 
-from .calculus import _PHI0, _dpL_dw_symmetric
+from .calculus import _PHI0, _dpL_dw_symmetric, _raw_pair
 from .errors import (
     ConvergenceError,
     DegenerateError,
@@ -40,11 +40,13 @@ from .model import ModelParams, _checked_noise_scale, _finite, _instance
 from .solver import (
     _START,
     SolverConfig,
+    _asymmetric_point,
     _at,
     _certify,
     _check_locus,
     _config,
     _rtsafe,
+    _scaled_pair,
     _solve_asymmetric_at,
     _sym_root,
     _warn_single_peakedness,
@@ -141,7 +143,8 @@ def _sweep_row(
             _check_locus(params, w)
             p = _sym_root(V, w, sn, cfg.tol_root)[0]
             q = 1.0 - p
-            (_, _, soc_l, soc_r, pr_l), certified = _certify(p, q, at, sn, cfg)
+            _, _, soc_l, soc_r, pr_l = _raw_pair(p, q, at, sn)
+            certified = _certify(p, q, _scaled_pair(p, q, at, sn)[0], at, cfg)
             analytic = _dpL_dw_symmetric(p, V, w, sigma_i, sigma_v)
             # p_L*(w) lives on the symmetry locus, where the FOC depends on
             # (V, w, sigma_i, sigma_v) only: the root at the perturbed w is
@@ -154,11 +157,9 @@ def _sweep_row(
         res = _solve_asymmetric_at(params, w, cfg, *_START)
         analytic = math.nan  # defined only on the symmetric manifold
         # warm-started from the row's own solution, so each re-solve
-        # stays on the row's equilibrium branch
+        # stays on the row's equilibrium branch; the stencil reads only p_L
         start = res.platforms
-        solve_pl = lambda wp: _solve_asymmetric_at(
-            params, wp, cfg, start.p_L, start.p_R
-        ).platforms.p_L
+        solve_pl = lambda wp: _asymmetric_point(start.p_L, start.p_R, *_at(params, wp), cfg)[0]
         fd = _fd_slope(solve_pl, w, res.platforms.p_L)
     except PolarsolveError:
         return _nan_row(w)
@@ -188,10 +189,10 @@ def sweep_w(
     A symmetric row computes :func:`~polarsolve.solver.solve_symmetric`'s
     root and certificate at its w on the float kernels, with no result
     object; an asymmetric row and its FD re-solves run
-    :func:`~polarsolve.solver.solve_asymmetric`'s route.  Per-row solver
-    failures become NaN rows with ``certified=False`` — the sweep itself
-    never aborts.  Below the single-peak bound the sweep warns once,
-    before its first row.
+    :func:`~polarsolve.solver.solve_asymmetric`'s route, and a re-solve
+    returns only its point.  Per-row solver failures become NaN rows with
+    ``certified=False`` — the sweep itself never aborts.  Below the
+    single-peak bound the sweep warns once, before its first row.
     """
     _instance("params_base", params_base, ModelParams)
     cfg = _config(params_base, cfg)

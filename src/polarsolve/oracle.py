@@ -29,7 +29,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import InvalidParamsError, SpanTooSmallError
+from .errors import DomainError, InvalidParamsError, SpanTooSmallError
 from .gaussmath import _CDF_CLAMP, _INV_SQRT_2, _require_finite
 from .model import ModelParams, PlatformPair, _finite, _instance, noise_scale
 
@@ -50,9 +50,6 @@ DEFAULT_SPAN: tuple[float, float] = (-0.5, 1.5)
 #: seeded independently from (seed, batch index), so the reduction is a
 #: plain order-independent integer sum.
 _MC_BATCH = 250_000
-
-#: ``math.erfc`` as a ufunc on object arrays; numpy has no erfc of its own.
-_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 #: The grid best response bounds its gaps over blocks of this many points.
 _BLOCK = 128
@@ -89,10 +86,16 @@ def _grid_columns(lo: float, hi: float, grid_step: float) -> tuple[np.ndarray, .
 
     The squares come from Python's ``**`` (libm ``pow``), as in the scalar
     payoffs; numpy's ``x**2`` is ``x*x``, which differs from ``pow`` in
-    the last bit on some inputs."""
+    the last bit on some inputs.  A square past the float range (|x| above
+    about 1.34e154) is an :class:`InvalidParamsError` naming the span."""
     n = int(round((hi - lo) / grid_step))
     xs = [lo + k * grid_step for k in range(n + 1)]
-    columns = (xs, [x**2 for x in xs], [(1.0 - x) ** 2 for x in xs])
+    try:
+        columns = (xs, [x**2 for x in xs], [(1.0 - x) ** 2 for x in xs])
+    except OverflowError:
+        raise InvalidParamsError(
+            f"span={(lo, hi)} holds grid points whose squares overflow"
+        ) from None
     arrays = tuple(np.array(c, dtype=np.float64) for c in columns)
     for a in arrays:
         a.flags.writeable = False
@@ -117,6 +120,12 @@ def _work_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     return arrays[0][:n], arrays[1][:n]
 
 
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """``math.erfc`` of every element of a float64 array, as a new float64
+    array; numpy has no erfc of its own."""
+    return np.fromiter(map(math.erfc, x.tolist()), np.float64, x.size)
+
+
 def _require_all_finite(x: np.ndarray) -> None:
     """Raise the scalar call's :class:`DomainError` for the first
     non-finite element."""
@@ -132,7 +141,7 @@ def _std_normal_cdf_array(x: np.ndarray) -> np.ndarray:
     _require_all_finite(x)
     cdf = (x > _CDF_CLAMP).astype(np.float64)
     inside = np.abs(x) <= _CDF_CLAMP
-    cdf[inside] = 0.5 * _erfc(-x[inside] * _INV_SQRT_2).astype(np.float64)
+    cdf[inside] = 0.5 * _erfc(-x[inside] * _INV_SQRT_2)
     return cdf
 
 
@@ -207,9 +216,11 @@ def grid_best_response(
     payoff of winning less that of losing.  Where the party surely loses,
     the raw payoff is flat to its last bit; the gap ranks the points down
     to Phi(-38).  Exact value ties break toward the point nearest 1/2
-    (then the smaller point).  An argmax on the edge of ``span`` means the
-    span was too small to contain the response and raises
-    :class:`SpanTooSmallError` rather than returning a clipped answer.
+    (then the smaller point).  A NaN gap, an infinite stake times Phi = 0,
+    leaves no argmax and raises :class:`DomainError`.  An argmax on the
+    edge of ``span`` means the span was too small to contain the response
+    and raises :class:`SpanTooSmallError` rather than returning a clipped
+    answer.
 
     The scan takes Phi exactly only where the maximum can lie.  Phi is
     increasing, so no gap in a block of the grid exceeds Phi at the
@@ -247,7 +258,13 @@ def grid_best_response(
         at = at[at < y.size]
         scan_xs, y, stake = xs[at], y[at], stake[at]
     gaps = np.multiply(_std_normal_cdf_array(y), stake, out=stake)
-    candidates = scan_xs[gaps == gaps.max()]
+    best = gaps.max()
+    if math.isnan(best):
+        raise DomainError(
+            f"grid gaps for party {party} are NaN (an infinite stake where its "
+            f"win probability is 0), so no grid point is the argmax"
+        )
+    candidates = scan_xs[gaps == best]
     # the first, so the smaller, of the points nearest 1/2
     response = float(candidates[np.argmin(np.abs(candidates - 0.5))])
     if response == xs[0] or response == xs[-1]:

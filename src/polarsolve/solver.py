@@ -8,8 +8,8 @@ Two entry points:
   the closed-form root, and one Newton step from there, which
   :func:`_sym_root` takes itself, usually ends it; otherwise
   :func:`_rtsafe` runs from the same start.  A symmetric sweep row calls
-  :func:`_at`, :func:`_check_locus`, :func:`_sym_root` and
-  :func:`_certify` directly and builds no ``EquilibriumResult``.
+  :func:`_at`, :func:`_check_locus`, :func:`_sym_root`, the raw kernel
+  and :func:`_certify` directly and builds no ``EquilibriumResult``.
 
 * :func:`solve_asymmetric` — general parameters.  One kernel pair serves
   every step: each party's FOC divided by its own win probability (G_L,
@@ -24,14 +24,21 @@ Two entry points:
   or below the single-peak bound at the argmax of a grid pre-scan.  That
   search always ends, so every solve returns a result whose certificate
   says whether it is an equilibrium.  Both routes end with the same
-  finish, which steps with one 2x2 Newton solve (:func:`_pair_step`).
-  A sweep row solves through :func:`_solve_asymmetric_at`.
+  finish, which steps with one 2x2 Newton solve (:func:`_pair_step`)
+  and returns the Newton distance it computed at its point.  Both routes
+  return the point, their iteration count and the certificate; the solve
+  then evaluates the raw kernel once, at the final point, for its one
+  ``EquilibriumResult``.  A sweep row solves through
+  :func:`_solve_asymmetric_at`, and its FD re-solves through
+  :func:`_asymmetric_point`, which returns only the point.
 
 Every result carries its own certificate (:func:`_certify`): each party's
 Newton distance |G/G'| to its root below ``tol_fp`` with G' < 0, and — when
 sigma_v sits below the unimodality bound — agreement with the brute-force
-grid oracle.  The raw FOC residuals and second derivatives are reported
-beside it.
+grid oracle.  The asymmetric routes pass the distance their finish
+returned, so the certificate evaluates no kernel of its own; the
+symmetric ones evaluate the pair once at their root.  The raw FOC
+residuals and second derivatives are reported beside it.
 
 Each solve is set up once by :func:`_at`: the instance at weight w, whose
 ``single_peaked_guaranteed`` the certificate and the fallback read.
@@ -189,28 +196,29 @@ def _at(params: ModelParams, w: float) -> tuple[ModelParams | _AtW, float]:
 
 
 def _certify(
-    p_l: float, p_r: float, at: ModelParams | _AtW, sn: float, cfg: SolverConfig
-) -> tuple[tuple[float, ...], bool]:
+    p_l: float, p_r: float, dist: float, at: ModelParams | _AtW, cfg: SolverConfig
+) -> bool:
     """The certificate's decision on the profile (p_l, p_r) for the
-    instance ``at`` (noise scale ``sn``): :func:`_raw_pair`'s values and
-    whether both Newton distances |G/G'| are below ``cfg.tol_fp`` and,
-    below the single-peak bound, the grid oracle agrees.  Every solve's
-    certificate and every symmetric sweep row decide here."""
-    raw = _raw_pair(p_l, p_r, at, sn)
-    certified = _scaled_pair(p_l, p_r, at, sn)[0] < cfg.tol_fp
-    if certified and not at.single_peaked_guaranteed:
-        certified = _grid_certified(PlatformPair(p_l, p_r), at)
-    return raw, certified
+    instance ``at``, given ``dist``, the larger Newton distance |G/G'|
+    there (:func:`_scaled_pair`'s first value, which the Newton finish has
+    already computed): whether it is below ``cfg.tol_fp`` and, below the
+    single-peak bound, the grid oracle agrees.  Every solve's certificate
+    and every symmetric sweep row decide here."""
+    return dist < cfg.tol_fp and (
+        at.single_peaked_guaranteed or _grid_certified(PlatformPair(p_l, p_r), at)
+    )
 
 
-def _certificate(
-    pp: PlatformPair, at: ModelParams | _AtW, sn: float, cfg: SolverConfig,
-    iterations: int, kind: Literal["symmetric", "asymmetric"],
+def _result(
+    at: ModelParams | _AtW, sn: float, p_l: float, p_r: float, iterations: int,
+    certified: bool, kind: Literal["symmetric", "asymmetric"],
 ) -> EquilibriumResult:
-    """:func:`_certify`'s decision on ``pp`` as an :class:`EquilibriumResult`."""
-    (f_l, f_r, s_l, s_r, pr_l), certified = _certify(pp.p_L, pp.p_R, at, sn, cfg)
+    """The :class:`EquilibriumResult` of a solve that ended at (p_l, p_r)
+    with the certificate ``certified``: :func:`_raw_pair`'s residuals,
+    second derivatives and win probability beside it."""
+    f_l, f_r, s_l, s_r, pr_l = _raw_pair(p_l, p_r, at, sn)
     return EquilibriumResult(
-        platforms=pp,
+        platforms=PlatformPair(p_l, p_r),
         pr_L=pr_l,
         foc_residual_L=f_l,
         foc_residual_R=f_r,
@@ -284,7 +292,9 @@ def solve_symmetric(params: ModelParams, cfg: SolverConfig | None = None) -> Equ
     at, sn = _at(params, params.w)
     _check_locus(params, params.w)
     p, iterations = _sym_root(params.V, params.w, sn, cfg.tol_root)
-    return _certificate(PlatformPair(p, 1.0 - p), at, sn, cfg, iterations, "symmetric")
+    q = 1.0 - p
+    certified = _certify(p, q, _scaled_pair(p, q, at, sn)[0], at, cfg)
+    return _result(at, sn, p, q, iterations, certified, "symmetric")
 
 
 def _check_locus(params: ModelParams, w: float) -> None:
@@ -433,22 +443,34 @@ def _solve_asymmetric_at(
 ) -> EquilibriumResult:
     """:func:`solve_asymmetric` of ``replace(params, w=w)`` from a checked
     start, without the warning, on the instance :func:`_at` sets up.  An
-    asymmetric sweep row, its re-solves and :func:`find_equilibria`'s
-    starts call this directly."""
+    asymmetric sweep row and :func:`find_equilibria`'s starts call this
+    directly."""
     at, sn = _at(params, w)
+    return _result(at, sn, *_asymmetric_point(p_l, p_r, at, sn, cfg), "asymmetric")
+
+
+def _asymmetric_point(
+    p_l: float, p_r: float, at: ModelParams | _AtW, sn: float, cfg: SolverConfig
+) -> tuple[float, float, int, bool]:
+    """The point of :func:`_solve_asymmetric_at` on the instance ``at``:
+    the platforms, the iteration count and the certificate, with no result
+    object and no :func:`_raw_pair`.  An asymmetric sweep row's FD
+    re-solves, which read only p_L, call this directly."""
     return _pair_newton(p_l, p_r, at, sn, cfg) or _reduced_foc(p_l, p_r, at, sn, cfg)
 
 
 def _pair_newton(
     p_l: float, p_r: float, at: ModelParams | _AtW, sn: float, cfg: SolverConfig
-) -> EquilibriumResult | None:
-    """Cold 2-D Newton on (G_L, G_R) from (p_l, p_r), or ``None`` to decline.
+) -> tuple[float, float, int, bool] | None:
+    """Cold 2-D Newton on (G_L, G_R) from (p_l, p_r): the point, the number
+    of Newton steps and its certificate (``True``), or ``None`` to decline.
 
     Every iterate is clamped to [0, 1/2] x [1/2, 1]; the loop stops after a
     step shorter than ``cfg.tol_fp``, within ``cfg.max_iter`` steps.  The
     point is kept only if, after the Newton finish, the certificate
-    passes, which requires both own slopes G' < 0: a root of the pair
-    where a payoff has a minimum is declined."""
+    passes on the distance the finish returns, which requires both own
+    slopes G' < 0: a root of the pair where a payoff has a minimum is
+    declined."""
     p_l, p_r = min(max(p_l, 0.0), 0.5), min(max(p_r, 0.5), 1.0)
     for steps in range(1, cfg.max_iter + 1):
         step = _pair_step(_scaled_foc_L(p_l, p_r, at, sn), _scaled_foc_R(p_l, p_r, at, sn))
@@ -461,18 +483,18 @@ def _pair_newton(
             break
     else:
         return None
-    p_l, p_r = _newton_polish(p_l, p_r, at, sn)
-    res = _certificate(PlatformPair(p_l, p_r), at, sn, cfg, steps, "asymmetric")
-    return res if res.certified else None
+    p_l, p_r, dist = _newton_polish(p_l, p_r, at, sn)
+    return (p_l, p_r, steps, True) if _certify(p_l, p_r, dist, at, cfg) else None
 
 
 def _reduced_foc(
     p_l: float, p_r: float, at: ModelParams | _AtW, sn: float, cfg: SolverConfig
-) -> EquilibriumResult:
+) -> tuple[float, float, int, bool]:
     """:func:`solve_asymmetric`'s fallback from (p_l, p_r) on the instance
     ``at``: the root of L's scaled FOC along R's best responses,
     H(p_L) = G_L(p_L, BR_R(p_L)), by :func:`_rtsafe` on [0, 1/2] to
-    ``cfg.tol_root``, then the Newton finish and the certificate.
+    ``cfg.tol_root``, then the Newton finish; returns the point, the
+    number of evaluations of H and the certificate on the finish's distance.
 
     H(0) > 0 and H(1/2) = -1 whatever R plays, so the search ends for any
     tolerance.  H' comes from the implicit function theorem on G_R = 0:
@@ -492,8 +514,8 @@ def _reduced_foc(
         return g_l, j_ll - j_lr * j_rl / j_rr if j_rr else math.nan, None  # nan: bisect
 
     p_l, evaluations = _rtsafe(h, 0.0, 0.5, p_l if 0.0 <= p_l <= 0.5 else 0.25, cfg.tol_root)
-    p_l, p_r = _newton_polish(p_l, br_r, at, sn)
-    return _certificate(PlatformPair(p_l, p_r), at, sn, cfg, evaluations, "asymmetric")
+    p_l, p_r, dist = _newton_polish(p_l, br_r, at, sn)
+    return p_l, p_r, evaluations, _certify(p_l, p_r, dist, at, cfg)
 
 
 def _pair_step(scaled_l: tuple, scaled_r: tuple) -> tuple[float, float] | None:
@@ -507,10 +529,13 @@ def _pair_step(scaled_l: tuple, scaled_r: tuple) -> tuple[float, float] | None:
     return (j_rr * g_l - j_lr * g_r) / det, (j_ll * g_r - j_rl * g_l) / det
 
 
-def _newton_polish(p_l: float, p_r: float, params: ModelParams, sn: float) -> tuple[float, float]:
+def _newton_polish(
+    p_l: float, p_r: float, params: ModelParams, sn: float
+) -> tuple[float, float, float]:
     """The finish: at most three :func:`_pair_step` steps, one kernel pair
     per iterate; a step is kept only if the larger distance to the roots,
-    |G/G'|, does not grow."""
+    |G/G'|, does not grow.  Returns the point and that distance there,
+    which the certificate reads instead of evaluating the pair again."""
     dist, scaled_l, scaled_r = _scaled_pair(p_l, p_r, params, sn)
     for _ in range(3):
         step = _pair_step(scaled_l, scaled_r)
@@ -525,7 +550,7 @@ def _newton_polish(p_l: float, p_r: float, params: ModelParams, sn: float) -> tu
         p_l, p_r, dist = cand_l, cand_r, cand
         if max(abs(step_l), abs(step_r)) < 1e-15:
             break
-    return p_l, p_r
+    return p_l, p_r, dist
 
 
 def find_equilibria(

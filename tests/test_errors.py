@@ -82,6 +82,10 @@ CASES = {
     "grid-step-subnormal": lambda: grid_best_response(0.75, "L", BASE, grid_step=5e-324),
     "grid-span-huge": lambda: grid_best_response(0.75, "L", BASE, span=(-1e308, 1e308)),
     "grid-party": lambda: grid_best_response(0.5, "X", BASE),
+    # a grid point past 1.34e154 once squared to a bare OverflowError
+    "grid-span-squares-overflow": lambda: grid_best_response(
+        0.5, "L", BASE, 1e150, (-2e154, 2e154)
+    ),
     "mc-samples": lambda: mc_win_probability(PlatformPair(0.3, 0.7), BASE, 10, 0),
     "peak-scan-step": lambda: peak_scan(0.5, "L", BASE, grid_step=1e-2),
     "peak-scan-step-subnormal": lambda: peak_scan(0.75, "L", BASE, grid_step=5e-324),

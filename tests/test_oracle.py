@@ -227,9 +227,15 @@ def test_the_gap_form_keeps_every_clear_argmax_of_the_raw_payoff(certificate_cal
 
 def _full_scan(opponent, party, params, grid_step=1e-4, span=DEFAULT_SPAN):
     """The grid best response by the exact gap at every grid point, with
-    its tie-break and span-edge error: the reference for the bounded scan."""
+    its tie-break, NaN-gap error and span-edge error: the reference for the
+    bounded scan."""
     xs, k, win, lose = oracle._grid_terms(opponent, party, params, span, grid_step)
     gaps = oracle._std_normal_cdf_array(k if party == "L" else -k) * (win + lose)
+    if math.isnan(gaps.max()):
+        raise DomainError(
+            f"grid gaps for party {party} are NaN (an infinite stake where its "
+            f"win probability is 0), so no grid point is the argmax"
+        )
     candidates = xs[gaps == gaps.max()]
     response = float(candidates[np.argmin(np.abs(candidates - 0.5))])
     if response == xs[0] or response == xs[-1]:
@@ -277,7 +283,7 @@ def _edge_cases():
             0.5, "L", ModelParams(w=0.0, V=2.0**60, sigma_v=2.0**25, mu_v=59316416.01223603),
             1e-4, DEFAULT_SPAN,
         ),
-        # an infinite stake times Phi = 0 is NaN, and the full scan finds no argmax
+        # an infinite stake times Phi = 0 is NaN, so no point is the argmax
         "nan-gap": (1.3e154, "L", huge, 1e-4, DEFAULT_SPAN),
         # the response in a short last block: 128 * 40 + 41 points, 10 steps from the end
         "short-block": (0.75, "L", BIMODAL_PARAMS, step, (hi - (128 * 40 + 40) * step, hi)),
@@ -317,6 +323,9 @@ def test_the_bounded_scan_matches_the_full_scan(certificate_calls):
     assert xs.size % 128 == 41 and grid_best_response(*edge["short-block"]) == xs[-11]
     with pytest.raises(SpanTooSmallError):
         grid_best_response(*edge["edge"])
+    with pytest.raises(DomainError, match="^grid gaps for party L are NaN"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        grid_best_response(*edge["nan-gap"])
     for opponent, party, params, response in certificate_calls:
         assert response == _full_scan(opponent, party, params), (params, opponent, party)
 

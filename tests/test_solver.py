@@ -12,8 +12,10 @@ from polarsolve import (
     DomainError,
     InvalidParamsError,
     ModelParams,
+    PolarsolveError,
     SinglePeakednessWarning,
     SolverConfig,
+    SpanTooSmallError,
     SymmetryLocusError,
     best_response,
     find_equilibria,
@@ -33,7 +35,7 @@ from polarsolve.calculus import (
 )
 from polarsolve.model import PlatformPair, _checked_noise_scale, noise_scale, win_margin
 from polarsolve.oracle import grid_best_response
-from polarsolve import oracle, solver
+from polarsolve import analysis, oracle, solver
 
 # Frozen solver anchors, cross-checked against the 1e-4 grid oracle and
 # (for w=0) the closed-form polarization at zero ideological weight.
@@ -555,9 +557,10 @@ def test_the_certificate_refuses_a_root_where_a_payoff_has_a_minimum():
     assert slope_l > 0.0 > slope_r
     assert abs(g_l / slope_l) < 1e-15 and abs(g_r / slope_r) < 1e-15
     at, _ = solver._at(params, params.w)
-    res = solver._certificate(pp, at, sn, SolverConfig(), 0, "asymmetric")
-    assert res.soc_L > 0.0
-    assert not res.certified
+    dist = solver._scaled_pair(pp.p_L, pp.p_R, at, sn)[0]
+    assert dist == math.inf
+    assert not solver._certify(pp.p_L, pp.p_R, dist, at, SolverConfig())
+    assert solver._result(at, sn, pp.p_L, pp.p_R, 0, False, "asymmetric").soc_L > 0.0
 
 
 def test_scaled_foc_slopes_agree_with_central_differences():
@@ -877,9 +880,10 @@ def test_warm_started_solve_makes_fewer_scaled_foc_calls(monkeypatch):
 
 
 def test_the_pair_newton_solve_makes_few_scaled_foc_calls(monkeypatch):
-    # 4 Newton steps (a kernel pair each), then the finish and the
-    # certificate (three pairs): 14 calls here
-    calls = _cap_scaled_foc_calls(monkeypatch, 14)
+    # 4 Newton steps (a kernel pair each), then the finish (two pairs),
+    # whose distance the certificate reads without a pair of its own: 12
+    # calls here
+    calls = _cap_scaled_foc_calls(monkeypatch, 12)
     assert solve_asymmetric(ModelParams(w=1.0, mu_i=0.3, mu_v=0.1)).iterations == 4
     assert calls
 
@@ -971,3 +975,87 @@ def test_find_equilibria_off_locus_sorted():
     assert found == sorted(found, key=lambda r: r.platforms.p_L)
     assert all(r.certified for r in found)
     assert len(found) >= 1
+
+
+@pytest.mark.parametrize("base", [_BASE_9, _BASE_13], ids=["base9", "base13"])
+def test_an_asymmetric_sweep_row_builds_one_result(base, monkeypatch):
+    # three solves per row: the row's own, which evaluates the raw kernel
+    # once and builds the row's one result, and its two FD re-solves, which
+    # return only their points
+    base = ModelParams(w=1.0, **base)
+    calls = collections.Counter()
+
+    def counted(name, f):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return call
+
+    for module, names in (
+        (solver, ("_raw_pair", "EquilibriumResult", "_asymmetric_point")),
+        (analysis, ("_raw_pair", "_asymmetric_point")),
+    ):
+        for name in names:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for w in _SWEEP_GRID:
+        calls.clear()
+        (row,) = sweep_w([w], base, mode="asymmetric")
+        assert row.certified, (w, row)
+        assert calls == {"_raw_pair": 1, "EquilibriumResult": 1, "_asymmetric_point": 3}, w
+
+
+def _fresh_certificate(res, params, cfg):
+    """The certificate of ``res`` recomputed from scratch: the scaled pair's
+    Newton distance at its platforms below ``cfg.tol_fp`` and, below the
+    single-peak bound, each platform within 1e-3 of the grid argmax."""
+    p_l, p_r = res.platforms.p_L, res.platforms.p_R
+    at, sn = solver._at(params, params.w)
+    if not solver._scaled_pair(p_l, p_r, at, sn)[0] < cfg.tol_fp:
+        return False
+    if params.single_peaked_guaranteed:
+        return True
+    try:
+        g_l = grid_best_response(p_r, "L", params)
+        g_r = grid_best_response(p_l, "R", params)
+    except SpanTooSmallError:
+        return False
+    return abs(g_l - p_l) <= 1e-3 and abs(g_r - p_r) <= 1e-3
+
+
+def test_every_certificate_equals_a_fresh_one_at_the_returned_platforms(monkeypatch):
+    # the certificate reads the distance the Newton finish computed; it must
+    # be the decision a fresh evaluation at the returned platforms makes, on
+    # both routes (max_iter=1 declines the pair Newton; with a coarse
+    # tol_root the finish starts far from the roots), both sides of the
+    # single-peak bound, and on the locus for the symmetric solve
+    from test_errors import _float_limit_draws
+
+    fallbacks = _count_reduced_foc_fallbacks(monkeypatch)
+    seen = collections.Counter()
+    below = [
+        ModelParams(w=1.0, sigma_v=0.08, mu_v=0.3),
+        ModelParams(w=0.4, V=0.5, sigma_i=0.2, sigma_v=0.07, mu_i=0.6, mu_v=-0.4),
+    ]
+    draws = [d for d in _float_limit_draws(400) if d["w"] > 0.0]
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore", SinglePeakednessWarning)
+        for draw in [*draws, *below]:
+            try:
+                params = draw if isinstance(draw, ModelParams) else ModelParams(**draw)
+                locus = replace(params, mu_v=params.w * (1.0 - 2.0 * params.mu_i))
+            except InvalidParamsError:
+                continue
+            for cfg in (
+                SolverConfig(), SolverConfig(max_iter=1), SolverConfig(tol_root=1e-4, max_iter=1)
+            ):
+                for solve, p in ((solve_asymmetric, params), (solve_symmetric, locus)):
+                    try:
+                        res = solve(p, cfg)
+                    except PolarsolveError:
+                        continue
+                    assert res.certified == _fresh_certificate(res, p, cfg), (p, cfg, res)
+                    seen[res.kind, res.certified, p.single_peaked_guaranteed] += 1
+    # certified on both sides of the bound, and refuted (below it, here)
+    assert fallbacks
+    cells = [(True, True), (True, False), (False, False)]
+    assert all(seen[(kind, *cell)] for kind in ("symmetric", "asymmetric") for cell in cells), seen
