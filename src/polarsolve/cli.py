@@ -33,13 +33,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import sys
 import warnings
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
-from statistics import fmean
 from typing import Callable, NoReturn, Sequence
 
 from .analysis import sweep_w, symmetry_locus_mu_v
@@ -264,6 +262,8 @@ def _read_config_file(path: Path | None) -> dict[str | None, dict]:
     for unknown keys; empty tables when there is no file."""
     if path is None:
         return {None: {}, "params": {}, "solver": {}}
+    import json  # only --config reads JSON
+
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -469,7 +469,9 @@ def _cmd_empirical(config: RunConfig) -> int:
             absent = "L" if not scores["L"] else "R"
             print(f"warning: year {year} has no party-{absent} members; skipped", file=sys.stderr)
             continue
-        records.append(PolarizationRecord(year, fmean(scores["R"]) - fmean(scores["L"])))
+        # statistics.fmean's value, without importing statistics
+        mean = {party: math.fsum(xs) / len(xs) for party, xs in scores.items()}
+        records.append(PolarizationRecord(year, mean["R"] - mean["L"]))
 
     _emit_csv(("year", "polarization"), [astuple(rec) for rec in records], config.out)
     return 0

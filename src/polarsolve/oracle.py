@@ -15,7 +15,14 @@ CDF by the scalar ``math.erfc`` per element with the scalar clamp
 the scalar call at that point.  The grid best response
 ranks the same payoff less the party's sure-loss payoff, and takes the CDF
 exactly only in the blocks of the grid whose upper bound can reach the
-maximum.  With :mod:`polarsolve.verify`, this is the only module that
+maximum.
+
+The Monte Carlo oracle makes one pass over each batch's draws: it draws the
+batch's ideal points into one buffer, then runs the valence draws and the
+vote rule over cache-sized chunks, in buffers reused for the whole call, so
+no batch-sized temporary is made.  Each element goes through the IEEE
+operations of the whole-batch expressions in the same order, so the counts
+are theirs.  With :mod:`polarsolve.verify`, this is the only module that
 imports numpy.
 """
 
@@ -50,6 +57,10 @@ DEFAULT_SPAN: tuple[float, float] = (-0.5, 1.5)
 #: seeded independently from (seed, batch index), so the reduction is a
 #: plain order-independent integer sum.
 _MC_BATCH = 250_000
+
+#: The vote rule runs over a batch in chunks of this many draws, in buffers
+#: small enough to stay in cache from one operation to the next.
+_MC_CHUNK = 16_384
 
 #: The grid best response bounds its gaps over blocks of this many points.
 _BLOCK = 128
@@ -286,6 +297,19 @@ def mc_win_probability(
     ``win_probability_L`` is a genuine cross-check.  The strict
     inequality decides measure-zero ties for R; no draw ever lands there
     in practice.  Bit-reproducible for a given seed.
+
+    Each batch of :data:`_MC_BATCH` draws has its own generator,
+    ``default_rng([seed, batch index])``, and draws all its i_hat before
+    its v.  The i_hat go into one buffer as standard normals; the v are
+    drawn, and the vote rule run, :data:`_MC_CHUNK` elements at a time in
+    buffers allocated once per call.  ``normal(loc, scale)`` is a standard
+    normal times scale plus loc, and standard normals drawn chunk by chunk
+    are the stream of one call, so scaling in place keeps every draw's bits.
+    u_L is ``(-w * (i_hat - i_L)**2) - (p_hat_V - p_L)**2`` and the right
+    side ``((-w * (i_hat - i_R)**2) - (p_hat_V - p_R)**2) + v``, the policy
+    costs squared once by Python's ``**`` and each ideology square the
+    product ``x * x``, as numpy's ``**2`` takes it: the operations of the
+    whole-batch expressions in their order, so their count.
     """
     _instance("pp", pp, PlatformPair)
     _instance("params", params, ModelParams)
@@ -293,19 +317,35 @@ def mc_win_probability(
         raise InvalidParamsError(f"n_samples must be an int >= 10000, got {n_samples!r}")
     if type(seed) is not int or seed < 0:
         raise InvalidParamsError(f"seed must be a non-negative int, got {seed!r}")
+    neg_w = -params.w
+    cost_l = (params.p_hat_V - pp.p_L) ** 2
+    cost_r = (params.p_hat_V - pp.p_R) ** 2
+    i_batch = np.empty(min(_MC_BATCH, n_samples))
+    v_buf, u_l_buf, u_r_buf = np.empty(_MC_CHUNK), np.empty(_MC_CHUNK), np.empty(_MC_CHUNK)
+    vote_buf = np.empty(_MC_CHUNK, dtype=bool)
     wins = 0
-    remaining = n_samples
-    batch_index = 0
-    while remaining > 0:
-        m = min(_MC_BATCH, remaining)
+    for batch_index, start in enumerate(range(0, n_samples, _MC_BATCH)):
+        m = min(_MC_BATCH, n_samples - start)
         rng = np.random.default_rng([seed, batch_index])
-        i_hat = rng.normal(params.mu_i, params.sigma_i, m)
-        v = rng.normal(params.mu_v, params.sigma_v, m)
-        u_l = -params.w * (i_hat - params.i_L) ** 2 - (params.p_hat_V - pp.p_L) ** 2
-        u_r = -params.w * (i_hat - params.i_R) ** 2 - (params.p_hat_V - pp.p_R) ** 2
-        wins += int(np.count_nonzero(u_l > u_r + v))
-        remaining -= m
-        batch_index += 1
+        rng.standard_normal(out=i_batch[:m])  # every i_hat of the batch before any v
+        for lo in range(0, m, _MC_CHUNK):
+            n = min(_MC_CHUNK, m - lo)
+            i_hat = i_batch[lo:lo + n]
+            i_hat *= params.sigma_i
+            i_hat += params.mu_i
+            v = rng.standard_normal(out=v_buf[:n])
+            v *= params.sigma_v
+            v += params.mu_v
+            u_l = np.subtract(i_hat, params.i_L, out=u_l_buf[:n])
+            u_l *= u_l
+            u_l *= neg_w
+            u_l -= cost_l
+            u_r_v = np.subtract(i_hat, params.i_R, out=u_r_buf[:n])
+            u_r_v *= u_r_v
+            u_r_v *= neg_w
+            u_r_v -= cost_r
+            u_r_v += v
+            wins += int(np.count_nonzero(np.greater(u_l, u_r_v, out=vote_buf[:n])))
     return wins / n_samples
 
 

@@ -30,6 +30,21 @@ def test_importing_the_package_loads_no_numpy(module):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_importing_the_cli_loads_neither_statistics_nor_json():
+    # every command pays its imports: fmean pulled in statistics (and with it
+    # fractions and decimal), and only --config reads JSON
+    script = (
+        "import sys; bare = set(sys.modules)\n"
+        "import polarsolve.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - bare)))\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "polarsolve.cli" in added
+    assert not added & {"statistics", "json"}
+
+
 def test_a_solve_from_the_command_line_loads_no_numpy():
     proc = run_python("-X", "importtime", "-m", "polarsolve", "solve", "--w", "1.5")
     assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ import importlib.util
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -535,6 +536,125 @@ def test_mc_matches_reduced_form_in_heavy_ideology_tail():
     exact = win_probability_L(pp, params)  # ~2.9e-7: a 5-sigma election
     est = mc_win_probability(pp, params, 1_000_000, seed=13)
     assert abs(est - exact) <= 3.0 * binom_se(exact, 1_000_000)
+
+
+def whole_batch_mc(pp, params, n_samples, seed):
+    """The Monte Carlo oracle as it was written before the chunked pass:
+    each batch's draws whole, and the vote rule as one array expression."""
+    wins = 0
+    remaining = n_samples
+    batch_index = 0
+    while remaining > 0:
+        m = min(oracle._MC_BATCH, remaining)
+        rng = np.random.default_rng([seed, batch_index])
+        i_hat = rng.normal(params.mu_i, params.sigma_i, m)
+        v = rng.normal(params.mu_v, params.sigma_v, m)
+        u_l = -params.w * (i_hat - params.i_L) ** 2 - (params.p_hat_V - pp.p_L) ** 2
+        u_r = -params.w * (i_hat - params.i_R) ** 2 - (params.p_hat_V - pp.p_R) ** 2
+        wins += int(np.count_nonzero(u_l > u_r + v))
+        remaining -= m
+        batch_index += 1
+    return wins / n_samples
+
+
+def oracle_mc_draw(rng):
+    """One config from the ranges of verify's oracle-mc check."""
+    params = ModelParams(
+        w=float(rng.uniform(0.0, 3.0)),
+        V=float(rng.uniform(0.2, 3.0)),
+        sigma_i=float(rng.uniform(0.2, 2.0)),
+        sigma_v=float(rng.uniform(0.2, 2.0)),
+        mu_i=float(rng.uniform(0.0, 1.0)),
+        mu_v=float(rng.uniform(-1.0, 1.0)),
+    )
+    pp = PlatformPair(float(rng.uniform(0.0, 0.5)), float(rng.uniform(0.5, 1.0)))
+    return pp, params, int(rng.integers(0, 2**32))
+
+
+def test_the_chunked_pass_counts_what_the_whole_batch_form_counts():
+    # 40,000 draws are two whole chunks and a partial one
+    rng = np.random.default_rng(34)
+    for _ in range(200):
+        pp, params, seed = oracle_mc_draw(rng)
+        assert mc_win_probability(pp, params, 40_000, seed) == whole_batch_mc(
+            pp, params, 40_000, seed
+        ), (pp, params, seed)
+
+
+@pytest.mark.parametrize("n_samples", [10_000, 250_001, 654_321])
+def test_the_chunked_pass_counts_sizes_off_the_chunk_and_the_batch(n_samples):
+    rng = np.random.default_rng([34, n_samples])
+    for _ in range(3):
+        pp, params, seed = oracle_mc_draw(rng)
+        assert mc_win_probability(pp, params, n_samples, seed) == whole_batch_mc(
+            pp, params, n_samples, seed
+        )
+
+
+@pytest.mark.parametrize(
+    "pp, params, n_samples, seed",
+    [
+        (PlatformPair(0.5, 1.0), ModelParams(w=0.0), 400_000, 5),
+        # the heavy ideology tail of the reduced-form test, Pr(L wins) ~2.9e-7
+        (PlatformPair(0.3, 0.7), ModelParams(w=1000.0, mu_i=0.6, sigma_i=0.02, sigma_v=1.0),
+         1_000_000, 13),
+        # a race decided in the utilities' last bits: policy costs near 10^6
+        # and margins near 10^-9, so any other rounding order moves the count
+        (PlatformPair(-1000.0, 1001.0), ModelParams(w=1.0, sigma_i=1e-9, sigma_v=1e-10),
+         40_000, 1),
+    ],
+    ids=["w-zero", "heavy-tail", "last-bit-race"],
+)
+def test_the_chunked_pass_counts_the_edge_cases(pp, params, n_samples, seed):
+    assert mc_win_probability(pp, params, n_samples, seed) == whole_batch_mc(
+        pp, params, n_samples, seed
+    )
+
+
+def test_the_monte_carlo_counts_are_frozen():
+    # the whole-batch form's values, so a change to the stream fails by name
+    assert mc_win_probability(PlatformPair(0.3, 0.7), ModelParams(w=1.0), 10**6, 3) == 0.500466
+    assert mc_win_probability(
+        PlatformPair(0.5, 1.0), ModelParams(w=0.0), 654_321, 5
+    ) == 0.5993144037865207
+
+
+@pytest.mark.parametrize("loc, scale", [(0.0, 1.0), (0.5, 0.3), (-0.7, 1.9), (0.25, 1e-3)])
+def test_numpy_normal_draws_are_standard_draws_scaled_in_place(loc, scale):
+    # the chunked pass draws standard normals into its buffers and scales
+    # them there; a numpy whose normal() fused the multiply-add, or whose
+    # stream depended on how a draw is split, would move its counts
+    n = 10**5
+    want = np.random.default_rng(7).normal(loc, scale, n)
+    got = np.empty(n)
+    np.random.default_rng(7).standard_normal(out=got)
+    got *= scale
+    got += loc
+    assert np.array_equal(want.view(np.int64), got.view(np.int64))
+
+    rng = np.random.default_rng(7)
+    chunked = np.empty(n)
+    for lo in range(0, n, 16_384):
+        rng.standard_normal(out=chunked[lo:lo + 16_384])
+    whole = np.random.default_rng(7).standard_normal(n)
+    assert np.array_equal(whole.view(np.int64), chunked.view(np.int64))
+    # and a square in place is numpy's ** 2
+    x = want - loc
+    squared = x.copy()
+    squared *= squared
+    assert np.array_equal((x**2).view(np.int64), squared.view(np.int64))
+
+
+def test_a_million_draws_trace_under_four_megabytes(baseline):
+    pp = PlatformPair(0.3, 0.7)
+    mc_win_probability(pp, baseline, 10_000, seed=3)  # numpy's first-call setup
+    tracemalloc.start()
+    try:
+        mc_win_probability(pp, baseline, 10**6, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 10**6, peak
 
 
 def test_peak_scan_rejects_coarse_grids(baseline):
