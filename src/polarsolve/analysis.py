@@ -42,13 +42,11 @@ from .solver import (
     SolverConfig,
     _asymmetric_point,
     _at,
-    _certify,
-    _check_locus,
     _config,
     _rtsafe,
-    _scaled_pair,
     _solve_asymmetric_at,
     _sym_root,
+    _symmetric_point,
     _warn_single_peakedness,
 )
 
@@ -135,46 +133,28 @@ def _sweep_row(
     mode: Literal["symmetric", "asymmetric"],
 ) -> SweepRow:
     try:
+        at, sn = _at(params, w)
         if mode == "symmetric":
-            # solve_symmetric's instance, locus check, root and certificate
-            # at w, on the float kernels and without a result object
+            p_l, p_r, _, certified = _symmetric_point(at, sn, cfg)
             V, sigma_i, sigma_v = params.V, params.sigma_i, params.sigma_v
-            at, sn = _at(params, w)
-            _check_locus(params, w)
-            p = _sym_root(V, w, sn, cfg.tol_root)[0]
-            q = 1.0 - p
-            _, _, soc_l, soc_r, pr_l = _raw_pair(p, q, at, sn)
-            certified = _certify(p, q, _scaled_pair(p, q, at, sn)[0], at, cfg)
-            analytic = _dpL_dw_symmetric(p, V, w, sigma_i, sigma_v)
+            analytic = _dpL_dw_symmetric(p_l, V, w, sigma_i, sigma_v)
             # p_L*(w) lives on the symmetry locus, where the FOC depends on
             # (V, w, sigma_i, sigma_v) only: the root at the perturbed w is
             # the same curve the analytic formula differentiates.
             solve_pl = lambda wp: _sym_root(
                 V, wp, _checked_noise_scale(wp, sigma_i, sigma_v), cfg.tol_root
             )[0]
-            fd = _fd_slope(solve_pl, w, p)
-            return SweepRow(w, p, q, abs(q - p), pr_l, analytic, fd, soc_l, soc_r, certified)
-        res = _solve_asymmetric_at(params, w, cfg, *_START)
-        analytic = math.nan  # defined only on the symmetric manifold
-        # warm-started from the row's own solution, so each re-solve
-        # stays on the row's equilibrium branch; the stencil reads only p_L
-        start = res.platforms
-        solve_pl = lambda wp: _asymmetric_point(start.p_L, start.p_R, *_at(params, wp), cfg)[0]
-        fd = _fd_slope(solve_pl, w, res.platforms.p_L)
+        else:
+            p_l, p_r, _, certified = _asymmetric_point(*_START, at, sn, cfg)
+            analytic = math.nan  # defined only on the symmetric manifold
+            # warm-started from the row's own solution, so each re-solve
+            # stays on the row's equilibrium branch; the stencil reads only p_L
+            solve_pl = lambda wp: _asymmetric_point(p_l, p_r, *_at(params, wp), cfg)[0]
+        _, _, soc_l, soc_r, pr_l = _raw_pair(p_l, p_r, at, sn)
+        fd = _fd_slope(solve_pl, w, p_l)
     except PolarsolveError:
         return _nan_row(w)
-    return SweepRow(
-        w=w,
-        p_L=res.platforms.p_L,
-        p_R=res.platforms.p_R,
-        delta=res.delta,
-        pr_L=res.pr_L,
-        dpL_dw_analytic=analytic,
-        dpL_dw_fd=fd,
-        soc_L=res.soc_L,
-        soc_R=res.soc_R,
-        certified=res.certified,
-    )
+    return SweepRow(w, p_l, p_r, abs(p_r - p_l), pr_l, analytic, fd, soc_l, soc_r, certified)
 
 
 def sweep_w(
@@ -186,11 +166,14 @@ def sweep_w(
     """Solve along a strictly increasing grid of w values, one row per w,
     serially and in grid order.
 
-    A symmetric row computes :func:`~polarsolve.solver.solve_symmetric`'s
-    root and certificate at its w on the float kernels, with no result
-    object; an asymmetric row and its FD re-solves run
-    :func:`~polarsolve.solver.solve_asymmetric`'s route, and a re-solve
-    returns only its point.  Per-row solver failures become NaN rows with
+    Each row is one flow in both modes: the point of
+    :func:`~polarsolve.solver.solve_symmetric` or
+    :func:`~polarsolve.solver.solve_asymmetric` at its w (platforms and
+    certificate), the raw kernel once at that point, and the FD stencil,
+    whose re-solves return only p_L: the symmetric root on the locus, the
+    asymmetric route started at the row's point off it.  No row builds a
+    result object.  The analytic slope is defined on the locus only, so
+    it is NaN in asymmetric mode.  Per-row solver failures become NaN rows with
     ``certified=False`` — the sweep itself never aborts.  Below the
     single-peak bound the sweep warns once, before its first row.
     """
@@ -360,7 +343,7 @@ def classify_moderate(
     """
     cfg = _config(params, cfg)
     _warn_single_peakedness(params)
-    res = _solve_asymmetric_at(params, params.w, cfg, *_START)
+    res = _solve_asymmetric_at(params, cfg, *_START)
     s = res.platforms.p_L + res.platforms.p_R - 1.0
     if abs(s) <= _EMPIRICAL_SYM_TOL:
         empirical: Literal["L_moderate", "R_moderate", "symmetric"] = "symmetric"

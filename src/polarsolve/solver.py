@@ -7,9 +7,7 @@ Two entry points:
   proven sign change, and a quadratic in 1 - 2 p_L: the search starts at
   the closed-form root, and one Newton step from there, which
   :func:`_sym_root` takes itself, usually ends it; otherwise
-  :func:`_rtsafe` runs from the same start.  A symmetric sweep row calls
-  :func:`_at`, :func:`_check_locus`, :func:`_sym_root`, the raw kernel
-  and :func:`_certify` directly and builds no ``EquilibriumResult``.
+  :func:`_rtsafe` runs from the same start.
 
 * :func:`solve_asymmetric` — general parameters.  One kernel pair serves
   every step: each party's FOC divided by its own win probability (G_L,
@@ -26,11 +24,16 @@ Two entry points:
   says whether it is an equilibrium.  Both routes end with the same
   finish, which steps with one 2x2 Newton solve (:func:`_pair_step`)
   and returns the Newton distance it computed at its point.  Both routes
-  return the point, their iteration count and the certificate; the solve
-  then evaluates the raw kernel once, at the final point, for its one
-  ``EquilibriumResult``.  A sweep row solves through
-  :func:`_solve_asymmetric_at`, and its FD re-solves through
-  :func:`_asymmetric_point`, which returns only the point.
+  return the point, their iteration count and the certificate.
+
+Each mode has one point function, :func:`_symmetric_point` (the locus
+test, the root and the certificate) or :func:`_asymmetric_point` (either
+route), which returns (p_L, p_R, iterations, certified); the public solve
+evaluates the raw kernel once at that point for its one
+``EquilibriumResult``.  A sweep row of either mode calls the point
+function and the raw kernel itself and builds no result object; its FD
+re-solves take only p_L, from :func:`_sym_root` on the locus and from
+:func:`_asymmetric_point` off it.
 
 Every result carries its own certificate (:func:`_certify`): each party's
 Newton distance |G/G'| to its root below ``tol_fp`` with G' < 0, and — when
@@ -43,8 +46,8 @@ residuals and second derivatives are reported beside it.
 Each solve is set up once by :func:`_at`: the instance at weight w, whose
 ``single_peaked_guaranteed`` the certificate and the fallback read.
 Below the bound each public entry, :func:`polarsolve.analysis.sweep_w`
-included, warns once; :func:`_solve_asymmetric_at` and the sweep rows
-never warn.
+included, warns once; the point functions, :func:`_solve_asymmetric_at`
+and the sweep rows never warn.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Literal, NamedTuple
+from typing import Callable, Literal
 
 from .calculus import (
     _PHI0,
@@ -173,10 +176,12 @@ def _scaled_pair(p_l: float, p_r: float, params: ModelParams, sn: float) -> tupl
     return max(abs(g_l[0] / g_l[1]), abs(g_r[0] / g_r[1])), g_l, g_r
 
 
-class _AtW(NamedTuple):
+@dataclass(slots=True)
+class _AtW:
     """The fields the kernels read: an unchecked stand-in for
     ``replace(params, w=w)`` above the single-peak bound, which it
-    reports as ``ModelParams`` does."""
+    reports as ``ModelParams`` does.  A slots class, not a named tuple:
+    the kernels' attribute reads take the interpreter's fast slot path."""
 
     V: float
     w: float
@@ -202,8 +207,9 @@ def _certify(
     instance ``at``, given ``dist``, the larger Newton distance |G/G'|
     there (:func:`_scaled_pair`'s first value, which the Newton finish has
     already computed): whether it is below ``cfg.tol_fp`` and, below the
-    single-peak bound, the grid oracle agrees.  Every solve's certificate
-    and every symmetric sweep row decide here."""
+    single-peak bound, the grid oracle agrees.  Every point function's
+    certificate, and so every solve's and every sweep row's, is decided
+    here."""
     return dist < cfg.tol_fp and (
         at.single_peaked_guaranteed or _grid_certified(PlatformPair(p_l, p_r), at)
     )
@@ -290,23 +296,28 @@ def solve_symmetric(params: ModelParams, cfg: SolverConfig | None = None) -> Equ
     cfg = _config(params, cfg)
     _warn_single_peakedness(params)
     at, sn = _at(params, params.w)
-    _check_locus(params, params.w)
-    p, iterations = _sym_root(params.V, params.w, sn, cfg.tol_root)
-    q = 1.0 - p
-    certified = _certify(p, q, _scaled_pair(p, q, at, sn)[0], at, cfg)
-    return _result(at, sn, p, q, iterations, certified, "symmetric")
+    return _result(at, sn, *_symmetric_point(at, sn, cfg), "symmetric")
 
 
-def _check_locus(params: ModelParams, w: float) -> None:
-    """:class:`SymmetryLocusError` unless ``params`` at weight ``w`` lies on
-    the symmetry locus mu_v = w(1-2*mu_i), within ``LOCUS_TOL``."""
-    locus_gap = params.mu_v - w * (1.0 - 2.0 * params.mu_i)
+def _symmetric_point(
+    at: ModelParams | _AtW, sn: float, cfg: SolverConfig
+) -> tuple[float, float, int, bool]:
+    """The point of :func:`solve_symmetric` on the instance ``at``: the
+    platforms, the root's FOC evaluations and the certificate, with no
+    result object and no :func:`_raw_pair`.  :class:`SymmetryLocusError`
+    unless ``at`` lies on the symmetry locus mu_v = w(1-2*mu_i), within
+    ``LOCUS_TOL``.  A symmetric sweep row calls this directly."""
+    w = at.w
+    locus_gap = at.mu_v - w * (1.0 - 2.0 * at.mu_i)
     if abs(locus_gap) > LOCUS_TOL:
         raise SymmetryLocusError(
-            f"mu_v={params.mu_v:g} is off the symmetry locus "
-            f"w(1-2*mu_i)={w * (1.0 - 2.0 * params.mu_i):g} "
+            f"mu_v={at.mu_v:g} is off the symmetry locus "
+            f"w(1-2*mu_i)={w * (1.0 - 2.0 * at.mu_i):g} "
             f"(gap {locus_gap:.3e}); use solve_asymmetric"
         )
+    p, iterations = _sym_root(at.V, w, sn, cfg.tol_root)
+    q = 1.0 - p
+    return p, q, iterations, _certify(p, q, _scaled_pair(p, q, at, sn)[0], at, cfg)
 
 
 def best_response(
@@ -435,17 +446,16 @@ def solve_asymmetric(
         raise InvalidParamsError(f"start must be a pair (p_L, p_R), got {start!r}") from None
     p_l, p_r = _finite("p_L", p_l), _finite("p_R", p_r)
     _warn_single_peakedness(params)
-    return _solve_asymmetric_at(params, params.w, cfg, p_l, p_r)
+    return _solve_asymmetric_at(params, cfg, p_l, p_r)
 
 
 def _solve_asymmetric_at(
-    params: ModelParams, w: float, cfg: SolverConfig, p_l: float, p_r: float
+    params: ModelParams, cfg: SolverConfig, p_l: float, p_r: float
 ) -> EquilibriumResult:
-    """:func:`solve_asymmetric` of ``replace(params, w=w)`` from a checked
-    start, without the warning, on the instance :func:`_at` sets up.  An
-    asymmetric sweep row and :func:`find_equilibria`'s starts call this
-    directly."""
-    at, sn = _at(params, w)
+    """:func:`solve_asymmetric` from a checked start, without the warning,
+    on the instance :func:`_at` sets up.  :func:`find_equilibria`'s starts
+    and :func:`~polarsolve.analysis.classify_moderate` call this directly."""
+    at, sn = _at(params, params.w)
     return _result(at, sn, *_asymmetric_point(p_l, p_r, at, sn, cfg), "asymmetric")
 
 
@@ -454,8 +464,8 @@ def _asymmetric_point(
 ) -> tuple[float, float, int, bool]:
     """The point of :func:`_solve_asymmetric_at` on the instance ``at``:
     the platforms, the iteration count and the certificate, with no result
-    object and no :func:`_raw_pair`.  An asymmetric sweep row's FD
-    re-solves, which read only p_L, call this directly."""
+    object and no :func:`_raw_pair`.  An asymmetric sweep row and its FD
+    re-solves call this directly."""
     return _pair_newton(p_l, p_r, at, sn, cfg) or _reduced_foc(p_l, p_r, at, sn, cfg)
 
 
@@ -569,7 +579,7 @@ def find_equilibria(
     results: list[EquilibriumResult] = []
     for a in (0.1, 0.25, 0.4):
         for b in (0.6, 0.75, 0.9):
-            res = _solve_asymmetric_at(params, params.w, cfg, a, b)
+            res = _solve_asymmetric_at(params, cfg, a, b)
             if not any(
                 max(
                     abs(res.platforms.p_L - seen.platforms.p_L),

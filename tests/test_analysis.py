@@ -205,11 +205,16 @@ def _row_from_public_solves(w, params):
         (ModelParams(w=1.0, mu_v=0.3), [0.0, 1.0, 2.0]),
         # 4 w^2 sigma_i^2 overflows at the last w, so its row is NaN
         (ModelParams(w=0.0, sigma_i=1e150), [0.0, 1.0, 1e10]),
+        # below the single-peak bound, on the tilted locus only at w=1: the
+        # grid oracle reads a ModelParams at w, and the other rows are NaN
+        (ModelParams(w=1.0, sigma_v=0.08, mu_i=0.75, mu_v=-0.5), [0.5, 1.0, 2.0]),
     ],
 )
 def test_symmetric_sweep_rows_equal_rows_from_the_public_solver(params, grid):
-    expected = [_row_from_public_solves(w, params) for w in grid]
-    assert repr(sweep_w(grid, params)) == repr(expected)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SinglePeakednessWarning)
+        expected = [_row_from_public_solves(w, params) for w in grid]
+        assert repr(sweep_w(grid, params)) == repr(expected)
 
 
 def _asymmetric_row_from_public_solves(w, params):
@@ -281,22 +286,6 @@ def test_asymmetric_sweep_frozen_rows(monkeypatch):
         (0.09234438109729072, 0.9241109199066427, -8.555141733923577e-06),
     ]
     assert all(r.certified for r in rows)
-
-
-def _asymmetric_row_from_public_solves(w, params):
-    """An asymmetric sweep row built from the public ``solve_asymmetric``
-    at ``replace(params, w=...)``, its re-solves started at the row."""
-    try:
-        res = solve_asymmetric(replace(params, w=w))
-        start = (res.platforms.p_L, res.platforms.p_R)
-        solve_pl = lambda wp: solve_asymmetric(replace(params, w=wp), start=start).platforms.p_L
-        fd = analysis._fd_slope(solve_pl, w, res.platforms.p_L)
-    except PolarsolveError:
-        return analysis._nan_row(w)
-    return SweepRow(
-        w, res.platforms.p_L, res.platforms.p_R, res.delta, res.pr_L, math.nan, fd,
-        res.soc_L, res.soc_R, res.certified,
-    )
 
 
 @pytest.mark.parametrize(

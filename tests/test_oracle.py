@@ -531,11 +531,17 @@ def test_mc_matches_reduced_form_without_ideology():
 
 
 def test_mc_matches_reduced_form_in_heavy_ideology_tail():
-    params = ModelParams(w=1000.0, mu_i=0.6, sigma_i=0.02, sigma_v=1.0)
+    # at ~2.9e-7 (a 5-sigma election) 10^6 draws expect 0.29 wins, so the
+    # bound also passes an oracle that never counts one; at ~8.9e-5
+    # (kappa ~ -3.75) they expect about 89, and zero wins is 9.4 s.e. off
     pp = PlatformPair(0.3, 0.7)
-    exact = win_probability_L(pp, params)  # ~2.9e-7: a 5-sigma election
-    est = mc_win_probability(pp, params, 1_000_000, seed=13)
-    assert abs(est - exact) <= 3.0 * binom_se(exact, 1_000_000)
+    for params in (
+        ModelParams(w=1000.0, mu_i=0.6, sigma_i=0.02, sigma_v=1.0),
+        ModelParams(w=1000.0, mu_i=0.575, sigma_i=0.02, sigma_v=1.0),
+    ):
+        exact = win_probability_L(pp, params)
+        est = mc_win_probability(pp, params, 1_000_000, seed=13)
+        assert abs(est - exact) <= 3.0 * binom_se(exact, 1_000_000), (params, est, exact)
 
 
 def whole_batch_mc(pp, params, n_samples, seed):
@@ -602,8 +608,10 @@ def test_the_chunked_pass_counts_sizes_off_the_chunk_and_the_batch(n_samples):
         # and margins near 10^-9, so any other rounding order moves the count
         (PlatformPair(-1000.0, 1001.0), ModelParams(w=1.0, sigma_i=1e-9, sigma_v=1e-10),
          40_000, 1),
+        # the smallest seed the oracle accepts
+        (PlatformPair(0.3, 0.7), ModelParams(w=1.0), 40_000, 0),
     ],
-    ids=["w-zero", "heavy-tail", "last-bit-race"],
+    ids=["w-zero", "heavy-tail", "last-bit-race", "seed-zero"],
 )
 def test_the_chunked_pass_counts_the_edge_cases(pp, params, n_samples, seed):
     assert mc_win_probability(pp, params, n_samples, seed) == whole_batch_mc(

@@ -438,6 +438,15 @@ def test_rtsafe_steps_on_straight_lines():
     # bisection step's guard at adjacent doubles can end the search
     x, evaluations = solver._rtsafe(line(0.1, lambda x: math.nan), 0.0, 1.0, 0.5, 0.0)
     assert abs(x - 0.1) <= math.ulp(0.1) and evaluations < 100
+    # the first step is compared with the bracket's width, 1: a Newton step
+    # of 0.75 lands inside [10, 11] but is bisected, twice, before Newton
+    # steps onto the root
+    assert solver._rtsafe(line(10.125), 10.0, 11.0, 10.875, 1e-12) == (10.125, 4)
+    assert evals == [10.875, 10.4375, 10.21875, 10.125]
+    # with no usable slope every step bisects, and the search stops once the
+    # bisection's step, the distance to the bracket's end, is below tol
+    assert solver._rtsafe(line(1.3, lambda x: math.nan), 1.0, 2.0, 1.5, 0.2) == (1.375, 2)
+    assert evals == [1.5, 1.25]
 
 
 # offlocus-sweep seed 1, base 9: R's best response sits near 0.5104 in a
@@ -977,12 +986,9 @@ def test_find_equilibria_off_locus_sorted():
     assert len(found) >= 1
 
 
-@pytest.mark.parametrize("base", [_BASE_9, _BASE_13], ids=["base9", "base13"])
-def test_an_asymmetric_sweep_row_builds_one_result(base, monkeypatch):
-    # three solves per row: the row's own, which evaluates the raw kernel
-    # once and builds the row's one result, and its two FD re-solves, which
-    # return only their points
-    base = ModelParams(w=1.0, **base)
+def _count_row_calls(monkeypatch, point):
+    """Count, per sweep row, the raw kernel, the result and platform-pair
+    constructors and the point function ``point``, in both modules."""
     calls = collections.Counter()
 
     def counted(name, f):
@@ -992,16 +998,36 @@ def test_an_asymmetric_sweep_row_builds_one_result(base, monkeypatch):
         return call
 
     for module, names in (
-        (solver, ("_raw_pair", "EquilibriumResult", "_asymmetric_point")),
-        (analysis, ("_raw_pair", "_asymmetric_point")),
+        (solver, ("_raw_pair", "EquilibriumResult", "PlatformPair", point)),
+        (analysis, ("_raw_pair", point)),
     ):
         for name in names:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+@pytest.mark.parametrize("base", [_BASE_9, _BASE_13], ids=["base9", "base13"])
+def test_an_asymmetric_sweep_row_builds_no_result(base, monkeypatch):
+    # three solves per row, each returning only its point: the row's own,
+    # at which the raw kernel runs once, and its two FD re-solves
+    base = ModelParams(w=1.0, **base)
+    calls = _count_row_calls(monkeypatch, "_asymmetric_point")
     for w in _SWEEP_GRID:
         calls.clear()
         (row,) = sweep_w([w], base, mode="asymmetric")
         assert row.certified, (w, row)
-        assert calls == {"_raw_pair": 1, "EquilibriumResult": 1, "_asymmetric_point": 3}, w
+        assert calls == {"_raw_pair": 1, "_asymmetric_point": 3}, w
+
+
+def test_a_symmetric_sweep_row_builds_no_result(monkeypatch):
+    # the row's own point, at which the raw kernel runs once; the FD
+    # stencil's two roots are bare symmetric roots
+    calls = _count_row_calls(monkeypatch, "_symmetric_point")
+    for w in _SWEEP_GRID:
+        calls.clear()
+        (row,) = sweep_w([w], ModelParams(w=1.0))
+        assert row.certified, (w, row)
+        assert calls == {"_raw_pair": 1, "_symmetric_point": 1}, w
 
 
 def _fresh_certificate(res, params, cfg):
